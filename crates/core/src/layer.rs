@@ -243,6 +243,15 @@ impl DirectiveBoard {
         Posting::Accepted
     }
 
+    /// Whether `layer` already holds `directive` for `subject`: a caller
+    /// repeating a standing directive checks this instead of appending a
+    /// duplicate entry with every repetition.
+    pub fn holds(&self, layer: Layer, subject: &str, directive: &Directive) -> bool {
+        self.active
+            .iter()
+            .any(|(l, s, d)| *l == layer && s == subject && d == directive)
+    }
+
     /// Active directives for a subject.
     pub fn directives_for<'a>(&'a self, subject: &'a str) -> impl Iterator<Item = &'a Directive> {
         self.active

@@ -599,6 +599,35 @@ mod tests {
     }
 
     #[test]
+    fn escalation_storm_posts_each_standing_directive_once() {
+        use crate::layer::Directive;
+        use crate::scenario::ScenarioFamily;
+        // Unrepaired thermal deadline misses escalate to the objective
+        // layer thousands of times; its safe stop must stand on the board
+        // once rather than once per escalation.
+        let scenario = ScenarioFamily::Thermal.build(ResponseStrategy::ObjectiveStop, 2017);
+        let mut ctx = RunContext::new(&scenario, None);
+        while !ctx.done() {
+            ctx.tick(None);
+        }
+        let objective_resolutions = ctx
+            .v
+            .coordinator
+            .resolution_layers()
+            .into_iter()
+            .find(|&(layer, _)| layer == Layer::Objective)
+            .map_or(0, |(_, n)| n);
+        assert!(
+            objective_resolutions > 1_000,
+            "no escalation storm: {objective_resolutions} objective resolutions"
+        );
+        let board = &ctx.v.board;
+        assert_eq!(board.len(), 1, "one board entry per (layer, subject)");
+        assert!(board.holds(Layer::Objective, "vehicle", &Directive::SafeStop));
+        assert_eq!(ctx.finish().conflicts, 0);
+    }
+
+    #[test]
     fn propagation_bounded_in_all_scenarios() {
         for strategy in ResponseStrategy::ALL {
             let out = SelfAwareVehicle::run(Scenario::intrusion(strategy, 3));

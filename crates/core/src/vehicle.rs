@@ -40,7 +40,7 @@ use saav_vehicle::world::VehicleWorld;
 
 use crate::contracts;
 use crate::coordinator::{Coordinator, EscalationPolicy};
-use crate::layer::{Containment, Directive, DirectiveBoard, Layer, ProblemKind};
+use crate::layer::{Containment, Directive, DirectiveBoard, Layer, Posting, ProblemKind};
 use crate::outcome::Outcome;
 use crate::scenario::{ReconfigSpec, ResponseStrategy, Scenario, ScenarioEvent, ScenarioState};
 use crate::telemetry::SwitchOutcome;
@@ -540,8 +540,7 @@ impl SelfAwareVehicle {
             }
             (Layer::Safety, ProblemKind::SecurityBreach | ProblemKind::ComponentFailure) => {
                 if subject.contains("brake_rear") || state.compromised {
-                    self.board
-                        .post(Layer::Safety, "brake_rear", Directive::Shutdown);
+                    self.post_standing(Layer::Safety, "brake_rear", Directive::Shutdown);
                     self.rte.quarantine(self.brake_rear_comp);
                     self.world.brakes.rear.set_enabled(false);
                     state.brake_rear_quarantined = true;
@@ -607,9 +606,8 @@ impl SelfAwareVehicle {
                 self.abilities.propagate();
                 let root = self.abilities.root_level();
                 if root >= 0.3 {
-                    if let crate::layer::Posting::Rejected { .. } =
-                        self.board
-                            .post(Layer::Ability, "vehicle", Directive::SpeedCap(15.0))
+                    if let Posting::Rejected { .. } =
+                        self.post_standing(Layer::Ability, "vehicle", Directive::SpeedCap(15.0))
                     {
                         return Containment::CannotHandle;
                     }
@@ -637,8 +635,7 @@ impl SelfAwareVehicle {
                 }
             }
             (Layer::Objective, _) => {
-                self.board
-                    .post(Layer::Objective, "vehicle", Directive::SafeStop);
+                self.post_standing(Layer::Objective, "vehicle", Directive::SafeStop);
                 self.world.command_safe_stop();
                 self.mode.commit_safe_stop();
                 self.tracer
@@ -649,6 +646,18 @@ impl SelfAwareVehicle {
             }
             _ => Containment::CannotHandle,
         }
+    }
+
+    /// Posts a directive that stays in force once accepted. Escalation
+    /// storms repeat the same containment many times a second; when
+    /// `layer` already holds `directive` for `subject`, re-posting would
+    /// only append a duplicate (the vehicle never posts the `KeepAlive`
+    /// that could conflict with it), so the post is skipped.
+    fn post_standing(&mut self, layer: Layer, subject: &str, directive: Directive) -> Posting {
+        if self.board.holds(layer, subject, &directive) {
+            return Posting::Accepted;
+        }
+        self.board.post(layer, subject, directive)
     }
 
     /// One thermal renegotiation attempt through the mounted MCC. Returns

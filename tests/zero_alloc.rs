@@ -7,10 +7,18 @@
 //! between the 1 Hz recording instants and asserts the count is zero.
 //! Any future `clone()`, `format!()` or `Vec` growth snuck into a tick
 //! path fails these tests rather than silently costing 100 Hz × fleet.
+//!
+//! The count is process-wide, so fleet and `TickPool` worker threads are
+//! counted too. That is why the binary has no test harness (`harness =
+//! false` in the root manifest): [`main`] runs the pins one after another
+//! on the main thread, and no harness thread can allocate inside another
+//! pin's counting window. `cargo test --test zero_alloc [FILTER]` prints
+//! one libtest-style line per pin.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::time::Instant;
 
 use saav::core::cache::ResultCache;
 use saav::core::city::CityRun;
@@ -58,15 +66,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Serializes the tests in this binary: the counter is process-global, so
-/// another test's setup allocating mid-window would register as a false
-/// positive. Each test holds the gate for its whole body.
-static GATE: Mutex<()> = Mutex::new(());
-
-fn gate() -> std::sync::MutexGuard<'static, ()> {
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Runs `f` with allocation counting on and returns how many heap
 /// allocations it performed.
 fn count_allocs(f: impl FnOnce()) -> u64 {
@@ -84,9 +83,7 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
 /// plumbing (the `Option<&mut RunTelemetry>` threading) at zero cost.
 /// The window deliberately dodges the whole-second instants, where the
 /// 1 Hz series push is *allowed* to grow its buffers.
-#[test]
 fn nominal_tick_path_is_allocation_free() {
-    let _g = gate();
     let mut scenario = ScenarioFamily::Baseline.build(ResponseStrategy::CrossLayer, 42);
     scenario.duration = Duration::from_secs(30);
     let mut sim = SteppedRun::new(&scenario);
@@ -113,9 +110,7 @@ fn nominal_tick_path_is_allocation_free() {
 /// and the virtual-time profiler charges constants instead of reading
 /// clocks — so the steady-state tick is allocation-free with telemetry
 /// on, not just off.
-#[test]
 fn mounted_telemetry_tick_is_allocation_free() {
-    let _g = gate();
     let mut scenario = ScenarioFamily::Baseline.build(ResponseStrategy::CrossLayer, 42);
     scenario.duration = Duration::from_secs(30);
     let sink = Telemetry::default();
@@ -146,9 +141,7 @@ fn mounted_telemetry_tick_is_allocation_free() {
 /// buffers) that does not grow with the job count. Pinned by exact
 /// equality between a 6-job and a 24-job warm sweep on the inline
 /// single-thread path, and by a tight bound on the work-stealing path.
-#[test]
 fn warm_cache_sweep_allocations_are_independent_of_job_count() {
-    let _g = gate();
     // Index i in both batch sizes maps to the same scenario, so the
     // 24-job batch's first 6 jobs are identical to the 6-job batch
     // (seeds derive from the index) and one cache serves both.
@@ -232,9 +225,7 @@ fn city_scenario(threads: usize, chunk: usize) -> Scenario {
 /// telemetry sink mounted. The window dodges the whole-second instants,
 /// where promotion/demotion and the 1 Hz series pushes are *allowed* to
 /// allocate.
-#[test]
 fn city_tick_path_is_allocation_free_single_thread() {
-    let _g = gate();
     let scenario = city_scenario(1, 1_024);
     let mut sim = CityRun::new(&scenario);
     while sim.now_millis() < 2_000 {
@@ -278,9 +269,7 @@ fn city_tick_path_is_allocation_free_single_thread() {
 /// dispatch, scratch absorption — stays off the heap on every thread
 /// (the counting allocator is process-global, so worker allocations
 /// would be caught here too).
-#[test]
 fn parallel_city_tick_path_is_allocation_free() {
-    let _g = gate();
     // Chunk 16 over 42 lanes gives three chunks, so the chunked passes
     // genuinely engage; 2 focal vehicles give two clusters.
     let scenario = city_scenario(2, 16);
@@ -304,9 +293,7 @@ fn parallel_city_tick_path_is_allocation_free() {
 /// The surrogate-tier batch update is allocation-free from the very
 /// first step: the struct-of-arrays lanes are sized at construction and
 /// the three passes touch nothing but them.
-#[test]
 fn surrogate_store_step_is_allocation_free() {
-    let _g = gate();
     let mut store = SurrogateTraffic::new(IdmParams::default());
     for i in 0..1_000 {
         store.push_vehicle(-30.0 * i as f64, 22.0);
@@ -322,4 +309,104 @@ fn surrogate_store_step_is_allocation_free() {
         "surrogate step allocated {allocs} times in 1,000 batch ticks"
     );
     assert!(!store.collision(), "warm chain must stay collision-free");
+}
+
+/// Pairs each pin with its name.
+macro_rules! pins {
+    ($($pin:ident),* $(,)?) => {
+        [$((stringify!($pin), $pin as fn())),*]
+    };
+}
+
+/// The pins, in the order [`main`] runs them.
+const PINS: [(&str, fn()); 6] = pins![
+    nominal_tick_path_is_allocation_free,
+    mounted_telemetry_tick_is_allocation_free,
+    warm_cache_sweep_allocations_are_independent_of_job_count,
+    city_tick_path_is_allocation_free_single_thread,
+    parallel_city_tick_path_is_allocation_free,
+    surrogate_store_step_is_allocation_free,
+];
+
+/// Harness options that take the next argument as their value.
+const VALUE_OPTIONS: [&str; 6] = [
+    "--test-threads",
+    "--skip",
+    "--format",
+    "--color",
+    "--logfile",
+    "-Z",
+];
+
+/// Runs the selected pins on the main thread and reports them the way
+/// libtest does. Understands the harness arguments `cargo test` forwards
+/// that select pins (name filters, `--exact`, `--skip`, `--ignored`,
+/// `--list`) and accepts the rest.
+fn main() {
+    let (mut filters, mut skips) = (Vec::new(), Vec::new());
+    let (mut exact, mut ignored_only, mut list) = (false, false, false);
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--exact" => exact = true,
+            "--ignored" => ignored_only = true,
+            "--list" => list = true,
+            "--skip" => skips.extend(args.next()),
+            a if VALUE_OPTIONS.contains(&a) => drop(args.next()),
+            a if a.starts_with('-') => {}
+            _ => filters.push(arg),
+        }
+    }
+    let matches = |name: &str, pattern: &String| {
+        if exact {
+            name == pattern
+        } else {
+            name.contains(pattern.as_str())
+        }
+    };
+    // No pin is `#[ignore]`d, so `--ignored` selects none of them.
+    let selected: Vec<_> = PINS
+        .iter()
+        .filter(|(name, _)| {
+            !ignored_only
+                && (filters.is_empty() || filters.iter().any(|f| matches(name, f)))
+                && !skips.iter().any(|s| matches(name, s))
+        })
+        .collect();
+    if list {
+        for (name, _) in &selected {
+            println!("{name}: test");
+        }
+        return;
+    }
+    let started = Instant::now();
+    println!("\nrunning {} tests", selected.len());
+    let mut failed = Vec::new();
+    for &&(name, pin) in &selected {
+        let passed = catch_unwind(AssertUnwindSafe(pin)).is_ok();
+        // A pin that panicked inside its window leaves counting on.
+        COUNTING.store(false, Ordering::SeqCst);
+        println!("test {name} ... {}", if passed { "ok" } else { "FAILED" });
+        if !passed {
+            failed.push(name);
+        }
+    }
+    if !failed.is_empty() {
+        println!("\nfailures:");
+        for name in &failed {
+            println!("    {name}");
+        }
+    }
+    println!(
+        "\ntest result: {}. {} passed; {} failed; 0 ignored; 0 measured; {} filtered out; \
+         finished in {:.2}s\n",
+        if failed.is_empty() { "ok" } else { "FAILED" },
+        selected.len() - failed.len(),
+        failed.len(),
+        PINS.len() - selected.len(),
+        started.elapsed().as_secs_f64()
+    );
+    if !failed.is_empty() {
+        std::process::exit(101);
+    }
 }
