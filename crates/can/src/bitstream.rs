@@ -20,7 +20,7 @@ pub const IFS_BITS: u32 = 3;
 /// One step of the CAN CRC-15 register (MSB-first), polynomial `x^15 +
 /// x^14 + x^10 + x^8 + x^7 + x^4 + x^3 + 1` (`0x4599`).
 #[inline]
-fn crc15_step(crc: u16, bit: bool) -> u16 {
+const fn crc15_step(crc: u16, bit: bool) -> u16 {
     let crc_nxt = (bit as u16) ^ ((crc >> 14) & 1);
     let crc = (crc << 1) & 0x7FFF;
     if crc_nxt != 0 {
@@ -36,6 +36,74 @@ pub fn crc15(bits: &[bool]) -> u16 {
     bits.iter().fold(0, |crc, &bit| crc15_step(crc, bit))
 }
 
+/// Byte-wise CRC-15: entry `x` is the register after feeding the eight
+/// bits of `x`, MSB first, into a zero register. The CRC is linear, so
+/// feeding byte `b` into register `r` gives
+/// `(r << 8) & 0x7FFF ^ CRC15_TABLE[(r >> 7) ^ b]`.
+const CRC15_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut crc = 0;
+        let mut i = 0;
+        while i < 8 {
+            crc = crc15_step(crc, (x >> (7 - i)) & 1 == 1);
+            i += 1;
+        }
+        table[x] = crc;
+        x += 1;
+    }
+    table
+};
+
+/// States of the stuffing automaton: the polarity and length of the
+/// current run of equal bits, `2 * len + bit`. Length 0 is the empty
+/// start; length 5 never persists, because the fifth equal bit inserts a
+/// stuff bit that starts a new run of one.
+const STUFF_STATES: usize = 10;
+
+/// One bit through the stuffing automaton of [`stuff`]: the next state
+/// and whether a stuff bit follows the input bit.
+const fn stuff_step(state: u8, bit: bool) -> (u8, bool) {
+    let (run_bit, run_len) = (state & 1 == 1, state / 2);
+    let run_len = if run_len > 0 && bit == run_bit {
+        run_len + 1
+    } else {
+        1
+    };
+    if run_len == 5 {
+        (2 + !bit as u8, true)
+    } else {
+        (2 * run_len + bit as u8, false)
+    }
+}
+
+/// Byte-wise stuffing automaton: entry `[state][x]` holds, for the eight
+/// bits of `x` fed MSB first from `state`, the number of stuff bits
+/// inserted (high nibble) and the state after them (low nibble).
+const STUFF_TABLE: [[u8; 256]; STUFF_STATES] = {
+    let mut table = [[0u8; 256]; STUFF_STATES];
+    let mut state = 0;
+    while state < STUFF_STATES {
+        let mut x = 0;
+        while x < 256 {
+            let mut s = state as u8;
+            let mut stuffed = 0;
+            let mut i = 0;
+            while i < 8 {
+                let (next, stuff) = stuff_step(s, (x >> (7 - i)) & 1 == 1);
+                s = next;
+                stuffed += stuff as u8;
+                i += 1;
+            }
+            table[state][x] = stuffed << 4 | s;
+            x += 1;
+        }
+        state += 1;
+    }
+    table
+};
+
 /// Feeds `value`'s low `nbits` bits, MSB first, into `sink`.
 #[inline]
 fn emit_bits(sink: &mut impl FnMut(bool), value: u64, nbits: u32) {
@@ -45,9 +113,8 @@ fn emit_bits(sink: &mut impl FnMut(bool), value: u64, nbits: u32) {
 }
 
 /// Feeds the CRC-covered region — SOF, arbitration, control and data
-/// fields, in wire order — into `sink` one bit at a time. Shared by the
-/// materializing path ([`stuffable_bits`]) and the allocation-free
-/// counting path ([`frame_bits_exact`]).
+/// fields, in wire order — into `sink` one bit at a time: the reference
+/// that [`covered_word`] must match.
 fn emit_covered_bits(frame: &CanFrame, sink: &mut impl FnMut(bool)) {
     sink(false); // SOF, dominant
     match frame.id() {
@@ -107,55 +174,72 @@ pub fn stuff(bits: &[bool]) -> Vec<bool> {
     out
 }
 
-/// Counts the bits of a stuffed stream — the same run-length rule as
-/// [`stuff`], tracking only the run state and totals instead of the
-/// stream itself.
-#[derive(Default)]
-struct StuffCounter {
-    run_bit: bool,
-    run_len: u32,
-    total: u32,
+/// The CRC-covered region packed MSB-first into the low bits of a word,
+/// and its length in bits: at most 103 (extended id, eight data bytes).
+/// The dominant SOF bit counts towards the length as a leading zero.
+fn covered_word(frame: &CanFrame) -> (u128, u32) {
+    let rtr = frame.is_remote() as u128;
+    let dlc = frame.dlc() as u128;
+    let (mut word, mut len) = match frame.id() {
+        // id · RTR · IDE (dominant) · r0 · DLC
+        FrameId::Standard(id) => ((id as u128) << 7 | rtr << 6 | dlc, 19),
+        // base id · SRR, IDE (recessive) · extended id · RTR · r1 · r0 · DLC
+        FrameId::Extended(id) => {
+            let base = (id >> 18) as u128;
+            let ext = (id & 0x3_FFFF) as u128;
+            (base << 27 | 0b11 << 25 | ext << 7 | rtr << 6 | dlc, 39)
+        }
+    };
+    for &byte in frame.payload() {
+        word = word << 8 | byte as u128;
+        len += 8;
+    }
+    (word, len)
 }
 
-impl StuffCounter {
-    #[inline]
-    fn push(&mut self, bit: bool) {
-        self.total += 1;
-        if self.run_len > 0 && bit == self.run_bit {
-            self.run_len += 1;
-        } else {
-            self.run_bit = bit;
-            self.run_len = 1;
-        }
-        if self.run_len == 5 {
-            // A stuff bit of opposite polarity goes on the wire and
-            // seeds the next run.
-            self.total += 1;
-            self.run_bit = !bit;
-            self.run_len = 1;
-        }
+/// CAN CRC-15 of the low `len` bits of `word`, a byte at a time. Leading
+/// zeros leave a zero register unchanged, so the region is fed as if
+/// zero-padded at the front to whole bytes.
+fn crc15_word(word: u128, len: u32) -> u16 {
+    (0..len.div_ceil(8)).rev().fold(0, |crc, i| {
+        let byte = (word >> (8 * i)) as u8;
+        (crc << 8 & 0x7FFF) ^ CRC15_TABLE[((crc >> 7) as u8 ^ byte) as usize]
+    })
+}
+
+/// Stuff bits the low `len` bits of `word` need, a byte at a time. The
+/// region is padded at the front to whole bytes with alternating bits
+/// that end recessive: they never stuff, and the dominant SOF that
+/// follows starts a new run exactly as from the empty start.
+fn stuff_count_word(word: u128, len: u32) -> u32 {
+    let pad = (8 - len % 8) % 8;
+    let word = word | (0x55 & ((1 << pad) - 1)) << len;
+    let mut state = 0;
+    let mut stuffed = 0;
+    for i in (0..(len + pad) / 8).rev() {
+        let entry = STUFF_TABLE[state as usize][(word >> (8 * i)) as u8 as usize];
+        stuffed += (entry >> 4) as u32;
+        state = entry & 0xF;
     }
+    stuffed
 }
 
 /// Exact number of bits the frame occupies on the bus, **excluding** the
 /// interframe space: stuffed stuffable region plus the fixed-form tail.
 ///
-/// Allocation-free: the bus simulation calls this once per transmitted
-/// frame at 100 Hz per vehicle, so the CRC register and the stuffing run
-/// length are folded over the bit stream directly rather than
-/// materializing it (the [`stuffable_bits`]/[`stuff`] pair remains as
-/// the reference implementation; a unit test pins both paths equal).
+/// Allocation-free and byte-wise: the bus simulation calls this once per
+/// transmitted frame at 100 Hz per vehicle, so the frame is packed into
+/// one word and both the CRC-15 and the stuffing run length advance a
+/// byte per table lookup instead of a bit per step (the
+/// [`stuffable_bits`]/[`stuff`] pair remains as the bit-at-a-time
+/// reference; a unit test pins both paths equal).
 pub fn frame_bits_exact(frame: &CanFrame) -> u32 {
-    let mut crc: u16 = 0;
-    let mut counter = StuffCounter::default();
-    emit_covered_bits(frame, &mut |b| {
-        crc = crc15_step(crc, b);
-        counter.push(b);
-    });
+    let (covered, len) = covered_word(frame);
     // The CRC sequence is stuffed like any other field but does not feed
     // back into the CRC register.
-    emit_bits(&mut |b| counter.push(b), crc as u64, 15);
-    counter.total + TAIL_BITS
+    let region = covered << 15 | crc15_word(covered, len) as u128;
+    let len = len + 15;
+    len + stuff_count_word(region, len) + TAIL_BITS
 }
 
 /// Exact bits including the 3-bit interframe space that must elapse before
@@ -177,6 +261,7 @@ pub fn frame_bits_worst_case(dlc: u8, extended: bool) -> u32 {
 mod tests {
     use super::*;
     use crate::frame::FrameId;
+    use saav_sim::rng::SimRng;
 
     fn data_frame(id: u16, payload: &[u8]) -> CanFrame {
         CanFrame::data(FrameId::standard(id).unwrap(), payload).unwrap()
@@ -269,28 +354,43 @@ mod tests {
 
     #[test]
     fn streaming_count_matches_materialized_stuffing() {
-        // The allocation-free counter must agree bit-for-bit with the
-        // reference stuff(stuffable_bits(..)) path, including the heavy
-        // stuffing of all-zero payloads and extended ids.
-        for &id in &[0u16, 0x55, 0x2AA, 0x7FF] {
-            for len in 0..=8usize {
-                for fill in [0x00u8, 0xFF, 0xAA, 0x13] {
-                    let payload = vec![fill; len];
-                    let f = data_frame(id, &payload);
-                    assert_eq!(
-                        frame_bits_exact(&f),
-                        stuff(&stuffable_bits(&f)).len() as u32 + TAIL_BITS,
-                        "id {id:#x} len {len} fill {fill:#x}"
-                    );
+        // The table-driven count must agree bit-for-bit with the reference
+        // stuff(stuffable_bits(..)) path on a seeded sweep of standard,
+        // extended and remote frames at every DLC, including the
+        // all-dominant and all-recessive payloads that stuff hardest, and
+        // the packed word must hold exactly the reference bits (which pins
+        // the byte-wise CRC to the bit-at-a-time one).
+        let mut rng = SimRng::seed_from(0xC0FFEE);
+        let mut frames = Vec::new();
+        for dlc in 0..=8u8 {
+            let mut ids = vec![
+                FrameId::standard(0).unwrap(),
+                FrameId::standard(0x7FF).unwrap(),
+                FrameId::extended(0).unwrap(),
+                FrameId::extended(0x1FFF_FFFF).unwrap(),
+            ];
+            for _ in 0..150 {
+                ids.push(FrameId::standard(rng.uniform_u64(0, 0x7FF) as u16).unwrap());
+                ids.push(FrameId::extended(rng.uniform_u64(0, 0x1FFF_FFFF) as u32).unwrap());
+            }
+            for id in ids {
+                let random: Vec<u8> = (0..dlc).map(|_| rng.uniform_u64(0, 0xFF) as u8).collect();
+                for payload in [random, vec![0x00; dlc as usize], vec![0xFF; dlc as usize]] {
+                    frames.push(CanFrame::data(id, &payload).unwrap());
                 }
+                frames.push(CanFrame::remote(id, dlc).unwrap());
             }
         }
-        for &id in &[0u32, 0x1ABC_DE01, 0x1FFF_FFFF] {
-            let f = CanFrame::data(FrameId::extended(id).unwrap(), &[0x00, 0xFF, 0x00]).unwrap();
+        for f in frames {
+            let reference = stuffable_bits(&f);
+            let (covered, len) = covered_word(&f);
+            let region = covered << 15 | crc15_word(covered, len) as u128;
+            let packed: Vec<bool> = (0..len + 15).rev().map(|i| region >> i & 1 == 1).collect();
+            assert_eq!(packed, reference, "{f}");
             assert_eq!(
                 frame_bits_exact(&f),
-                stuff(&stuffable_bits(&f)).len() as u32 + TAIL_BITS,
-                "extended id {id:#x}"
+                stuff(&reference).len() as u32 + TAIL_BITS,
+                "{f}"
             );
         }
     }

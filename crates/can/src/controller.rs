@@ -83,6 +83,9 @@ pub struct QueuedFrame {
     pub ready_at: Time,
     /// Enqueue order, for FIFO tie-breaking among equal priorities.
     pub seq: u64,
+    /// Index of the virtual function that queued the frame on a
+    /// virtualized controller; 0 on a standard one.
+    pub(crate) owner: usize,
 }
 
 /// Priority-ordered TX queue with readiness times.
@@ -116,6 +119,17 @@ impl TxQueue {
     ///
     /// Returns `None` (dropping the frame) when the queue is full.
     pub fn push(&mut self, frame: CanFrame, ready_at: Time) -> Option<u64> {
+        self.push_owned(frame, ready_at, 0)
+    }
+
+    /// [`TxQueue::push`] on behalf of virtual function `owner`: the frame
+    /// carries its owner through arbitration, retries and completion.
+    pub(crate) fn push_owned(
+        &mut self,
+        frame: CanFrame,
+        ready_at: Time,
+        owner: usize,
+    ) -> Option<u64> {
         if let Some(cap) = self.capacity {
             if self.frames.len() >= cap {
                 return None;
@@ -127,6 +141,7 @@ impl TxQueue {
             frame,
             ready_at,
             seq,
+            owner,
         });
         Some(seq)
     }

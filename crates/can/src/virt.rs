@@ -23,7 +23,6 @@
 //! | TX | doorbell 1.4 µs + mux 2.6 µs + 0.3 µs per extra enabled VF |
 //! | RX | demux 2.2 µs + 0.2 µs per extra enabled VF + virtual IRQ 0.8 µs |
 
-use std::collections::HashMap;
 use std::fmt;
 
 use saav_sim::time::{Duration, Time};
@@ -185,10 +184,9 @@ impl VirtCanConfig {
 pub struct VirtualizedCanController {
     config: VirtCanConfig,
     vfs: Vec<VirtualFunction>,
-    /// Merged, priority-ordered staging queue of the wrapper.
+    /// Merged, priority-ordered staging queue of the wrapper; each staged
+    /// frame carries the index of its originating VF.
     tx: TxQueue,
-    /// Maps staged frame sequence numbers to their originating VF.
-    tx_owner: HashMap<u64, VfId>,
     bitrate_bps: u32,
 }
 
@@ -216,7 +214,6 @@ impl VirtualizedCanController {
         let ctrl = VirtualizedCanController {
             vfs,
             tx: TxQueue::bounded(config.base.tx_capacity * config.num_vfs),
-            tx_owner: HashMap::new(),
             bitrate_bps: 500_000,
             config,
         };
@@ -276,17 +273,13 @@ impl VirtualizedCanController {
             return Err(VirtError::QuotaExceeded);
         }
         let ready = now + tx_overhead + tx_latency;
-        match self.tx.push(frame, ready) {
-            Some(seq) => {
-                // Track ownership for stats and isolation accounting.
-                self.tx_owner.insert(seq, vf);
-                Ok(())
-            }
-            None => {
-                self.vf_mut(vf)?.stats.tx_rejected += 1;
-                Err(VirtError::QueueFull)
-            }
+        // The staged frame records its owner for stats and isolation
+        // accounting.
+        if self.tx.push_owned(frame, ready, vf.0).is_none() {
+            self.vf_mut(vf)?.stats.tx_rejected += 1;
+            return Err(VirtError::QueueFull);
         }
+        Ok(())
     }
 
     /// Retrieves the oldest frame visible to `vf` at `now`.
@@ -388,10 +381,8 @@ impl VirtualizedCanController {
     }
 
     pub(crate) fn bus_tx_success(&mut self, q: &QueuedFrame) {
-        if let Some(vf) = self.tx_owner.remove(&q.seq) {
-            if let Some(v) = self.vfs.get_mut(vf.0) {
-                v.stats.tx_frames += 1;
-            }
+        if let Some(v) = self.vfs.get_mut(q.owner) {
+            v.stats.tx_frames += 1;
         }
     }
 

@@ -21,15 +21,14 @@ use saav_hw::platform::Platform;
 use saav_learn::{OnlineScorer, SelfAwarenessModel};
 use saav_mcc::renegotiator::{NegotiationOutcome, Pressure, PressureKind};
 use saav_mcc::Renegotiator;
-use saav_monitor::access_mon::{AccessMonitor, AccessObservation};
+use saav_monitor::access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 use saav_monitor::anomaly::{Anomaly, AnomalyKind};
-use saav_monitor::exec::{ExecutionMonitor, JobObservation};
+use saav_monitor::exec::{ExecutionMonitor, JobTiming, TaskSlot};
 use saav_monitor::metrics::MetricBus;
 use saav_monitor::signal::{HeartbeatMonitor, QualityMonitor};
 use saav_rte::component::{ComponentSpec, VmId};
 use saav_rte::rte::Rte;
 use saav_rte::sched::{JobRecord, Priority, TaskRef, TaskSpec};
-use saav_sim::name::Name;
 use saav_sim::time::{Duration, Time};
 use saav_sim::trace::Tracer;
 use saav_skills::ability::{AbilityGraph, AggregateOp, Thresholds};
@@ -47,6 +46,23 @@ use crate::telemetry::SwitchOutcome;
 
 /// The control/simulation step of the assembled vehicle.
 pub const CONTROL_PERIOD: Duration = Duration::from_millis(10);
+
+/// Exec-monitor slot of each RTE task, indexed by [`TaskRef`].
+#[derive(Default)]
+struct TaskSlots(Vec<Option<TaskSlot>>);
+
+impl TaskSlots {
+    fn bind(&mut self, task: TaskRef, slot: TaskSlot) {
+        if self.0.len() <= task.0 {
+            self.0.resize(task.0 + 1, None);
+        }
+        self.0[task.0] = Some(slot);
+    }
+
+    fn get(&self, task: TaskRef) -> Option<TaskSlot> {
+        self.0.get(task.0).copied().flatten()
+    }
+}
 
 /// The assembled self-aware vehicle.
 pub struct SelfAwareVehicle {
@@ -81,10 +97,11 @@ pub struct SelfAwareVehicle {
     acc_task: TaskRef,
     perception_task: TaskRef,
     brake_rear_comp: saav_rte::component::ComponentId,
-    // interned names + drain buffer reused by the per-tick monitor pump,
-    // keeping the nominal tick allocation-free
-    obs_client_brake_rear: Name,
-    obs_service_can_tx: Name,
+    // monitor slots resolved outside the tick + drain buffer reused by the
+    // per-tick monitor pump, keeping the nominal tick allocation-free and
+    // free of name hashing
+    brake_rear_can_tx: ChannelSlot,
+    task_slots: TaskSlots,
     job_records_buf: Vec<JobRecord>,
     // cooperative (platoon) state, set by the co-simulation engine
     pub(crate) member_id: Option<usize>,
@@ -151,7 +168,7 @@ impl SelfAwareVehicle {
         // contract model can never drift apart.
         let nominal = contracts::nominal_config();
         let radar_ct = contracts::task_contract(&nominal, "radar_driver", "radar_drv");
-        let _radar_task = rte
+        let radar_task = rte
             .add_task(
                 TaskSpec::periodic(
                     "radar_drv",
@@ -190,16 +207,23 @@ impl SelfAwareVehicle {
                 .with_budget(Duration::from_millis(4)),
             )
             .expect("valid task");
+        let mut tasks = vec![
+            (radar_task, "radar_drv"),
+            (perception_task, "perception"),
+            (acc_task, "acc_ctl"),
+        ];
         for (name, contract_comp, comp) in [
             ("brake_front_ctl", "brake_front", brake_front_comp),
             ("brake_rear_ctl", "brake_rear", brake_rear_comp),
         ] {
             let ct = contracts::task_contract(&nominal, contract_comp, name);
-            rte.add_task(
-                TaskSpec::periodic(name, comp, ct.period, ct.wcet, Priority(ct.priority))
-                    .with_exec_fraction(0.8, 0.9),
-            )
-            .expect("valid task");
+            let task = rte
+                .add_task(
+                    TaskSpec::periodic(name, comp, ct.period, ct.wcet, Priority(ct.priority))
+                        .with_exec_fraction(0.8, 0.9),
+                )
+                .expect("valid task");
+            tasks.push((task, name));
         }
 
         // --- communication ------------------------------------------------
@@ -220,9 +244,14 @@ impl SelfAwareVehicle {
         for (task, wcet) in contracts::monitored_contracts(&nominal) {
             exec_mon.set_contract(task, wcet);
         }
+        let mut task_slots = TaskSlots::default();
+        for (task, name) in tasks {
+            task_slots.bind(task, exec_mon.slot(name));
+        }
         let mut access_mon = AccessMonitor::with_defaults();
         access_mon.set_nominal_rate("brake_rear", "can.tx", 100.0);
         access_mon.set_nominal_rate("brake_front", "can.tx", 100.0);
+        let brake_rear_can_tx = access_mon.channel("brake_rear", "can.tx");
 
         SelfAwareVehicle {
             platform,
@@ -252,8 +281,8 @@ impl SelfAwareVehicle {
             acc_task,
             perception_task,
             brake_rear_comp,
-            obs_client_brake_rear: Name::from("brake_rear"),
-            obs_service_can_tx: Name::from("can.tx"),
+            brake_rear_can_tx,
+            task_slots,
             job_records_buf: Vec::new(),
             member_id: None,
             platoon_active: false,
@@ -371,24 +400,24 @@ impl SelfAwareVehicle {
                     .bus
                     .virtualized_mut(self.virt_node)
                     .vf_send(VfId(1), f, self.now);
-                self.access_mon.observe(&AccessObservation {
-                    at: self.now,
-                    client: self.obs_client_brake_rear.clone(),
-                    service: self.obs_service_can_tx.clone(),
-                    allowed: true,
-                });
+                // Known gap: the flood's rate anomaly is discarded, so it
+                // never reaches the coordinator and detection rests on the
+                // denied probe below. Routing it would change the pinned
+                // outcomes.
+                let _ = self
+                    .access_mon
+                    .observe_slot(self.brake_rear_can_tx, self.now);
             }
             // Capability probing (denied attempts show in the RTE log).
             let _ = self
                 .rte
                 .open_session(self.brake_rear_comp, "sensor.radar", self.now);
         } else {
-            self.access_mon.observe(&AccessObservation {
-                at: self.now,
-                client: self.obs_client_brake_rear.clone(),
-                service: self.obs_service_can_tx.clone(),
-                allowed: true,
-            });
+            // Discarded like the flood's above (at the nominal 100/s this
+            // channel never flags).
+            let _ = self
+                .access_mon
+                .observe_slot(self.brake_rear_can_tx, self.now);
         }
         self.bus.advance(self.now);
     }
@@ -400,14 +429,23 @@ impl SelfAwareVehicle {
         // buffer (the per-tick record traffic must not allocate).
         self.rte.drain_records_into(&mut self.job_records_buf);
         for rec in &self.job_records_buf {
-            let obs = JobObservation {
+            let slot = match self.task_slots.get(rec.task) {
+                Some(slot) => slot,
+                // A task renegotiation added mid-run, resolved once on its
+                // first job.
+                None => {
+                    let slot = self.exec_mon.slot(&rec.name);
+                    self.task_slots.bind(rec.task, slot);
+                    slot
+                }
+            };
+            let job = JobTiming {
                 at: rec.finish,
-                task: rec.name.clone(),
                 exec_nominal: rec.exec_nominal,
                 response: rec.response,
                 deadline_met: rec.deadline_met,
             };
-            anomalies.extend(self.exec_mon.observe(&obs));
+            self.exec_mon.observe_slot(slot, job, &mut anomalies);
         }
         // Access monitoring from the RTE log.
         for ev in self.rte.take_access_log() {

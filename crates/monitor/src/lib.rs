@@ -30,8 +30,8 @@ pub mod exec;
 pub mod metrics;
 pub mod signal;
 
-pub use access_mon::{AccessMonitor, AccessObservation};
+pub use access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 pub use anomaly::{Anomaly, AnomalyKind};
-pub use exec::{ExecProfile, ExecutionMonitor, JobObservation};
+pub use exec::{ExecProfile, ExecutionMonitor, JobObservation, JobTiming, TaskSlot};
 pub use metrics::{Metric, MetricBus};
 pub use signal::{BoundaryMonitor, HeartbeatMonitor, PlausibilityMonitor, QualityMonitor};

@@ -66,6 +66,8 @@ pub struct SurrogateTraffic {
     /// Mirrored slots hold externally-pushed state (a focal vehicle's true
     /// physics) and are skipped by the integration passes.
     mirrored: Vec<bool>,
+    /// Number of `false` entries in `mirrored`, kept in step with it.
+    surrogates: usize,
     /// Smallest gap ever observed across the chain (m).
     min_gap_m: f64,
     /// Whether any gap closed to zero.
@@ -88,6 +90,7 @@ impl SurrogateTraffic {
             accel_mps2: Vec::new(),
             gap_m: Vec::new(),
             mirrored: Vec::new(),
+            surrogates: 0,
             min_gap_m: f64::INFINITY,
             collision: false,
             chunk_min_gap_m: Vec::new(),
@@ -131,6 +134,7 @@ impl SurrogateTraffic {
             self.pos_m[idx - 1] - pos_m
         });
         self.mirrored.push(false);
+        self.surrogates += 1;
         idx
     }
 
@@ -144,9 +148,10 @@ impl SurrogateTraffic {
         self.pos_m.is_empty()
     }
 
-    /// Number of surrogate-integrated (non-mirrored) vehicles.
+    /// Number of surrogate-integrated (non-mirrored) vehicles. O(1): the
+    /// count is kept as slots are pushed and flip tiers.
     pub fn surrogate_count(&self) -> usize {
-        self.mirrored.iter().filter(|&&m| !m).count()
+        self.surrogates
     }
 
     /// Marks slot `i` as mirrored (true: a focal vehicle's physics owns
@@ -156,7 +161,14 @@ impl SurrogateTraffic {
     /// # Panics
     /// Panics on an out-of-range slot.
     pub fn set_mirrored(&mut self, i: usize, mirrored: bool) {
-        self.mirrored[i] = mirrored;
+        if self.mirrored[i] != mirrored {
+            self.mirrored[i] = mirrored;
+            if mirrored {
+                self.surrogates -= 1;
+            } else {
+                self.surrogates += 1;
+            }
+        }
         if !mirrored {
             self.accel_mps2[i] = 0.0;
         }
@@ -526,6 +538,40 @@ mod tests {
         assert!(!t.collision(), "min gap {}", t.min_gap_m());
         // The tail reacted: far-back vehicles slowed toward the leader.
         assert!(t.speed_mps(19) < 10.0, "tail speed {}", t.speed_mps(19));
+    }
+
+    #[test]
+    fn surrogate_count_tracks_tier_flips() {
+        // The kept count must equal a recount of the flags after
+        // promotions, demotions and redundant calls that flip nothing.
+        let mut t = SurrogateTraffic::new(IdmParams::default());
+        let recount = |t: &SurrogateTraffic| (0..t.len()).filter(|&i| !t.is_mirrored(i)).count();
+        for i in 0..12 {
+            t.push_vehicle(-30.0 * i as f64, 20.0);
+        }
+        assert_eq!(t.surrogate_count(), 12);
+        for (slot, mirrored) in [
+            (0, true),
+            (5, true),
+            (5, true), // redundant promotion
+            (11, true),
+            (7, false), // redundant demotion
+            (5, false),
+            (5, false), // redundant demotion
+            (3, true),
+            (0, false),
+        ] {
+            t.set_mirrored(slot, mirrored);
+            assert_eq!(
+                t.surrogate_count(),
+                recount(&t),
+                "after slot {slot} -> {mirrored}"
+            );
+        }
+        assert_eq!(t.surrogate_count(), 10);
+        t.push_vehicle(-400.0, 20.0);
+        assert_eq!(t.surrogate_count(), recount(&t));
+        assert_eq!(t.surrogate_count(), 11);
     }
 
     #[test]
