@@ -9,30 +9,16 @@
 //! and 1,000-vehicle chains with 1, 2 and 4 focal stacks, reporting
 //! ticks/s, vehicle×ticks/s and the per-tier cost split for each.
 //!
-//! The **thread-scaling** block then runs the 1,000v/4f workhorse and the
-//! 10,000v/4f flagship through the intra-run parallel engine at 1, 2 and
-//! 4 threads. Every run must produce a bit-identical [`CityOutcome`]
-//! (asserted in-process); speedups are **modeled**, not measured — the
-//! parallel tick is replayed in virtual time over single-thread
-//! calibrated per-chunk / per-cluster costs
-//! ([`saav_bench::replay::simulate_city_tick`]), the same
-//! calibrate-then-replay methodology `fleet_bench`'s scheduling gate
-//! uses, because on a single-core CI host every width measures the same
-//! wall. Measured walls ride along as informational fields.
-//!
 //! Outside `--test` mode the process exits nonzero unless the calibrated
 //! full/surrogate cost ratio is at least 50× — the acceptance floor that
-//! makes 1,000-vehicle scenes tractable — and the modeled 4-thread
-//! speedup on 1,000v/4f is at least 1.5×. `--test` shrinks every horizon
-//! for CI smoke runs and skips both gates (short horizons are noisy);
-//! the bit-identity assertions hold in every mode.
+//! makes 1,000-vehicle scenes tractable. `--test` shrinks every horizon
+//! for CI smoke runs and skips the gate (short horizons are noisy).
 //!
-//! JSON schema (`schema_version` 2): see the README's "City-scale
+//! JSON schema (`schema_version` 3): see the README's "City-scale
 //! co-simulation" section.
 
 use std::time::Instant;
 
-use saav_bench::replay::simulate_city_tick;
 use saav_core::outcome::CityOutcome;
 use saav_core::runner;
 use saav_core::scenario::{CitySpec, Scenario};
@@ -41,16 +27,6 @@ use saav_sim::time::Duration;
 
 /// Acceptance floor for the full/surrogate per-vehicle-tick cost ratio.
 const MIN_TIER_RATIO: f64 = 50.0;
-/// Acceptance floor for the modeled intra-run speedup of the 1,000v/4f
-/// workhorse at the widest modeled width.
-const MIN_PAR_SPEEDUP: f64 = 1.5;
-/// Intra-run widths the thread-scaling block models.
-const SCALE_THREADS: [usize; 3] = [1, 2, 4];
-/// `(vehicles, focal, surrogate_chunk)` configurations of the
-/// thread-scaling block. The workhorse uses 256-lane chunks so a
-/// 1,000-lane store actually splits at the modeled widths; the 10,000v
-/// flagship keeps the engine default.
-const SCALE_CONFIGS: [(usize, usize, usize); 2] = [(1_000, 4, 256), (10_000, 4, 1_024)];
 /// Repetitions per arm of the observability measurement (best-of).
 const OBS_REPS: usize = 3;
 
@@ -140,95 +116,6 @@ fn main() {
         })
         .collect();
 
-    // --- thread scaling (gated on the modeled speedup) --------------------
-    // Measured runs at every width double as the in-process determinism
-    // check: the CityOutcome must be bit-identical at 1, 2 and 4 intra-run
-    // threads. Speedups are replayed in virtual time over the calibrated
-    // tier costs (see the module docs for why walls cannot gate here).
-    struct ScaleRow {
-        threads: usize,
-        measured_wall_s: f64,
-        modeled_wall_s: f64,
-        modeled_speedup: f64,
-    }
-    struct ScaleConfig {
-        vehicles: usize,
-        focal: usize,
-        chunk: usize,
-        rows: Vec<ScaleRow>,
-    }
-    let mut scale_configs: Vec<ScaleConfig> = Vec::new();
-    let mut gate_speedup = f64::INFINITY;
-    for &(vehicles, focal, chunk) in &SCALE_CONFIGS {
-        let mut measured: Vec<(usize, f64, CityOutcome)> = SCALE_THREADS
-            .iter()
-            .map(|&threads| {
-                let s = Scenario::builder(format!("bench/{vehicles}v{focal}f/t{threads}"))
-                    .seed(7)
-                    .duration(Duration::from_secs(horizon_s))
-                    .city(
-                        CitySpec::new(vehicles - focal, focal)
-                            .with_threads(threads)
-                            .with_surrogate_chunk(chunk),
-                    )
-                    .build();
-                let start = Instant::now();
-                let out = runner::run(s);
-                let wall = start.elapsed().as_secs_f64();
-                (threads, wall, out.city.expect("city run"))
-            })
-            .collect();
-        for (threads, _, c) in &measured[1..] {
-            assert_eq!(
-                &measured[0].2, c,
-                "{vehicles}v/{focal}f diverged at {threads} intra-run threads"
-            );
-        }
-        // Calibrated per-tick cost model: chunk costs from the surrogate
-        // tier calibration (one third per barrier-separated pass), the
-        // full tier spread over one cluster per focal vehicle (focal
-        // neighborhoods are disjoint at these geometries), and the serial
-        // residue taken from the measured single-thread wall.
-        let (_, wall1, c1) = &measured[0];
-        let ticks = c1.ticks as f64;
-        let avg_full = c1.full_vehicle_ticks as f64 / ticks;
-        let chunks = vehicles.div_ceil(chunk);
-        let pass_chunk_s: Vec<f64> = (0..chunks)
-            .map(|i| chunk.min(vehicles - i * chunk) as f64 * surrogate_ns * 1e-9 / 3.0)
-            .collect();
-        let cluster_s: Vec<f64> = vec![avg_full / focal as f64 * full_ns * 1e-9; focal];
-        let busy_s = vehicles as f64 * surrogate_ns * 1e-9 + avg_full * full_ns * 1e-9;
-        let serial_s = (wall1 / ticks - busy_s).max(0.0);
-        let tick1_s = simulate_city_tick(&pass_chunk_s, &cluster_s, serial_s, 1);
-        let rows: Vec<ScaleRow> = measured
-            .drain(..)
-            .map(|(threads, measured_wall_s, _)| {
-                let tick_s = simulate_city_tick(&pass_chunk_s, &cluster_s, serial_s, threads);
-                let modeled_speedup = tick1_s / tick_s.max(1e-12);
-                eprintln!(
-                    "scaling: {vehicles:>5}v/{focal}f chunk {chunk} @ {threads} thread(s) — \
-                     modeled {:.3} s ({modeled_speedup:.2}x), measured {measured_wall_s:.3} s",
-                    tick_s * ticks,
-                );
-                ScaleRow {
-                    threads,
-                    measured_wall_s,
-                    modeled_wall_s: tick_s * ticks,
-                    modeled_speedup,
-                }
-            })
-            .collect();
-        if vehicles == 1_000 {
-            gate_speedup = rows.last().expect("at least one width").modeled_speedup;
-        }
-        scale_configs.push(ScaleConfig {
-            vehicles,
-            focal,
-            chunk,
-            rows,
-        });
-    }
-
     // --- observability (informational) -----------------------------------
     // The flagship 1,000v/2f row rerun unmounted vs with a telemetry sink
     // mounted, best of OBS_REPS each — the same noise-robust statistic the
@@ -265,7 +152,7 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"city_cosim\",\n");
-    json.push_str("  \"schema_version\": 2,\n");
+    json.push_str("  \"schema_version\": 3,\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if test_mode { "test" } else { "full" }
@@ -310,39 +197,6 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
-    json.push_str("  \"thread_scaling\": {\n");
-    json.push_str(
-        "    \"methodology\": \"outcome bit-identity asserted across widths in-process; \
-speedups replayed in virtual time over single-thread-calibrated per-chunk and per-cluster \
-costs (three barrier-separated surrogate passes + cluster phase + serial residue)\",\n",
-    );
-    json.push_str("    \"gate_config\": \"1000v/4f\",\n");
-    json.push_str(&format!("    \"min_speedup\": {MIN_PAR_SPEEDUP},\n"));
-    json.push_str(&format!("    \"gate_speedup\": {gate_speedup:.2},\n"));
-    json.push_str("    \"configs\": [\n");
-    for (i, cfg) in scale_configs.iter().enumerate() {
-        json.push_str(&format!(
-            "      {{\"vehicles\": {}, \"focal\": {}, \"surrogate_chunk\": {}, \"rows\": [\n",
-            cfg.vehicles, cfg.focal, cfg.chunk
-        ));
-        for (j, r) in cfg.rows.iter().enumerate() {
-            json.push_str(&format!(
-                "        {{\"threads\": {}, \"measured_wall_s\": {:.3}, \
-                 \"modeled_wall_s\": {:.3}, \"modeled_speedup\": {:.2}}}{}\n",
-                r.threads,
-                r.measured_wall_s,
-                r.modeled_wall_s,
-                r.modeled_speedup,
-                if j + 1 < cfg.rows.len() { "," } else { "" },
-            ));
-        }
-        json.push_str(&format!(
-            "      ]}}{}\n",
-            if i + 1 < scale_configs.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("    ]\n");
-    json.push_str("  },\n");
     json.push_str("  \"observability_overhead\": {\n");
     json.push_str("    \"scenario\": \"city 1000v/2f\",\n");
     json.push_str("    \"informational\": true,\n");
@@ -364,28 +218,13 @@ costs (three barrier-separated surrogate passes + cluster phase + serial residue
     eprintln!("wrote {out_path}");
 
     // --- acceptance gates ------------------------------------------------
-    if !test_mode {
-        let mut failed = false;
-        if ratio < MIN_TIER_RATIO {
-            eprintln!(
-                "FAIL: full/surrogate cost ratio {ratio:.1}x is below the \
-                 {MIN_TIER_RATIO:.0}x floor — the surrogate tier is not cheap \
-                 enough to carry city-scale background traffic"
-            );
-            failed = true;
-        }
-        if gate_speedup < MIN_PAR_SPEEDUP {
-            eprintln!(
-                "FAIL: modeled 1000v/4f speedup {gate_speedup:.2}x at \
-                 {} intra-run threads is below the {MIN_PAR_SPEEDUP:.1}x floor — \
-                 the parallel city engine is not paying for its barriers",
-                SCALE_THREADS[SCALE_THREADS.len() - 1]
-            );
-            failed = true;
-        }
-        if failed {
-            std::process::exit(1);
-        }
+    if !test_mode && ratio < MIN_TIER_RATIO {
+        eprintln!(
+            "FAIL: full/surrogate cost ratio {ratio:.1}x is below the \
+             {MIN_TIER_RATIO:.0}x floor — the surrogate tier is not cheap \
+             enough to carry city-scale background traffic"
+        );
+        std::process::exit(1);
     }
 }
 

@@ -20,28 +20,25 @@
 //!    distinguish schedulers, calibrated makespan can. Acceptance floor:
 //!    work stealing ≥ 1.3× over static chunking.
 //! 3. **Scaling** — wall time of the skewed mix at 1..N worker threads,
-//!    informational (no gate; single-core hosts converge).
+//!    informational (no gate; single-core hosts converge). The widest
+//!    batch must be bit-identical to the width-1 batch (asserted in every
+//!    mode).
 //! 4. **Observability** — the flagship 1,000-vehicle / 2-focal city run
 //!    timed unmounted vs with a [`Telemetry`] sink mounted (best of
-//!    several reps each), once through the sequential city engine and
-//!    once through the parallel engine (4 intra-run threads). Acceptance
-//!    ceiling on both arms: mounted overhead ≤ 5%, so tracing never
-//!    becomes something you switch off before measuring — not even on
-//!    the multi-core path, where telemetry runs through per-cluster
-//!    scratches.
+//!    several reps each). Acceptance ceiling: mounted overhead ≤ 5%, so
+//!    tracing never becomes something you switch off before measuring.
 //!
 //! Outside `--test` mode the process exits nonzero if any floor (or the
 //! overhead ceiling) is missed. `--test` shrinks every duration for CI
 //! smoke runs and skips the gates (short horizons are noisy).
 //!
-//! JSON schema (`schema_version` 2): see the README's "Fleet engine"
+//! JSON schema (`schema_version` 3): see the README's "Fleet engine"
 //! section.
 
 use std::time::Instant;
 
 use saav_bench::replay::simulate_schedule;
 use saav_core::cache::ResultCache;
-use saav_core::executor::Scheduler;
 use saav_core::fleet::FleetRunner;
 use saav_core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioFamily};
 use saav_core::telemetry::{Counter, Telemetry};
@@ -142,22 +139,10 @@ fn main() {
         static_makespan_s,
         steal_makespan_s,
     );
-    // Cross-check: both schedulers produce bit-identical batches.
-    let steal_out = FleetRunner::new(master_seed)
-        .with_threads(SCHED_WORKERS)
-        .with_scheduler(Scheduler::WorkSteal)
-        .run_scenarios(skewed_jobs());
-    let static_out = FleetRunner::new(master_seed)
-        .with_threads(SCHED_WORKERS)
-        .with_scheduler(Scheduler::StaticChunk)
-        .run_scenarios(skewed_jobs());
-    assert_eq!(
-        steal_out.records, static_out.records,
-        "schedulers must not change results"
-    );
 
     // --- phase 3: thread scaling (informational) -------------------------
     let mut scaling = Vec::new();
+    let mut batches = Vec::new();
     for threads in [1usize, 2, SCHED_WORKERS] {
         let runner = FleetRunner::new(master_seed).with_threads(threads);
         let start = Instant::now();
@@ -168,23 +153,23 @@ fn main() {
             out.records.len() as f64 / wall_s
         );
         scaling.push((threads, wall_s, out.records.len() as f64 / wall_s));
+        batches.push(out.records);
     }
+    // Cross-check: the widest batch is bit-identical to the width-1 batch.
+    assert_eq!(
+        batches[0], batches[2],
+        "{SCHED_WORKERS}-worker batch diverged from the width-1 batch"
+    );
 
     // --- phase 4: observability overhead on the flagship city run --------
     // Unmounted vs mounted wall time, best of OBS_REPS each; best-of is
     // the most noise-robust statistic for a ratio gate on a shared host.
     let flagship_s = if test_mode { 5 } else { 60 };
-    let flagship = |threads: usize| -> Scenario {
-        let mut spec = CitySpec::new(998, 2).with_threads(threads);
-        if threads > 1 {
-            // Chunks sized so a 1,000-lane store actually splits at the
-            // modeled widths (the 1,024 default leaves it whole).
-            spec = spec.with_surrogate_chunk(256);
-        }
+    let flagship = || -> Scenario {
         Scenario::builder("obs/1000v2f")
             .seed(master_seed)
             .duration(Duration::from_secs(flagship_s))
-            .city(spec)
+            .city(CitySpec::new(998, 2))
             .build()
     };
     let best_of = |run: &dyn Fn()| -> f64 {
@@ -196,13 +181,12 @@ fn main() {
             })
             .fold(f64::INFINITY, f64::min)
     };
-    // Sequential arm: the single-thread engine (pure inline loop).
     let unmounted_wall_s = best_of(&|| {
-        let _ = saav_core::runner::run(flagship(1));
+        let _ = saav_core::runner::run(flagship());
     });
     let sink = Telemetry::default();
     let mounted_wall_s = best_of(&|| {
-        let _ = saav_core::runner::run_observed(flagship(1), None, &sink);
+        let _ = saav_core::runner::run_observed(flagship(), None, &sink);
     });
     let obs_overhead = mounted_wall_s / unmounted_wall_s.max(1e-9) - 1.0;
     let obs = sink.snapshot();
@@ -212,30 +196,12 @@ fn main() {
         obs_overhead * 100.0,
         obs.events_recorded / OBS_REPS as u64,
     );
-    // Parallel arm: the same run through the 4-thread engine, where
-    // telemetry flows through forked per-cluster scratches. The trace is
-    // bit-identical to the sequential arm's by construction; this arm
-    // gates its *cost*.
-    const OBS_PAR_THREADS: usize = 4;
-    let par_unmounted_wall_s = best_of(&|| {
-        let _ = saav_core::runner::run(flagship(OBS_PAR_THREADS));
-    });
-    let par_sink = Telemetry::default();
-    let par_mounted_wall_s = best_of(&|| {
-        let _ = saav_core::runner::run_observed(flagship(OBS_PAR_THREADS), None, &par_sink);
-    });
-    let par_obs_overhead = par_mounted_wall_s / par_unmounted_wall_s.max(1e-9) - 1.0;
-    eprintln!(
-        "observability: parallel ({OBS_PAR_THREADS} threads) — unmounted {par_unmounted_wall_s:.3} s, \
-         mounted {par_mounted_wall_s:.3} s ({:+.1}% overhead)",
-        par_obs_overhead * 100.0,
-    );
 
     // --- JSON ------------------------------------------------------------
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"fleet_throughput\",\n");
-    json.push_str("  \"schema_version\": 2,\n");
+    json.push_str("  \"schema_version\": 3,\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if test_mode { "test" } else { "full" }
@@ -287,12 +253,6 @@ schedules replayed in virtual time mirroring the shard executor policy\",\n",
     json.push_str(&format!("    \"overhead_frac\": {obs_overhead:.4},\n"));
     json.push_str(&format!("    \"max_overhead_frac\": {MAX_OBS_OVERHEAD},\n"));
     json.push_str(&format!(
-        "    \"parallel\": {{\"threads\": {OBS_PAR_THREADS}, \
-         \"unmounted_wall_s\": {par_unmounted_wall_s:.4}, \
-         \"mounted_wall_s\": {par_mounted_wall_s:.4}, \
-         \"overhead_frac\": {par_obs_overhead:.4}}},\n"
-    ));
-    json.push_str(&format!(
         "    \"mounted_counters\": {{\"anomalies_raised\": {}, \"escalations_routed\": {}, \
          \"tier_promotions\": {}, \"tier_demotions\": {}, \"events_recorded\": {}}}\n",
         obs.counter(Counter::AnomaliesRaised),
@@ -327,16 +287,6 @@ schedules replayed in virtual time mirroring the shard executor policy\",\n",
                 "FAIL: mounted-telemetry overhead {:.1}% exceeds the {:.0}% ceiling \
                  on the flagship city run — tracing has become too expensive to leave on",
                 obs_overhead * 100.0,
-                MAX_OBS_OVERHEAD * 100.0
-            );
-            failed = true;
-        }
-        if par_obs_overhead > MAX_OBS_OVERHEAD {
-            eprintln!(
-                "FAIL: mounted-telemetry overhead {:.1}% exceeds the {:.0}% ceiling \
-                 on the parallel ({OBS_PAR_THREADS}-thread) city run — per-cluster \
-                 telemetry scratches have become too expensive to leave on",
-                par_obs_overhead * 100.0,
                 MAX_OBS_OVERHEAD * 100.0
             );
             failed = true;

@@ -98,11 +98,7 @@ fn observe_solo(label: &'static str, scenario: impl Fn() -> Scenario) -> E16Scen
     let observe = || {
         let sink = Telemetry::default();
         runner::run_observed(scenario(), None, &sink);
-        // City scenarios may step on several intra-run threads here
-        // (host-dependent), and steal counts are schedule noise even
-        // between reruns at a fixed width — barrier counts are not, so
-        // only the steal counter is masked.
-        (sink.events(), without_steals(sink.snapshot()))
+        (sink.events(), sink.snapshot())
     };
     let (events, snapshot) = observe();
     let (events2, snapshot2) = observe();

@@ -26,6 +26,7 @@
 //! `--threads N` (or the `SAAV_THREADS` env var) pins the fleet worker
 //! count for the sweep experiments.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod exp_can;

@@ -10,18 +10,9 @@
 //! makespans are deterministic and host-independent; measured walls ride
 //! along as informational fields.
 //!
-//! Two replays live here:
-//!
-//! * [`simulate_schedule`] — the shard executor's policy (balanced
-//!   contiguous shards, drain in order, steal from the richest), used by
-//!   `fleet_bench`'s scheduling gate and as the building block below.
-//!   The intra-run [`TickPool`](saav_core::executor::TickPool) shares
-//!   this exact shard/steal policy, so the same replay covers both
-//!   layers.
-//! * [`simulate_city_tick`] — one tick of the parallel city engine: the
-//!   three barrier-separated chunked surrogate passes, then the cluster
-//!   phase, then the serial residue (slot-ordered mirror pass, 1 Hz
-//!   re-evaluation amortized per tick).
+//! [`simulate_schedule`] replays the shard executor's policy (balanced
+//! contiguous shards, drain in order, steal from the richest) for
+//! `fleet_bench`'s scheduling gate.
 
 /// Replays a schedule over calibrated per-job costs in virtual time,
 /// mirroring the shard executor's policy exactly: each worker owns the
@@ -61,31 +52,6 @@ pub fn simulate_schedule(costs_s: &[f64], workers: usize, steal: bool) -> f64 {
     clock.iter().cloned().fold(0.0, f64::max)
 }
 
-/// Replays one tick of the parallel city engine at `threads` workers over
-/// single-thread-calibrated costs:
-///
-/// * `surrogate_pass_s` — per-chunk cost of **one** surrogate lane pass;
-///   the engine runs three barrier-separated passes over the same chunks,
-///   so the chunk schedule replays three times.
-/// * `cluster_s` — per-cluster cost of the full-fidelity phase (cluster
-///   sizes × the calibrated full-stack vehicle-tick cost).
-/// * `serial_s` — the unparallelized residue: the slot-ordered mirror
-///   pass, the amortized 1 Hz re-evaluation, and pool dispatch overhead.
-///
-/// Returns the modeled tick wall time. At `threads == 1` this collapses
-/// to the exact sum of all costs — the calibration input — so modeled
-/// speedups are self-consistent by construction.
-pub fn simulate_city_tick(
-    surrogate_pass_s: &[f64],
-    cluster_s: &[f64],
-    serial_s: f64,
-    threads: usize,
-) -> f64 {
-    3.0 * simulate_schedule(surrogate_pass_s, threads, true)
-        + simulate_schedule(cluster_s, threads, true)
-        + serial_s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,19 +73,5 @@ mod tests {
         assert!(steal_ms < static_ms, "{steal_ms} !< {static_ms}");
         // The heavy job bounds the makespan either way.
         assert!(steal_ms >= 8.0);
-    }
-
-    #[test]
-    fn city_tick_collapses_to_the_serial_sum_at_one_thread() {
-        let chunks = [0.2, 0.2, 0.2, 0.1];
-        let clusters = [1.0, 0.8, 0.9, 1.1];
-        let serial = 0.3;
-        let t1 = simulate_city_tick(&chunks, &clusters, serial, 1);
-        let exact = 3.0 * chunks.iter().sum::<f64>() + clusters.iter().sum::<f64>() + serial;
-        assert!((t1 - exact).abs() < 1e-12, "{t1} vs {exact}");
-        // More threads never model slower.
-        let t4 = simulate_city_tick(&chunks, &clusters, serial, 4);
-        assert!(t4 < t1, "{t4} !< {t1}");
-        assert!(t4 >= serial + clusters.iter().cloned().fold(0.0, f64::max));
     }
 }

@@ -23,46 +23,15 @@
 //! every focal neighborhood are **demoted** back — the store resumes
 //! integrating from their last mirrored state. Promotion cost is paid at
 //! the (rare) tier transitions; the steady-state tick path allocates
-//! nothing.
+//! nothing (pinned by `tests/zero_alloc.rs` through the steppable
+//! [`CityRun`]).
 //!
-//! # Intra-run parallelism
-//!
-//! A single city run scales with cores while staying bit-identical to
-//! the sequential engine (`CitySpec::threads` / `SAAV_THREADS`; the
-//! fleet runner divides its thread budget across concurrent jobs so the
-//! two layers compose without oversubscription). Three mechanisms, all
-//! determinism-preserving by construction:
-//!
-//! * **Chunked surrogate passes** — the store's lane passes split into
-//!   contiguous chunks on a persistent
-//!   [`TickPool`], with the min-gap /
-//!   collision fold reduced per chunk and merged in ascending slot order
-//!   ([`SurrogateTraffic::step_chunked`]).
-//! * **Cluster-parallel focal stepping** — the full-fidelity vehicles
-//!   partition into maximal runs of *adjacent* slots. A cluster head's
-//!   leader is always a surrogate slot (frozen during the phase), and
-//!   in-cluster followers read their predecessor's freshly-ticked state
-//!   in the exact Gauss–Seidel order the sequential loop uses — so
-//!   clusters are mutually independent and step in parallel, and the
-//!   slot-ordered mirror pass afterwards publishes states in a fixed
-//!   order.
-//! * **Forked telemetry scratches** — each cluster records into its own
-//!   scratch [`RunTelemetry`], folded back in ascending cluster order,
-//!   which reassigns trace sequence numbers exactly as the sequential
-//!   engine would have issued them. Pool steal/barrier activity surfaces
-//!   only through the registry side channels
-//!   ([`Counter::ShardSteals`](crate::telemetry::Counter) /
-//!   [`Counter::TickBarriers`](crate::telemetry::Counter)), never the
-//!   trace.
-//!
-//! With one thread the engine is the original pure inline loop: no pool
-//! dispatch, no scratches, zero steady-state allocations (pinned by
-//! `tests/zero_alloc.rs` through the steppable [`CityRun`]).
+//! A run steps on its calling thread. Parallelism lives one level up:
+//! a [`crate::fleet::FleetRunner`] runs many city runs side by side.
 //!
 //! [`SurrogateTraffic`]: saav_vehicle::surrogate::SurrogateTraffic
 
 use saav_learn::SelfAwarenessModel;
-use saav_sim::pool::SendPtr;
 use saav_sim::rng::derive_seed;
 use saav_sim::series::Series;
 use saav_sim::time::Time;
@@ -71,7 +40,6 @@ use saav_skills::decision::DrivingMode;
 use saav_vehicle::surrogate::SurrogateTraffic;
 use saav_vehicle::traffic::LeadVehicle;
 
-use crate::executor::TickPool;
 use crate::outcome::{CityOutcome, Outcome};
 use crate::runner::{record_outcome_latency, RunContext};
 use crate::scenario::{CitySpec, Scenario};
@@ -91,17 +59,6 @@ struct FullVehicle {
     /// `Some(k)` for focal vehicle `k`; `None` for promoted background.
     focal_index: Option<usize>,
     ctx: RunContext,
-}
-
-// The parallel cluster phase hands `FullVehicle`s and telemetry
-// scratches to pool workers through raw pointers, which bypasses the
-// auto-trait checks — assert them at compile time instead.
-fn _assert_parallel_tick_state_is_send()
-where
-    FullVehicle: Send,
-    RunTelemetry: Send,
-    SurrogateTraffic: Sync,
-{
 }
 
 /// Whether `pos` lies within `radius` of any focal position, given the
@@ -155,25 +112,14 @@ pub(crate) fn run_city_observed(
     engine.finish()
 }
 
-/// The city engine's live state: the chain, the full-fidelity tier, the
-/// intra-run tick pool and the running tier statistics.
+/// The city engine's live state: the chain, the full-fidelity tier and
+/// the running tier statistics.
 struct CityEngine {
     scenario: Scenario,
     spec: CitySpec,
     store: SurrogateTraffic,
     /// Full-fidelity vehicles, ascending by slot.
     full: Vec<FullVehicle>,
-    /// The persistent intra-run worker pool (inline loop at 1 thread).
-    pool: TickPool,
-    /// Chunk size of the parallel surrogate passes.
-    chunk: usize,
-    /// Maximal runs of adjacent slots in `full`, as index ranges —
-    /// mutually independent within one tick, recomputed only when the
-    /// tier membership changes (1 Hz at most).
-    clusters: Vec<(usize, usize)>,
-    /// One telemetry scratch per cluster (mounted parallel runs only),
-    /// reused tick after tick.
-    scratch_tel: Vec<RunTelemetry>,
     /// Focal positions sorted ascending, for the window promotion scan.
     focal_sorted: Vec<f64>,
     now: Time,
@@ -199,14 +145,6 @@ impl CityEngine {
             "initial gap must be positive, got {}",
             spec.initial_gap_m
         );
-        // Explicit spec width wins; otherwise `SAAV_THREADS` / the host
-        // core count (the fleet runner pre-resolves its composition rule
-        // into the spec before the scenario reaches this point).
-        let threads = spec
-            .threads
-            .unwrap_or_else(crate::fleet::default_threads)
-            .max(1);
-        let chunk = spec.surrogate_chunk.max(1);
 
         // --- the chain: every vehicle starts in the surrogate store -----
         let mut store = SurrogateTraffic::with_capacity(spec.idm, total);
@@ -244,15 +182,11 @@ impl CityEngine {
 
         let end = Time::ZERO + scenario.duration;
         let max_full_tier = full.len();
-        let mut engine = CityEngine {
+        CityEngine {
             scenario,
             spec,
             store,
             full,
-            pool: TickPool::new(threads),
-            chunk,
-            clusters: Vec::new(),
-            scratch_tel: Vec::new(),
             focal_sorted: Vec::new(),
             now: Time::ZERO,
             end,
@@ -263,9 +197,7 @@ impl CityEngine {
             promotions: 0,
             demotions: 0,
             max_full_tier,
-        };
-        engine.recompute_clusters();
-        engine
+        }
     }
 
     /// Whether the scenario's time horizon has been reached.
@@ -278,43 +210,15 @@ impl CityEngine {
         self.now.as_millis()
     }
 
-    /// Rebuilds the cluster ranges: maximal runs of adjacent slots in
-    /// `full`. Called only when tier membership changes, so the per-tick
-    /// path never allocates.
-    fn recompute_clusters(&mut self) {
-        self.clusters.clear();
-        let mut i = 0;
-        while i < self.full.len() {
-            let start = i;
-            while i + 1 < self.full.len() && self.full[i + 1].slot == self.full[i].slot + 1 {
-                i += 1;
-            }
-            i += 1;
-            self.clusters.push((start, i));
-        }
-    }
-
     /// Advances the city by one control period (10 ms).
     fn tick(&mut self, mut tel: Option<&mut RunTelemetry>) {
         self.now += CONTROL_PERIOD;
         self.ticks += 1;
-        let mut par_steals: u64 = 0;
-        let mut barriers: u64 = 0;
         // 1. One batched surrogate update: mirrored slots are read as
         //    leaders (at their last mirrored state — the standard one-tick
         //    co-simulation delay) but never written.
         let surrogate_t0 = tel.as_deref().and_then(|t| t.stage_enter());
-        if self.pool.threads() > 1 {
-            if let Some(stolen) =
-                self.store
-                    .step_chunked(CONTROL_PERIOD, &mut self.pool, self.chunk)
-            {
-                par_steals += stolen;
-                barriers += 3;
-            }
-        } else {
-            self.store.step(CONTROL_PERIOD);
-        }
+        self.store.step(CONTROL_PERIOD);
         if let Some(t) = tel.as_deref_mut() {
             t.stage_exit(Stage::Surrogate, surrogate_t0);
         }
@@ -323,94 +227,20 @@ impl CityEngine {
         // 2. Full-fidelity vehicles, front to back (Gauss–Seidel: a full
         //    vehicle behind another reads its already-mirrored fresh
         //    state): couple to the slot ahead, tick, mirror back.
-        let clusters_n = self.clusters.len();
-        if self.pool.threads() == 1 || clusters_n <= 1 {
-            // The sequential engine, verbatim: a pure inline loop.
-            for fv in &mut self.full {
-                let slot = fv.slot;
-                if slot > 0 {
-                    fv.ctx.v.world.push_lead_state(
-                        self.store.position_m(slot - 1),
-                        self.store.speed_mps(slot - 1),
-                    );
-                }
-                fv.ctx.tick(tel.as_deref_mut());
-                self.store.push_state(
-                    slot,
-                    fv.ctx.v.world.abs_position_m(),
-                    fv.ctx.v.world.ego.speed_mps(),
+        for fv in &mut self.full {
+            let slot = fv.slot;
+            if slot > 0 {
+                fv.ctx.v.world.push_lead_state(
+                    self.store.position_m(slot - 1),
+                    self.store.speed_mps(slot - 1),
                 );
             }
-        } else {
-            // Parallel cluster phase. A cluster head's leader (slot - 1)
-            // is never full-fidelity — it would be in the same cluster —
-            // so heads read the store's frozen surrogate lanes; in-cluster
-            // followers read their predecessor's freshly-ticked context
-            // state, clamped exactly like `push_state` would publish it.
-            // The store is read-only for the whole dispatch; mirroring
-            // happens in the slot-ordered pass below.
-            if let Some(t) = tel.as_deref() {
-                while self.scratch_tel.len() < clusters_n {
-                    self.scratch_tel.push(t.fork());
-                }
-            }
-            let mounted = tel.is_some();
-            let full_ptr = SendPtr(self.full.as_mut_ptr());
-            let scratch_ptr = SendPtr(self.scratch_tel.as_mut_ptr());
-            let store = &self.store;
-            let clusters = &self.clusters;
-            let stolen = self.pool.run(clusters_n, &move |c| {
-                let (start, end) = clusters[c];
-                // SAFETY: cluster `c` exclusively owns scratch slot `c`
-                // and the `full[start..end]` range; ranges are disjoint
-                // across jobs and the store is frozen for the dispatch.
-                let mut scratch = mounted.then(|| unsafe { &mut *scratch_ptr.get().add(c) });
-                for idx in start..end {
-                    let fv = unsafe { &mut *full_ptr.get().add(idx) };
-                    if idx == start {
-                        if fv.slot > 0 {
-                            fv.ctx.v.world.push_lead_state(
-                                store.position_m(fv.slot - 1),
-                                store.speed_mps(fv.slot - 1),
-                            );
-                        }
-                    } else {
-                        let pred = unsafe { &*full_ptr.get().add(idx - 1) };
-                        fv.ctx.v.world.push_lead_state(
-                            pred.ctx.v.world.abs_position_m(),
-                            pred.ctx.v.world.ego.speed_mps().max(0.0),
-                        );
-                    }
-                    fv.ctx.tick(scratch.as_deref_mut());
-                }
-            });
-            par_steals += stolen;
-            barriers += 1;
-            // Slot-ordered mirror pass: fixed publish order, so the lanes
-            // are bit-identical to the sequential engine's.
-            for fv in &self.full {
-                self.store.push_state(
-                    fv.slot,
-                    fv.ctx.v.world.abs_position_m(),
-                    fv.ctx.v.world.ego.speed_mps(),
-                );
-            }
-            // Fold the scratches back in ascending cluster (= slot)
-            // order: sequence numbers land exactly as the sequential
-            // engine would have issued them.
-            if let Some(t) = tel.as_deref_mut() {
-                for part in self.scratch_tel[..clusters_n].iter_mut() {
-                    t.absorb_ordered(part);
-                }
-            }
-        }
-        if let Some(t) = tel.as_deref_mut() {
-            if par_steals > 0 {
-                t.count_par_steals(par_steals);
-            }
-            if barriers > 0 {
-                t.count_tick_barriers(barriers);
-            }
+            fv.ctx.tick(tel.as_deref_mut());
+            self.store.push_state(
+                slot,
+                fv.ctx.v.world.abs_position_m(),
+                fv.ctx.v.world.ego.speed_mps(),
+            );
         }
         // 3. Neighborhood re-evaluation at 1 Hz: promote background
         //    vehicles that entered a focal neighborhood, demote promoted
@@ -432,8 +262,6 @@ impl CityEngine {
         );
         self.focal_sorted.sort_unstable_by(f64::total_cmp);
         let radius = self.spec.promotion_radius_m;
-        let promotions_before = self.promotions;
-        let demotions_before = self.demotions;
         {
             let store = &mut self.store;
             let demotions = &mut self.demotions;
@@ -504,13 +332,6 @@ impl CityEngine {
             );
         }
         self.max_full_tier = self.max_full_tier.max(self.full.len());
-        // Membership can churn without the count changing (a balanced
-        // promote+demote pass as the focal neighborhood drifts along the
-        // chain); stale (start,end) ranges would then mis-couple leaders
-        // in the parallel cluster phase, so recompute on any churn.
-        if self.promotions != promotions_before || self.demotions != demotions_before {
-            self.recompute_clusters();
-        }
     }
 
     /// Closes the run: composes the focal outcomes and chain metrics.
@@ -534,10 +355,6 @@ impl CityEngine {
 /// counterpart of [`crate::runner::SteppedRun`], exposed so external
 /// drivers (allocation pins, benchmarks, custom co-simulation loops) can
 /// observe or interleave with the tick stream.
-///
-/// The intra-run thread count comes from the scenario's
-/// [`CitySpec::threads`] (or `SAAV_THREADS` / the host core count when
-/// unset), exactly like [`run_city`].
 pub struct CityRun {
     engine: CityEngine,
     tel: Option<RunTelemetry>,
@@ -815,37 +632,8 @@ mod tests {
     }
 
     #[test]
-    fn intra_thread_count_and_chunk_size_are_behaviour_neutral() {
-        // The tentpole contract in miniature: outcomes are bit-identical
-        // for any intra-run thread count and surrogate chunk size (the
-        // full grid is property-tested in tests/city_cosim.rs).
-        let run = |threads: usize, chunk: usize| {
-            let mut s = short_city(30, 2, 5);
-            s.city = s
-                .city
-                .map(|c| c.with_threads(threads).with_surrogate_chunk(chunk));
-            crate::runner::run(s)
-        };
-        let base = run(1, 1024);
-        for (threads, chunk) in [(2, 7), (3, 16), (4, 1)] {
-            let par = run(threads, chunk);
-            assert_eq!(
-                base.distance_m.to_bits(),
-                par.distance_m.to_bits(),
-                "{threads} threads, chunk {chunk}"
-            );
-            assert_eq!(base.min_gap_m.to_bits(), par.min_gap_m.to_bits());
-            assert_eq!(base.city.as_ref().unwrap(), par.city.as_ref().unwrap());
-        }
-    }
-
-    #[test]
     fn steppable_city_run_matches_run_city() {
-        let scenario = {
-            let mut s = short_city(20, 2, 11);
-            s.city = s.city.map(|c| c.with_threads(2));
-            s
-        };
+        let scenario = short_city(20, 2, 11);
         let direct = crate::runner::run(scenario.clone());
         let mut stepped = CityRun::new(&scenario);
         assert!(!stepped.done());
@@ -858,33 +646,15 @@ mod tests {
         assert_eq!(out.city.as_ref().unwrap(), direct.city.as_ref().unwrap());
     }
 
-    /// The maximal adjacent-slot runs of `full`, recomputed from scratch
-    /// — the oracle the engine's incremental `clusters` must match.
-    fn fresh_clusters(full: &[FullVehicle]) -> Vec<(usize, usize)> {
-        let mut expected = Vec::new();
-        let mut i = 0;
-        while i < full.len() {
-            let start = i;
-            while i + 1 < full.len() && full[i + 1].slot == full[i].slot + 1 {
-                i += 1;
-            }
-            i += 1;
-            expected.push((start, i));
-        }
-        expected
-    }
-
     #[test]
-    fn clusters_stay_fresh_under_balanced_promotion_churn() {
-        // Regression: clusters used to be recomputed only when the
-        // full-tier *count* changed, so a 1 Hz pass demoting and
-        // promoting an equal number of vehicles left stale (start,end)
-        // ranges behind, and the parallel cluster phase coupled followers
-        // to the wrong leader. Engineer exactly that: nudge one focal's
-        // mirrored position so its window swallows one more background
-        // vehicle, and teleport a promoted vehicle out of the other
-        // focal's neighborhood — a balanced pass that changes the
-        // cluster structure from (3,3) to (4,2).
+    fn balanced_promotion_churn_keeps_the_full_tier_in_slot_order() {
+        // A 1 Hz pass that demotes and promotes an equal number of
+        // vehicles leaves the full-tier count unchanged but must still
+        // leave `full` ascending by slot, since the tick couples each
+        // full vehicle to the slot ahead in that order. Engineer exactly
+        // that: nudge one focal's mirrored position so its window
+        // swallows one more background vehicle, and teleport a promoted
+        // vehicle out of the other focal's neighborhood.
         let mut engine = CityEngine::new(short_city(20, 2, 17), None);
         let f0 = engine.spec.focal_slot(0);
         let f1 = engine.spec.focal_slot(1);
@@ -895,7 +665,6 @@ mod tests {
             vec![f0 - 1, f0, f0 + 1, f1 - 1, f1, f1 + 1],
             "each focal promotes its 30 m neighbors inside the 45 m radius"
         );
-        assert_eq!(engine.clusters, vec![(0, 3), (3, 6)]);
 
         // +15 m keeps f0±1 (45 m, boundary-inclusive) and reaches f0-2
         // (45 m): one promotion.
@@ -912,17 +681,11 @@ mod tests {
         assert_eq!(
             (engine.promotions - promos, engine.demotions - demos),
             (1, 1),
-            "the pass must be exactly balanced to regress the count check"
+            "the pass must be exactly balanced"
         );
         let after: Vec<usize> = engine.full.iter().map(|fv| fv.slot).collect();
         assert_eq!(after, vec![f0 - 2, f0 - 1, f0, f0 + 1, f1 - 1, f1]);
         assert_eq!(after.len(), before.len(), "count unchanged");
-        assert_eq!(
-            engine.clusters,
-            fresh_clusters(&engine.full),
-            "stale clusters after a balanced promote+demote pass"
-        );
-        assert_eq!(engine.clusters, vec![(0, 4), (4, 6)]);
     }
 
     #[test]

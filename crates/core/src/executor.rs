@@ -1,77 +1,111 @@
 //! The fleet's shard executor: scoped worker threads over a fixed job
-//! list, with either static chunking or work stealing.
+//! list, with work stealing.
 //!
-//! Both schedulers preserve the determinism contract the fleet proptests
+//! The executor preserves the determinism contract the fleet proptests
 //! pin: results land in fixed per-job slots, so the output vector is in
-//! job order and bit-identical regardless of worker count, scheduler, or
-//! which worker happened to execute which job. Scheduling only decides
-//! *who* runs a job, never *what* the job computes — every job is seeded
-//! before execution starts.
+//! job order and bit-identical regardless of worker count or which worker
+//! happened to execute which job. Scheduling only decides *who* runs a
+//! job, never *what* the job computes — every job is seeded before
+//! execution starts.
 //!
-//! [`Scheduler::WorkSteal`] (the default) partitions the job range into
-//! one contiguous shard per worker, each with an atomic cursor. A worker
-//! drains its own shard, then repeatedly steals from the shard with the
-//! most work remaining — so a skewed mix (one 60 s city run amid 10 s
-//! solo runs) no longer leaves the other workers idle the way
-//! [`Scheduler::StaticChunk`] does. The static scheduler is kept as the
-//! measurable baseline for `fleet_bench`.
+//! The job range is partitioned into one contiguous shard per worker,
+//! each with an atomic cursor. A worker drains its own shard, then
+//! repeatedly steals from the shard with the most work remaining — so a
+//! skewed mix (one 60 s city run amid 10 s solo runs) does not leave the
+//! other workers idle behind the long job's shard.
 //!
 //! With one worker (e.g. `SAAV_THREADS=1`) no thread is spawned at all:
 //! the jobs run as a plain inline loop on the calling thread.
-//!
-//! The sharding machinery itself ([`shard_range`], [`Shard`],
-//! [`richest`], [`drain`]) lives in [`saav_sim::pool`], shared with the
-//! persistent [`TickPool`] that parallelizes *within* a single city run
-//! (see `city.rs`) — one implementation, two dispatch shapes.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-pub use saav_sim::pool::{drain, richest, shard_range, Shard, TickPool};
-
-/// How jobs are distributed over the worker threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Each worker owns one contiguous block of the job range and never
-    /// helps anyone else — cheap, but a single expensive block serializes
-    /// the batch. Kept as the benchmark baseline.
-    StaticChunk,
-    /// Block-partitioned shards with an atomic cursor each; idle workers
-    /// steal from the shard with the most jobs remaining.
-    #[default]
-    WorkSteal,
+/// One worker's contiguous shard of a job range (balanced split): jobs
+/// `w * jobs / workers .. (w + 1) * jobs / workers`.
+fn shard_range(jobs: usize, workers: usize, w: usize) -> (usize, usize) {
+    (w * jobs / workers, (w + 1) * jobs / workers)
 }
 
-/// Executes `jobs` indexed jobs on `workers` threads under `scheduler`,
-/// returning the results in job order. The closure receives
-/// `(job_index, worker_index)`; the worker index exists so callers (the
-/// throughput benchmark) can observe the actual job→worker assignment.
+/// One contiguous shard of the job range with an atomic claim cursor.
+/// Owned by one worker, stolen from by the rest once their own shards
+/// drain.
+struct Shard {
+    cursor: AtomicUsize,
+    end: usize,
+}
+
+impl Shard {
+    /// A shard over `start..end`.
+    fn new(start: usize, end: usize) -> Self {
+        Shard {
+            cursor: AtomicUsize::new(start),
+            end,
+        }
+    }
+
+    /// Claims the next job index, or `None` once the shard is drained.
+    /// The cursor may overshoot `end` under contention; overshoot never
+    /// yields a job.
+    fn claim(&self) -> Option<usize> {
+        let i = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (i < self.end).then_some(i)
+    }
+
+    /// Jobs not yet claimed (racy by nature — a scheduling hint only).
+    fn remaining(&self) -> usize {
+        self.end.saturating_sub(self.cursor.load(Ordering::Relaxed))
+    }
+}
+
+/// The shard with the most jobs remaining, if any shard has work left.
+fn richest(shards: &[Shard]) -> Option<usize> {
+    let mut best = None;
+    let mut best_left = 0;
+    for (i, s) in shards.iter().enumerate() {
+        let left = s.remaining();
+        if left > best_left {
+            best_left = left;
+            best = Some(i);
+        }
+    }
+    best
+}
+
+/// Drains shards from the perspective of worker `home`: claim from the
+/// home shard until empty, then repeatedly steal from the richest
+/// remaining shard. `job` receives `(job_index, was_stolen)` — stolen
+/// means claimed from a shard other than `home`.
+fn drain(shards: &[Shard], home: usize, mut job: impl FnMut(usize, bool)) {
+    let mut shard = home;
+    loop {
+        match shards[shard].claim() {
+            Some(i) => job(i, shard != home),
+            // Shard drained (or a race took its last job): move to the
+            // fullest remaining shard.
+            None => match richest(shards) {
+                Some(victim) => shard = victim,
+                None => break,
+            },
+        }
+    }
+}
+
+/// Executes `jobs` indexed jobs on `workers` threads, returning the
+/// results in job order. The closure receives `(job_index,
+/// worker_index)`; the worker index exists so callers can observe the
+/// actual job→worker assignment.
 ///
 /// `workers` is clamped to `1..=jobs`; with one worker everything runs
 /// inline on the calling thread with no spawn and no slot locking.
-pub fn run<T, F>(jobs: usize, workers: usize, scheduler: Scheduler, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-{
-    run_counted(jobs, workers, scheduler, None, job)
-}
-
-/// [`run`] with steal observability: when `steals` is provided, every job
-/// a worker executes from a shard other than its own adds one to the
-/// counter (each worker accumulates locally and flushes once at exit, so
-/// the hot loop touches no shared cache line). Steal counts are genuine
-/// scheduling noise — they vary run to run — which is why they surface
-/// only through this counter and never through the deterministic results.
-/// With one worker (or [`Scheduler::StaticChunk`]) nothing can be stolen
-/// and the counter is never incremented.
-pub fn run_counted<T, F>(
-    jobs: usize,
-    workers: usize,
-    scheduler: Scheduler,
-    steals: Option<&AtomicU64>,
-    job: F,
-) -> Vec<T>
+///
+/// When `steals` is provided, every job a worker executes from a shard
+/// other than its own adds one to the counter (each worker accumulates
+/// locally and flushes once at exit, so the hot loop touches no shared
+/// cache line). Steal counts are genuine scheduling noise — they vary
+/// run to run — which is why they surface only through this counter and
+/// never through the deterministic results. With one worker nothing can
+/// be stolen and the counter is never incremented.
+pub fn run<T, F>(jobs: usize, workers: usize, steals: Option<&AtomicU64>, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, usize) -> T + Sync,
@@ -87,47 +121,32 @@ where
     let store = |i: usize, w: usize| {
         *slots[i].lock().expect("worker never panics holding a slot") = Some(job(i, w));
     };
-    match scheduler {
-        Scheduler::StaticChunk => std::thread::scope(|scope| {
-            for w in 0..workers {
-                let store = &store;
-                scope.spawn(move || {
-                    let (start, end) = shard_range(jobs, workers, w);
-                    for i in start..end {
-                        store(i, w);
+    let shards: Vec<Shard> = (0..workers)
+        .map(|w| {
+            let (start, end) = shard_range(jobs, workers, w);
+            Shard::new(start, end)
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for w in 0..workers {
+            let store = &store;
+            let shards = &shards;
+            scope.spawn(move || {
+                let mut stolen: u64 = 0;
+                drain(shards, w, |i, stole| {
+                    if stole {
+                        stolen += 1;
                     }
+                    store(i, w);
                 });
-            }
-        }),
-        Scheduler::WorkSteal => {
-            let shards: Vec<Shard> = (0..workers)
-                .map(|w| {
-                    let (start, end) = shard_range(jobs, workers, w);
-                    Shard::new(start, end)
-                })
-                .collect();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let store = &store;
-                    let shards = &shards;
-                    scope.spawn(move || {
-                        let mut stolen: u64 = 0;
-                        drain(shards, w, |i, stole| {
-                            if stole {
-                                stolen += 1;
-                            }
-                            store(i, w);
-                        });
-                        if stolen > 0 {
-                            if let Some(counter) = steals {
-                                counter.fetch_add(stolen, Ordering::Relaxed);
-                            }
-                        }
-                    });
+                if stolen > 0 {
+                    if let Some(counter) = steals {
+                        counter.fetch_add(stolen, Ordering::Relaxed);
+                    }
                 }
             });
         }
-    }
+    });
     slots
         .into_iter()
         .map(|m| {
@@ -145,14 +164,14 @@ mod tests {
 
     #[test]
     fn empty_job_list_yields_empty_results() {
-        let out: Vec<u32> = run(0, 4, Scheduler::WorkSteal, |_, _| unreachable!());
+        let out: Vec<u32> = run(0, 4, None, |_, _| unreachable!());
         assert!(out.is_empty());
     }
 
     #[test]
     fn single_worker_runs_inline_on_the_caller() {
         let caller = std::thread::current().id();
-        let out = run(5, 1, Scheduler::WorkSteal, |i, w| {
+        let out = run(5, 1, None, |i, w| {
             assert_eq!(std::thread::current().id(), caller, "job {i} not inline");
             (i, w)
         });
@@ -160,16 +179,14 @@ mod tests {
     }
 
     #[test]
-    fn results_are_in_job_order_for_both_schedulers() {
+    fn results_are_in_job_order_at_any_worker_count() {
         let expected: Vec<usize> = (0..37).map(|i| i * i).collect();
-        for scheduler in [Scheduler::StaticChunk, Scheduler::WorkSteal] {
-            for workers in [1, 2, 3, 8, 64] {
-                let out = run(37, workers, scheduler, |i, w| {
-                    assert!(w < workers.min(37), "worker index {w} out of range");
-                    i * i
-                });
-                assert_eq!(out, expected, "{scheduler:?} with {workers} workers");
-            }
+        for workers in [1, 2, 3, 8, 64] {
+            let out = run(37, workers, None, |i, w| {
+                assert!(w < workers.min(37), "worker index {w} out of range");
+                i * i
+            });
+            assert_eq!(out, expected, "{workers} workers");
         }
     }
 
@@ -189,11 +206,33 @@ mod tests {
     }
 
     #[test]
+    fn drain_visits_every_job_exactly_once() {
+        let shards: Vec<Shard> = (0..4)
+            .map(|w| {
+                let (s, e) = shard_range(37, 4, w);
+                Shard::new(s, e)
+            })
+            .collect();
+        let mut seen = vec![0u32; 37];
+        let mut steals = 0;
+        drain(&shards, 2, |i, stolen| {
+            seen[i] += 1;
+            if stolen {
+                steals += 1;
+            }
+        });
+        assert!(seen.iter().all(|&n| n == 1), "{seen:?}");
+        // A lone drainer steals everything outside its home shard.
+        let (home_start, home_end) = shard_range(37, 4, 2);
+        assert_eq!(steals, 37 - (home_end - home_start));
+    }
+
+    #[test]
     fn idle_workers_steal_from_a_slow_shard() {
         // Worker 0's shard (jobs 0..8) is slow; worker 1's (8..16) is
         // instant. Worker 1 must finish its own shard and steal — so at
         // least one slow job is executed by a worker other than 0.
-        let executed_by = run(16, 2, Scheduler::WorkSteal, |i, w| {
+        let executed_by = run(16, 2, None, |i, w| {
             if i < 8 {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -203,17 +242,13 @@ mod tests {
             executed_by[..8].iter().any(|&w| w != 0),
             "no slow job was stolen: {executed_by:?}"
         );
-        // Static chunking, by contrast, pins every job to its block owner.
-        let static_by = run(16, 2, Scheduler::StaticChunk, |i, _| usize::from(i >= 8));
-        let owners = run(16, 2, Scheduler::StaticChunk, |_, w| w);
-        assert_eq!(static_by, owners);
     }
 
     #[test]
     fn steal_counter_counts_cross_shard_jobs_only() {
         // A slow front shard forces the fast worker to steal.
         let steals = AtomicU64::new(0);
-        let executed_by = run_counted(16, 2, Scheduler::WorkSteal, Some(&steals), |i, w| {
+        let executed_by = run(16, 2, Some(&steals), |i, w| {
             if i < 8 {
                 std::thread::sleep(Duration::from_millis(20));
             }
@@ -226,11 +261,9 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_and_static_chunk_never_steal() {
+    fn single_worker_never_steals() {
         let steals = AtomicU64::new(0);
-        run_counted(16, 1, Scheduler::WorkSteal, Some(&steals), |_, _| ());
+        run(16, 1, Some(&steals), |_, _| ());
         assert_eq!(steals.load(Ordering::Relaxed), 0, "inline loop stole");
-        run_counted(16, 4, Scheduler::StaticChunk, Some(&steals), |_, _| ());
-        assert_eq!(steals.load(Ordering::Relaxed), 0, "static chunk stole");
     }
 }

@@ -6,9 +6,8 @@
 //! engine: it expands a `families × strategies × seeds` grid (or any
 //! explicit scenario list) into jobs, derives each job's RNG seed from one
 //! master seed via [`saav_sim::rng::derive_seed`], executes the jobs on
-//! the shard executor ([`crate::executor`] — work-stealing by default,
-//! static chunking available as a baseline), and aggregates the per-run
-//! [`Summary`]s into [`FleetStats`] — collision rate, the
+//! the work-stealing shard executor ([`crate::executor`]), and aggregates
+//! the per-run [`Summary`]s into [`FleetStats`] — collision rate, the
 //! detection-latency distribution, and distance/availability per strategy.
 //!
 //! With [`FleetRunner::with_cache`], each job is first looked up by its
@@ -21,8 +20,7 @@
 //! Determinism is by construction: job order, per-job seeds and the
 //! result slots are all fixed before any worker starts, so the aggregate
 //! statistics are bit-identical whether the fleet runs on 1 thread or N,
-//! cold or warm, stolen or statically chunked (property-tested in
-//! `tests/proptests.rs`).
+//! cold or warm (property-tested in `tests/proptests.rs`).
 //!
 //! ```
 //! use saav_core::fleet::FleetRunner;
@@ -46,7 +44,7 @@ use saav_sim::series::percentile_sorted;
 use saav_sim::time::Time;
 
 use crate::cache::{job_key, ResultCache};
-use crate::executor::{self, Scheduler};
+use crate::executor;
 use crate::outcome::Summary;
 use crate::runner;
 use crate::scenario::{ResponseStrategy, Scenario, ScenarioFamily};
@@ -354,12 +352,11 @@ pub struct FleetOutcome {
 ///
 /// The runner owns seeding: every job's scenario seed is replaced by
 /// `derive_seed(master_seed, job_index)`, so a batch is reproducible from
-/// the master seed alone and independent of thread count and scheduler.
+/// the master seed alone and independent of thread count.
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
     master_seed: u64,
     threads: usize,
-    scheduler: Scheduler,
     cache: Option<ResultCache>,
     model: Option<Arc<SelfAwarenessModel>>,
     telemetry: Option<Telemetry>,
@@ -367,13 +364,12 @@ pub struct FleetRunner {
 
 impl FleetRunner {
     /// Creates a fleet runner with [`default_threads`] workers (the
-    /// `SAAV_THREADS` environment override, else all available cores),
-    /// the work-stealing scheduler and no cache.
+    /// `SAAV_THREADS` environment override, else all available cores)
+    /// and no cache.
     pub fn new(master_seed: u64) -> Self {
         FleetRunner {
             master_seed,
             threads: default_threads(),
-            scheduler: Scheduler::default(),
             cache: None,
             model: None,
             telemetry: None,
@@ -382,20 +378,8 @@ impl FleetRunner {
 
     /// Overrides the worker-thread count (clamped to ≥ 1). A count of 1
     /// runs every batch inline on the calling thread, spawning nothing.
-    ///
-    /// City jobs that leave [`crate::scenario::CitySpec::threads`] unset
-    /// inherit `threads / workers` as their intra-run width, so batch
-    /// and intra-run parallelism share this one budget (see
-    /// [`Self::run_scenarios`]'s executor) instead of multiplying.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the job scheduler (work-stealing by default; static
-    /// chunking exists as the measurable baseline).
-    pub fn with_scheduler(mut self, scheduler: Scheduler) -> Self {
-        self.scheduler = scheduler;
         self
     }
 
@@ -431,11 +415,6 @@ impl FleetRunner {
     /// The configured worker count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured job scheduler.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
     }
 
     /// The mounted result cache, if any.
@@ -566,29 +545,13 @@ impl FleetRunner {
         T: Send,
         F: Fn(usize, &Scenario) -> T + Sync,
     {
-        let workers = self.threads.min(scenarios.len()).max(1);
-        // City jobs that did not pin an intra-run width split the fleet's
-        // thread budget across the concurrent jobs, so the two layers of
-        // parallelism compose without oversubscribing the host. The
-        // resolved width never reaches the cache key (`hash_city` excludes
-        // it), so this cannot perturb results or caching.
-        let intra = (self.threads / workers).max(1);
         for (i, s) in scenarios.iter_mut().enumerate() {
             s.seed = derive_seed(self.master_seed, i as u64);
-            if let Some(city) = &mut s.city {
-                if city.threads.is_none() {
-                    city.threads = Some(intra);
-                }
-            }
         }
         let steals = self.telemetry.as_ref().map(Telemetry::steal_counter);
-        executor::run_counted(
-            scenarios.len(),
-            workers,
-            self.scheduler,
-            steals,
-            |i, _worker| job(i, &scenarios[i]),
-        )
+        executor::run(scenarios.len(), self.threads, steals, |i, _worker| {
+            job(i, &scenarios[i])
+        })
     }
 }
 
@@ -813,20 +776,6 @@ mod tests {
             .run_scenarios(short_jobs());
         assert_eq!(one.records, four.records);
         assert_eq!(one.stats, four.stats);
-    }
-
-    #[test]
-    fn scheduler_does_not_change_results() {
-        let steal = FleetRunner::new(99)
-            .with_threads(3)
-            .with_scheduler(Scheduler::WorkSteal)
-            .run_scenarios(short_jobs());
-        let static_chunk = FleetRunner::new(99)
-            .with_threads(3)
-            .with_scheduler(Scheduler::StaticChunk)
-            .run_scenarios(short_jobs());
-        assert_eq!(steal.records, static_chunk.records);
-        assert_eq!(steal.stats, static_chunk.stats);
     }
 
     #[test]

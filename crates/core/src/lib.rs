@@ -30,7 +30,8 @@
 //! * [`city`] — the city-scale tiered-fidelity engine: hundreds of
 //!   background vehicles in a struct-of-arrays surrogate store, focal
 //!   vehicles carrying the full stack, and promotion/demotion across the
-//!   fidelity tiers as neighborhoods change.
+//!   fidelity tiers as neighborhoods change. One run steps on its calling
+//!   thread; parallelism comes from running many runs in a fleet.
 //! * [`outcome`] — the measured [`outcome::Outcome`] and its compact
 //!   [`outcome::Summary`].
 //! * [`fleet`] — the [`fleet::FleetRunner`]: N scenarios across worker
@@ -40,9 +41,8 @@
 //! * [`cache`] — content-hashed job identity ([`cache::job_key`]) and the
 //!   [`cache::ResultCache`] memo store (in-memory plus optional on-disk),
 //!   so repeated sweeps skip bit-identical re-runs.
-//! * [`executor`] — the shard executor behind the fleet: static chunking
-//!   or work stealing ([`executor::Scheduler`]), both preserving the
-//!   fixed-slot determinism contract.
+//! * [`executor`] — the work-stealing shard executor behind the fleet,
+//!   preserving the fixed-slot determinism contract.
 //! * [`colstore`] — the compact columnar binary results format
 //!   ([`colstore::FleetColumns`]) with direct-from-columns statistics and
 //!   group-by latency queries.
@@ -75,6 +75,7 @@
 //! assert_eq!(trace.resolved_by, Some(Layer::Ability));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod binenc;
@@ -94,21 +95,10 @@ pub mod scenario;
 pub mod telemetry;
 pub mod vehicle;
 
-/// Backward-compatible façade over the modules the old `assembly` monolith
-/// was split into ([`scenario`], [`vehicle`], [`runner`], [`outcome`]).
-pub mod assembly {
-    pub use crate::outcome::{Outcome, Summary};
-    pub use crate::scenario::{
-        ResponseStrategy, Scenario, ScenarioBuilder, ScenarioEvent, ScenarioFamily,
-    };
-    pub use crate::vehicle::SelfAwareVehicle;
-}
-
 pub use cache::{job_key, CacheStats, JobKey, ResultCache, ENGINE_VERSION};
 pub use city::{run_city, CityRun};
 pub use colstore::{FleetColumns, GroupBy};
 pub use coordinator::{Attempt, Coordinator, EscalationPolicy, ResolutionTrace};
-pub use executor::Scheduler;
 pub use fleet::{
     FleetCoordinator, FleetDirective, FleetOutcome, FleetRecord, FleetRunner, FleetStats,
 };

@@ -465,9 +465,7 @@ pub fn run(scenario: Scenario) -> Outcome {
 ///
 /// A scenario carrying a [`crate::scenario::CitySpec`] is handed to the
 /// city-scale tiered-fidelity engine ([`crate::city::run_city`]), which
-/// may step the run on several intra-run threads
-/// ([`crate::scenario::CitySpec::threads`]) — the outcome is
-/// bit-identical at any width. One carrying a
+/// steps the whole chain on the calling thread. One carrying a
 /// [`crate::scenario::PlatoonSpec`] goes to the platoon co-simulation
 /// engine ([`crate::cosim::run_platoon`]). The model, if any, is mounted
 /// on every member (every focal vehicle, for a city).

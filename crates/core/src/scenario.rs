@@ -228,24 +228,7 @@ pub struct CitySpec {
     pub promotion_radius_m: f64,
     /// Car-following parameters of the surrogate tier.
     pub idm: IdmParams,
-    /// Intra-run tick-parallelism width: `Some(n)` steps the focal
-    /// clusters and chunked surrogate passes on `n` threads; `None`
-    /// defers to the fleet runner's composition rule (its thread budget
-    /// divided by its concurrent workers) or, for solo runs, to
-    /// `SAAV_THREADS` / the host core count. Outcomes are bit-identical
-    /// for every value by contract, so this is *excluded* from the result
-    /// cache key.
-    pub threads: Option<usize>,
-    /// Chunk size (slots per job) of the parallel surrogate passes.
-    /// Behaviour-neutral like `threads`: any chunk size produces the same
-    /// bits, so it is excluded from the cache key too.
-    pub surrogate_chunk: usize,
 }
-
-/// Default chunk size (slots per job) of the parallel surrogate passes —
-/// small enough to split a 10k-vehicle chain across a few workers, large
-/// enough that a chunk amortizes its claim.
-pub const DEFAULT_SURROGATE_CHUNK: usize = 1024;
 
 impl CitySpec {
     /// A city chain with `background` surrogate vehicles and `focal` full
@@ -259,22 +242,14 @@ impl CitySpec {
             cruise_mps: 22.0,
             promotion_radius_m: 45.0,
             idm: IdmParams::default(),
-            threads: None,
-            surrogate_chunk: DEFAULT_SURROGATE_CHUNK,
         }
     }
 
-    /// Sets the intra-run tick-parallelism width explicitly (overrides
-    /// `SAAV_THREADS` and the fleet composition rule). `1` forces the
-    /// pure inline sequential path.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Sets the chunk size of the parallel surrogate passes.
-    pub fn with_surrogate_chunk(mut self, chunk: usize) -> Self {
-        self.surrogate_chunk = chunk.max(1);
+    /// Returns the spec unchanged: a city run always steps on its calling
+    /// thread, so there is no width to set. Kept only because the
+    /// benchmark in `saavbench/` still calls it; the next benchmark change
+    /// drops those calls and this method with them.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 

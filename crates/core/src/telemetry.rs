@@ -32,15 +32,9 @@
 //! independent of thread count and scheduler; the shared [`Telemetry`]
 //! sink merges absorbed runs and canonicalizes event order by
 //! `(virtual_time, job_slot, seq)` at export. The only intentionally
-//! host/schedule-dependent quantities are executor steal counts, the
-//! intra-run tick-barrier count (a function of the configured thread
-//! count) and wall-mode stage nanoseconds — all live in the registry,
-//! never in the deterministic trace. The parallel city engine records
-//! each cluster's events into a forked scratch [`RunTelemetry`]
-//! ([`RunTelemetry::fork`]) and folds them back in ascending cluster
-//! order ([`RunTelemetry::absorb_ordered`]), which reassigns sequence
-//! numbers in slot order — so the merged trace is bit-identical to the
-//! sequential engine's.
+//! host/schedule-dependent quantities are executor steal counts and
+//! wall-mode stage nanoseconds — both live in the registry, never in the
+//! deterministic trace.
 //!
 //! # Zero cost when unmounted
 //!
@@ -269,23 +263,6 @@ impl TraceRing {
     pub fn evicted(&self) -> u64 {
         self.next_seq - self.buf.len() as u64
     }
-
-    /// Advances sequence numbering by `n` without recording anything —
-    /// stands in for records a forked scratch ring already evicted, so
-    /// survivors re-pushed afterwards land on the same sequence numbers
-    /// the sequential engine's single ring would have assigned them.
-    pub fn skip(&mut self, n: u64) {
-        self.next_seq += n;
-    }
-
-    /// Empties the ring and restarts sequence numbering, keeping the
-    /// allocated buffer — how the parallel city engine reuses its
-    /// per-cluster scratch rings tick after tick without reallocating.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-        self.head = 0;
-        self.next_seq = 0;
-    }
 }
 
 /// The fixed counter slots of the metrics registry. Adding a counter is
@@ -312,13 +289,15 @@ pub enum Counter {
     CacheHits,
     /// Fleet jobs that missed the cache and simulated.
     CacheMisses,
-    /// Jobs executed by a worker outside its own shard (nondeterministic
-    /// by nature — scheduling noise, never part of the trace).
+    /// Fleet jobs executed by a worker outside its own shard
+    /// (nondeterministic by nature — scheduling noise, never part of the
+    /// trace).
     ShardSteals,
-    /// Parallel intra-run tick dispatches (cluster phases and chunked
-    /// surrogate passes that actually fanned out). Deterministic for a
-    /// fixed thread count but thread-count-dependent by nature — like
-    /// [`Counter::ShardSteals`], never part of the trace.
+    /// Always 0: a city run steps on one thread and issues no tick
+    /// barriers. The slot keeps its place in [`Counter::ALL`], and so the
+    /// CSV column order, because the benchmark's `pool.tick_barriers`
+    /// metric still reads it; the next benchmark change drops that metric
+    /// and this counter with it.
     TickBarriers,
     /// Deadline misses observed by the execution monitors.
     DeadlineMisses,
@@ -538,13 +517,6 @@ pub struct RunTelemetry {
     stage_nanos: [u64; Stage::COUNT],
     stage_calls: [u64; Stage::COUNT],
     mode: ProfilerMode,
-    /// Intra-run tick-pool steals — schedule noise held outside the
-    /// deterministic counters and transferred to the sink's atomic at
-    /// absorption, exactly like executor steals.
-    par_steals: u64,
-    /// Parallel tick dispatches — thread-count-dependent, same side
-    /// channel as the steals.
-    par_barriers: u64,
 }
 
 impl RunTelemetry {
@@ -558,8 +530,6 @@ impl RunTelemetry {
             stage_nanos: [0; Stage::COUNT],
             stage_calls: [0; Stage::COUNT],
             mode: config.profiler,
-            par_steals: 0,
-            par_barriers: 0,
         }
     }
 
@@ -612,81 +582,6 @@ impl RunTelemetry {
             Some(t0) => t0.elapsed().as_nanos() as u64,
             None => stage.virtual_cost_ns(),
         };
-    }
-
-    /// Adds intra-run tick-pool steals (schedule noise — surfaced through
-    /// the sink's [`Counter::ShardSteals`] slot, never the trace).
-    pub fn count_par_steals(&mut self, n: u64) {
-        self.par_steals += n;
-    }
-
-    /// Adds parallel tick dispatches (surfaced through
-    /// [`Counter::TickBarriers`], never the trace).
-    pub fn count_tick_barriers(&mut self, n: u64) {
-        self.par_barriers += n;
-    }
-
-    /// An empty scratch clone of this run's shape (same job slot, ring
-    /// capacity and profiler mode): the parallel city engine hands one to
-    /// each cluster so workers record without sharing, then folds them
-    /// back with [`Self::absorb_ordered`].
-    pub fn fork(&self) -> RunTelemetry {
-        RunTelemetry {
-            job_slot: self.job_slot,
-            ring: TraceRing::with_capacity(self.ring.capacity()),
-            counters: [0; Counter::COUNT],
-            detection_latency: Histogram::default(),
-            escalation_hops: Histogram::default(),
-            stage_nanos: [0; Stage::COUNT],
-            stage_calls: [0; Stage::COUNT],
-            mode: self.mode,
-            par_steals: 0,
-            par_barriers: 0,
-        }
-    }
-
-    /// Folds a forked scratch back in and resets it for reuse. Ring
-    /// records are re-pushed through this run's ring, which reassigns
-    /// sequence numbers in drain order — callers absorb scratches in
-    /// ascending cluster (= slot) order each tick, so the merged trace is
-    /// bit-identical to the sequential engine's single-ring recording.
-    /// Counters, histograms and stage profiles are summed once (the
-    /// scratch's `record` calls already bumped its own counters).
-    pub fn absorb_ordered(&mut self, part: &mut RunTelemetry) {
-        // A scratch that overflowed within one tick has already evicted
-        // its oldest records — exactly the ones the sequential single
-        // ring would also have evicted by the end of the tick (scratch
-        // and parent share a capacity, and each evictee was followed by
-        // ≥ capacity same-tick pushes). Skip their sequence numbers so
-        // the survivors land bit-identically in release builds too.
-        let evicted = part.ring.evicted();
-        if evicted > 0 {
-            self.ring.skip(evicted);
-        }
-        for rec in part.ring.iter() {
-            self.ring.push(rec.at, self.job_slot, rec.event);
-        }
-        for (a, b) in self.counters.iter_mut().zip(part.counters.iter()) {
-            *a += b;
-        }
-        self.detection_latency.merge(&part.detection_latency);
-        self.escalation_hops.merge(&part.escalation_hops);
-        for (a, b) in self.stage_nanos.iter_mut().zip(part.stage_nanos.iter()) {
-            *a += b;
-        }
-        for (a, b) in self.stage_calls.iter_mut().zip(part.stage_calls.iter()) {
-            *a += b;
-        }
-        self.par_steals += part.par_steals;
-        self.par_barriers += part.par_barriers;
-        part.ring.clear();
-        part.counters = [0; Counter::COUNT];
-        part.detection_latency = Histogram::default();
-        part.escalation_hops = Histogram::default();
-        part.stage_nanos = [0; Stage::COUNT];
-        part.stage_calls = [0; Stage::COUNT];
-        part.par_steals = 0;
-        part.par_barriers = 0;
     }
 
     /// The run's surviving trace, oldest first.
@@ -782,9 +677,6 @@ struct TelemetryInner {
     runs: Mutex<Vec<RunTelemetry>>,
     /// Executor steal count — bumped from worker threads, hence atomic.
     steals: AtomicU64,
-    /// Parallel intra-run tick dispatches, transferred from absorbed
-    /// runs' side channels.
-    barriers: AtomicU64,
 }
 
 /// The mountable telemetry sink: cheaply cloneable (an [`Arc`] share,
@@ -823,7 +715,6 @@ impl Telemetry {
                 config,
                 runs: Mutex::new(Vec::new()),
                 steals: AtomicU64::new(0),
-                barriers: AtomicU64::new(0),
             }),
         }
     }
@@ -839,22 +730,8 @@ impl Telemetry {
         RunTelemetry::new(job_slot, self.inner.config)
     }
 
-    /// Folds a completed run back into the sink. The run's intra-run
-    /// steal/barrier side channels transfer to the sink's atomics here —
-    /// into the registry, never the deterministic run content.
-    pub fn absorb(&self, mut run: RunTelemetry) {
-        if run.par_steals > 0 {
-            self.inner
-                .steals
-                .fetch_add(run.par_steals, Ordering::Relaxed);
-            run.par_steals = 0;
-        }
-        if run.par_barriers > 0 {
-            self.inner
-                .barriers
-                .fetch_add(run.par_barriers, Ordering::Relaxed);
-            run.par_barriers = 0;
-        }
+    /// Folds a completed run back into the sink.
+    pub fn absorb(&self, run: RunTelemetry) {
         self.inner.runs.lock().expect("telemetry lock").push(run);
     }
 
@@ -863,15 +740,9 @@ impl Telemetry {
         &self.inner.steals
     }
 
-    /// Cumulative executor steals observed (fleet shards plus intra-run
-    /// tick pools).
+    /// Cumulative executor steals observed across fleet shards.
     pub fn steals(&self) -> u64 {
         self.inner.steals.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative parallel intra-run tick dispatches observed.
-    pub fn tick_barriers(&self) -> u64 {
-        self.inner.barriers.load(Ordering::Relaxed)
     }
 
     /// A deterministic snapshot of the merged registry (plus the
@@ -903,7 +774,6 @@ impl Telemetry {
             snap.events_evicted += run.ring.evicted();
         }
         snap.counters[Counter::ShardSteals as usize] += self.steals();
-        snap.counters[Counter::TickBarriers as usize] += self.tick_barriers();
         snap
     }
 
@@ -1099,68 +969,6 @@ mod tests {
         assert_eq!(delta.counter(Counter::CacheHits), 1);
         assert_eq!(delta.counter(Counter::EscalationsRouted), 0);
         assert_eq!(delta.cache_hit_rate(), Some(1.0));
-    }
-
-    #[test]
-    fn forked_scratches_absorb_in_order_with_fresh_seqs() {
-        let tel = Telemetry::default();
-        let mut run = tel.begin_run(3);
-        run.record(Time::from_secs(1), ev(1));
-        let mut a = run.fork();
-        let mut b = run.fork();
-        a.record(Time::from_secs(2), ev(2));
-        b.record(Time::from_secs(2), ev(4));
-        b.count(Counter::DeadlineMisses, 2);
-        b.count_tick_barriers(3);
-        run.absorb_ordered(&mut a);
-        run.absorb_ordered(&mut b);
-        // Re-pushing assigns sequence numbers in absorb order, exactly as
-        // if the parent had recorded every event itself.
-        let seqs: Vec<u64> = run.ring().iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-        assert!(run.ring().iter().all(|r| r.job_slot == 3));
-        // Scratches reset for the next tick without reallocating.
-        assert!(a.ring().is_empty() && b.ring().is_empty());
-        assert_eq!(b.ring().recorded(), 0);
-        tel.absorb(run);
-        let snap = tel.snapshot();
-        assert_eq!(snap.counter(Counter::TierPromotions), 3);
-        assert_eq!(snap.counter(Counter::DeadlineMisses), 2);
-        // The barrier side channel lands in the registry slot only.
-        assert_eq!(snap.counter(Counter::TickBarriers), 3);
-        assert_eq!(tel.tick_barriers(), 3);
-        assert_eq!(snap.events_recorded, 3);
-    }
-
-    #[test]
-    fn absorb_ordered_stays_identical_when_a_scratch_evicts() {
-        // Regression: a scratch ring overflowing within one tick used to
-        // drop its evicted records silently on absorption (release
-        // builds), shifting the merged sequence numbers away from the
-        // sequential engine's. The parent must skip the evicted seqs so
-        // survivors, recorded() and evicted() all match the oracle.
-        let tel = Telemetry::new(TelemetryConfig::default().with_ring_capacity(4));
-        let mut oracle = tel.begin_run(5);
-        let mut parent = tel.begin_run(5);
-        oracle.record(Time::from_secs(1), ev(100));
-        parent.record(Time::from_secs(1), ev(100));
-        let mut scratch = parent.fork();
-        for i in 0..7u32 {
-            oracle.record(Time::from_secs(2), ev(i));
-            scratch.record(Time::from_secs(2), ev(i));
-        }
-        assert_eq!(scratch.ring().evicted(), 3, "the tick must overflow");
-        parent.absorb_ordered(&mut scratch);
-        let a: Vec<TraceRecord> = oracle.ring().iter().copied().collect();
-        let b: Vec<TraceRecord> = parent.ring().iter().copied().collect();
-        assert_eq!(a, b, "surviving records and seqs must match the oracle");
-        assert_eq!(oracle.ring().recorded(), parent.ring().recorded());
-        assert_eq!(oracle.ring().evicted(), parent.ring().evicted());
-        // Counters are unaffected by the ring overflow.
-        assert_eq!(
-            oracle.counters[Counter::TierPromotions as usize],
-            parent.counters[Counter::TierPromotions as usize]
-        );
     }
 
     #[test]

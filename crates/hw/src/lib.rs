@@ -27,6 +27,7 @@
 //! assert!(platform.pe(PeId(0)).temperature_c() > 25.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dvfs;

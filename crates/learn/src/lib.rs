@@ -47,6 +47,7 @@
 //! assert!(scorer.ingest(Time::from_secs(1), &[4.0, 0.4]).anomaly.is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pipeline;

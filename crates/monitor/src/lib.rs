@@ -22,6 +22,7 @@
 //! assert!(tire_pressure.observe(Time::ZERO, 1.2).is_some());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod access_mon;

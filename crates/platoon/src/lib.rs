@@ -21,6 +21,7 @@
 //! assert_eq!(agreed, 22.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agreement;

@@ -15,8 +15,6 @@
 //!   benchmark harness reports.
 //! * [`trace`] — structured fault/action traces queried by experiments.
 //! * [`report`] — aligned text tables for regenerated paper tables.
-//! * [`pool`] — work-stealing shards and the persistent [`pool::TickPool`]
-//!   for deterministic intra-run parallelism.
 //!
 //! ## Example
 //!
@@ -36,11 +34,11 @@
 //! assert_eq!(t, Time::from_millis(5));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod event;
 pub mod name;
-pub mod pool;
 pub mod report;
 pub mod rng;
 pub mod series;

@@ -26,6 +26,7 @@
 //! assert_eq!(result.response("ctl").unwrap().wcrt, Duration::from_millis(2));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod can_rt;

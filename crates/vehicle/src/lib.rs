@@ -32,6 +32,7 @@
 //! assert!(world.gap_m() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod acc_fn;

@@ -19,7 +19,6 @@
 //! and promotion/demotion between the tiers is just flipping the mirror
 //! bit with the state already in place.
 
-use saav_sim::pool::{SendPtr, TickPool};
 use saav_sim::time::Duration;
 
 /// IDM-style car-following parameters shared by every surrogate vehicle.
@@ -72,12 +71,6 @@ pub struct SurrogateTraffic {
     min_gap_m: f64,
     /// Whether any gap closed to zero.
     collision: bool,
-    /// Per-chunk partial min-gap folds of the chunked step, reduced in
-    /// ascending chunk (= slot) order — scratch, resized only when the
-    /// chunk count grows.
-    chunk_min_gap_m: Vec<f64>,
-    /// Per-chunk partial collision folds of the chunked step.
-    chunk_collision: Vec<bool>,
 }
 
 impl SurrogateTraffic {
@@ -93,8 +86,6 @@ impl SurrogateTraffic {
             surrogates: 0,
             min_gap_m: f64::INFINITY,
             collision: false,
-            chunk_min_gap_m: Vec::new(),
-            chunk_collision: Vec::new(),
         }
     }
 
@@ -310,133 +301,6 @@ impl SurrogateTraffic {
                 self.collision = true;
             }
         }
-    }
-
-    /// [`Self::step`] with the lane passes chunked across a [`TickPool`]:
-    /// each of the three passes dispatches `ceil(n / chunk)` contiguous
-    /// chunk jobs with a full barrier in between, and the min-gap /
-    /// collision fold becomes per-chunk partial folds reduced in
-    /// ascending chunk (= slot) order on the caller.
-    ///
-    /// Trajectories are bit-identical to [`Self::step`] for every chunk
-    /// size and thread count: the per-slot arithmetic is
-    /// expression-for-expression the same; pass 1 reads only pre-step
-    /// kinematic lanes (cross-chunk leader reads included); pass 3 reads
-    /// pass 2's output only after the barrier; and the strict-`<` min
-    /// reduction selects the same first-minimal gap because zero gaps are
-    /// always `+0.0` (`a - b` never yields `-0.0` for `a == b`), so every
-    /// candidate holding the minimum value shares one bit pattern.
-    ///
-    /// Returns the schedule-dependent stolen-chunk count, or `None` when
-    /// the dispatch degenerated (single-threaded pool or fewer than two
-    /// chunks) and the plain sequential [`Self::step`] ran instead.
-    pub fn step_chunked(&mut self, dt: Duration, pool: &mut TickPool, chunk: usize) -> Option<u64> {
-        let n = self.pos_m.len();
-        let chunk = chunk.max(1);
-        let chunks = n.div_ceil(chunk);
-        if pool.threads() == 1 || chunks < 2 {
-            self.step(dt);
-            return None;
-        }
-        let dt_s = dt.as_secs_f64();
-        let p = self.params;
-        let denom = 2.0 * (p.max_accel_mps2 * p.comfort_decel_mps2).sqrt();
-        self.chunk_min_gap_m.resize(chunks, f64::INFINITY);
-        self.chunk_collision.resize(chunks, false);
-        let pos = SendPtr(self.pos_m.as_mut_ptr());
-        let speed = SendPtr(self.speed_mps.as_mut_ptr());
-        let accel = SendPtr(self.accel_mps2.as_mut_ptr());
-        let gap = SendPtr(self.gap_m.as_mut_ptr());
-        let mirrored = SendPtr(self.mirrored.as_mut_ptr());
-        let chunk_min = SendPtr(self.chunk_min_gap_m.as_mut_ptr());
-        let chunk_col = SendPtr(self.chunk_collision.as_mut_ptr());
-        let bounds = move |c: usize| (c * chunk, n.min(c * chunk + chunk));
-        // Pass 1: acceleration. Reads only pre-step kinematic lanes
-        // (including the leader one slot across the chunk boundary),
-        // writes only this chunk's acceleration slots — disjoint.
-        let mut stolen = pool.run(chunks, &move |c| {
-            let (lo, hi) = bounds(c);
-            // SAFETY: per the SendPtr contract — chunk `c` writes only
-            // accel[lo..hi]; pos/speed/mirrored are frozen this pass.
-            unsafe {
-                if c == 0 && !*mirrored.get() {
-                    let v = *speed.get();
-                    let free = (v / p.desired_speed_mps).powi(4);
-                    *accel.get() = p.max_accel_mps2 * (1.0 - free);
-                }
-                for i in lo.max(1)..hi {
-                    let v = *speed.get().add(i);
-                    let v_lead = *speed.get().add(i - 1);
-                    let x = *pos.get().add(i);
-                    let x_lead = *pos.get().add(i - 1);
-                    let free = (v / p.desired_speed_mps).powi(4);
-                    let dv = v - v_lead;
-                    let s = x_lead - x;
-                    let s_star = p.min_gap_m + v * p.headway_s + v * dv / denom;
-                    let interaction = (s_star.max(0.0) / s.max(0.01)).powi(2);
-                    let a = p.max_accel_mps2 * (1.0 - free - interaction);
-                    let a_prev = *accel.get().add(i);
-                    *accel.get().add(i) = if *mirrored.get().add(i) { a_prev } else { a };
-                }
-            }
-        });
-        // Pass 2: integration. Purely slot-local after the barrier.
-        stolen += pool.run(chunks, &move |c| {
-            let (lo, hi) = bounds(c);
-            // SAFETY: chunk `c` reads and writes only slots lo..hi.
-            unsafe {
-                for i in lo..hi {
-                    let a = *accel.get().add(i);
-                    let m = *mirrored.get().add(i);
-                    let v = *speed.get().add(i);
-                    let x = *pos.get().add(i);
-                    let v_new = (v + a * dt_s).max(0.0);
-                    let x_new = x + v_new * dt_s;
-                    *speed.get().add(i) = if m { v } else { v_new };
-                    *pos.get().add(i) = if m { x } else { x_new };
-                }
-            }
-        });
-        // Pass 3: gap lane plus the per-chunk partial safety fold. Reads
-        // post-integration positions (barrier above), writes this chunk's
-        // gap slots and its own partial-fold slot.
-        stolen += pool.run(chunks, &move |c| {
-            let (lo, hi) = bounds(c);
-            let mut local_min = f64::INFINITY;
-            let mut local_collision = false;
-            // SAFETY: chunk `c` writes only gap[lo..hi] and its own fold
-            // slot; positions are frozen this pass.
-            unsafe {
-                for i in lo..hi {
-                    let g = if i == 0 {
-                        f64::INFINITY
-                    } else {
-                        *pos.get().add(i - 1) - *pos.get().add(i)
-                    };
-                    *gap.get().add(i) = g;
-                    if g < local_min {
-                        local_min = g;
-                    }
-                    if g <= 0.0 {
-                        local_collision = true;
-                    }
-                }
-                *chunk_min.get().add(c) = local_min;
-                *chunk_col.get().add(c) = local_collision;
-            }
-        });
-        // Ascending-slot-order reduction of the partial folds — the exact
-        // comparison sequence of the scalar fold.
-        for c in 0..chunks {
-            let m = self.chunk_min_gap_m[c];
-            if m < self.min_gap_m {
-                self.min_gap_m = m;
-            }
-            if self.chunk_collision[c] {
-                self.collision = true;
-            }
-        }
-        Some(stolen)
     }
 
     /// The original per-slot branching update, kept verbatim as the
@@ -679,79 +543,6 @@ mod tests {
         }
         assert_eq!(fast.min_gap_m().to_bits(), reference.min_gap_m().to_bits());
         assert_eq!(fast.collision(), reference.collision());
-    }
-
-    #[test]
-    fn chunked_step_matches_reference_bitwise() {
-        // The 5,000-tick braking scenario with mid-run promotion (slot 23
-        // joins the mirrored tier at tick 1,000) and demotion (slots 17
-        // and 23 rejoin the surrogate tier): the pool-chunked step must
-        // reproduce the scalar oracle bit-for-bit at every chunk size and
-        // thread count, including the degenerate single-chunk fallback.
-        let run = |stepper: &mut dyn FnMut(&mut SurrogateTraffic)| {
-            let mut t = chain(40, 28.0, 21.0);
-            t.set_mirrored(0, true);
-            t.set_mirrored(17, true);
-            let mut lead_pos = 0.0;
-            let mut lead_speed = 21.0;
-            for tick in 0..5_000 {
-                if tick >= 500 {
-                    lead_speed = (lead_speed - 4.0 * DT.as_secs_f64()).max(2.0);
-                }
-                lead_pos += lead_speed * DT.as_secs_f64();
-                t.push_state(0, lead_pos, lead_speed);
-                if t.is_mirrored(17) {
-                    let mirror_pos = t.position_m(16) - 30.0;
-                    t.push_state(17, mirror_pos, lead_speed);
-                }
-                if t.is_mirrored(23) {
-                    let (x, v) = (t.position_m(22) - 32.0, t.speed_mps(22));
-                    t.push_state(23, x, v);
-                }
-                stepper(&mut t);
-                if tick == 1_000 {
-                    t.set_mirrored(23, true);
-                }
-                if tick == 2_500 {
-                    t.set_mirrored(17, false);
-                }
-                if tick == 3_500 {
-                    t.set_mirrored(23, false);
-                }
-            }
-            t
-        };
-        let reference = run(&mut |t| t.step_reference(DT));
-        for (threads, chunk) in [(2, 1), (2, 3), (3, 8), (4, 16), (4, 64)] {
-            let mut pool = TickPool::new(threads);
-            let chunked = run(&mut |t| {
-                t.step_chunked(DT, &mut pool, chunk);
-            });
-            let label = format!("{threads} threads, chunk {chunk}");
-            for i in 0..reference.len() {
-                assert_eq!(
-                    chunked.position_m(i).to_bits(),
-                    reference.position_m(i).to_bits(),
-                    "position lane diverged at slot {i} ({label})"
-                );
-                assert_eq!(
-                    chunked.speed_mps(i).to_bits(),
-                    reference.speed_mps(i).to_bits(),
-                    "speed lane diverged at slot {i} ({label})"
-                );
-                assert_eq!(
-                    chunked.gap_m(i).to_bits(),
-                    reference.gap_m(i).to_bits(),
-                    "gap lane diverged at slot {i} ({label})"
-                );
-            }
-            assert_eq!(
-                chunked.min_gap_m().to_bits(),
-                reference.min_gap_m().to_bits(),
-                "min gap diverged ({label})"
-            );
-            assert_eq!(chunked.collision(), reference.collision(), "{label}");
-        }
     }
 
     #[test]

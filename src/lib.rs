@@ -36,6 +36,7 @@
 //! See `examples/` for scenario walkthroughs and
 //! `cargo run -p saav-bench --bin repro -- all` for every reproduced table.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use saav_can as can;

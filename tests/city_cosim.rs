@@ -12,7 +12,6 @@ use proptest::prelude::*;
 use saav::core::fleet::FleetRunner;
 use saav::core::runner;
 use saav::core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioEvent, ScenarioFamily};
-use saav::core::telemetry::{Counter, Telemetry};
 use saav::sim::time::{Duration, Time};
 use saav::vehicle::{IdmParams, SurrogateTraffic};
 
@@ -85,46 +84,6 @@ fn legacy_families_are_bit_identical_across_thread_counts() {
     );
 }
 
-/// A mounted telemetry sink sees the *same* deterministic run content at
-/// every intra-run width: trace events and registry snapshot are
-/// bit-identical across thread counts and surrogate chunk sizes, with
-/// only the scheduling side channels (steal and barrier counters) masked
-/// — those describe how the work was carved up, not what the run did.
-#[test]
-fn mounted_city_traces_are_invariant_to_intra_run_parallelism() {
-    let observe = |threads: usize, chunk: usize| {
-        let sink = Telemetry::default();
-        let s = Scenario::builder("obs/city-par")
-            .seed(0xC17)
-            .duration(Duration::from_secs(6))
-            .at(Time::from_secs(3), ScenarioEvent::CompromiseRearBrake)
-            .city(
-                CitySpec::new(20, 2)
-                    .with_threads(threads)
-                    .with_surrogate_chunk(chunk),
-            )
-            .build();
-        runner::run_observed(s, None, &sink);
-        let mut snap = sink.snapshot();
-        snap.counters[Counter::ShardSteals as usize] = 0;
-        snap.counters[Counter::TickBarriers as usize] = 0;
-        (sink.events(), snap)
-    };
-    let (base_events, base_snap) = observe(1, 1_024);
-    assert!(!base_events.is_empty(), "run must record trace events");
-    for (threads, chunk) in [(2, 5), (2, 1_024), (3, 16), (4, 1), (4, 7)] {
-        let (events, snap) = observe(threads, chunk);
-        assert_eq!(
-            base_events, events,
-            "trace diverged at {threads} threads, chunk {chunk}"
-        );
-        assert_eq!(
-            base_snap, snap,
-            "registry diverged at {threads} threads, chunk {chunk}"
-        );
-    }
-}
-
 proptest! {
     /// Running the same city scenario twice gives the same outcome, down
     /// to the last bit of every focal metric — across the whole
@@ -148,42 +107,6 @@ proptest! {
         prop_assert_eq!(a.summary().city, b.summary().city);
         prop_assert_eq!(a.distance_m.to_bits(), b.distance_m.to_bits());
         prop_assert_eq!(a.first_detection, b.first_detection);
-    }
-
-    /// The tentpole contract of the parallel city engine: the outcome is
-    /// a pure function of `(scenario, seed)` — any intra-run thread
-    /// count, any surrogate chunk size, and repeat runs at the same
-    /// width all produce the bit-identical CityOutcome the sequential
-    /// engine produces.
-    #[test]
-    fn city_outcome_is_invariant_to_intra_run_parallelism(
-        background in 0usize..24,
-        focal in 1usize..4,
-        seed in any::<u64>(),
-        threads in 2usize..5,
-        chunk in 1usize..48,
-    ) {
-        let scenario = |threads: usize, chunk: usize| {
-            Scenario::builder(format!("prop/par-{threads}t{chunk}c"))
-                .seed(seed)
-                .duration(Duration::from_secs(2))
-                .at(Time::from_secs(1), ScenarioEvent::CompromiseRearBrake)
-                .city(
-                    CitySpec::new(background, focal)
-                        .with_threads(threads)
-                        .with_surrogate_chunk(chunk),
-                )
-                .build()
-        };
-        let base = runner::run(scenario(1, 1_024));
-        let par = runner::run(scenario(threads, chunk));
-        let repeat = runner::run(scenario(threads, chunk));
-        prop_assert_eq!(base.city.as_ref(), par.city.as_ref());
-        prop_assert_eq!(base.distance_m.to_bits(), par.distance_m.to_bits());
-        prop_assert_eq!(base.min_gap_m.to_bits(), par.min_gap_m.to_bits());
-        prop_assert_eq!(base.first_detection, par.first_detection);
-        prop_assert_eq!(par.city.as_ref(), repeat.city.as_ref());
-        prop_assert_eq!(par.distance_m.to_bits(), repeat.distance_m.to_bits());
     }
 
     /// The surrogate tier's trajectory is a function of the chain alone:

@@ -14,7 +14,6 @@ use saav::can::controller::TxQueue;
 use saav::can::frame::{CanFrame, FrameId};
 use saav::core::cache::ResultCache;
 use saav::core::coordinator::{Coordinator, EscalationPolicy};
-use saav::core::executor::Scheduler;
 use saav::core::fleet::{FleetOutcome, FleetRunner, FleetStats};
 use saav::core::layer::{Containment, Layer, ProblemKind};
 use saav::core::scenario::{ResponseStrategy, Scenario, ScenarioEvent};
@@ -364,7 +363,7 @@ proptest! {
     }
 
     /// Warm (cache-hit) sweeps are bit-identical to their cold sweep for
-    /// any worker count, either scheduler and any job-order rotation —
+    /// any worker count and any job-order rotation —
     /// and the warm pass is pure cache traffic: every job hits, nothing
     /// new is simulated or inserted.
     #[test]
@@ -372,14 +371,11 @@ proptest! {
         master_seed in 0u64..2,
         threads in 1usize..5,
         rot in 0usize..3,
-        steal in any::<bool>(),
     ) {
         let (cold, results) = cold_mini_fleet(master_seed, rot);
         let before = results.stats();
-        let scheduler = if steal { Scheduler::WorkSteal } else { Scheduler::StaticChunk };
         let warm = FleetRunner::new(master_seed)
             .with_threads(threads)
-            .with_scheduler(scheduler)
             .with_cache(results.clone())
             .run_scenarios(rotated_mini_jobs(rot));
         prop_assert_eq!(&cold.records, &warm.records);

@@ -8,11 +8,11 @@
 //! Any future `clone()`, `format!()` or `Vec` growth snuck into a tick
 //! path fails these tests rather than silently costing 100 Hz × fleet.
 //!
-//! The count is process-wide, so fleet and `TickPool` worker threads are
-//! counted too. That is why the binary has no test harness (`harness =
-//! false` in the root manifest): [`main`] runs the pins one after another
-//! on the main thread, and no harness thread can allocate inside another
-//! pin's counting window. `cargo test --test zero_alloc [FILTER]` prints
+//! The count is process-wide, so fleet worker threads are counted too.
+//! That is why the binary has no test harness (`harness = false` in the
+//! root manifest): [`main`] runs the pins one after another on the main
+//! thread, and no harness thread can allocate inside another pin's
+//! counting window. `cargo test --test zero_alloc [FILTER]` prints
 //! one libtest-style line per pin.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -205,28 +205,17 @@ fn warm_cache_sweep_allocations_are_independent_of_job_count() {
     drop(keep);
 }
 
-/// A city scenario with the given intra-run width: 40 background + 2
-/// focal vehicles, long enough that the steady-state window sits well
-/// past the promotion churn of the first seconds.
-fn city_scenario(threads: usize, chunk: usize) -> Scenario {
-    Scenario::builder("alloc/city")
+/// The city engine allocates nothing in steady state, unmounted or with
+/// a telemetry sink mounted: 40 background + 2 focal vehicles, warmed up
+/// past the promotion churn of the first seconds. The window dodges the
+/// whole-second instants, where promotion/demotion and the 1 Hz series
+/// pushes are *allowed* to allocate.
+fn city_tick_path_is_allocation_free_single_thread() {
+    let scenario = Scenario::builder("alloc/city")
         .seed(3)
         .duration(Duration::from_secs(30))
-        .city(
-            CitySpec::new(40, 2)
-                .with_threads(threads)
-                .with_surrogate_chunk(chunk),
-        )
-        .build()
-}
-
-/// The single-thread city engine — the acceptance criterion's pure
-/// inline loop — allocates nothing in steady state, unmounted or with a
-/// telemetry sink mounted. The window dodges the whole-second instants,
-/// where promotion/demotion and the 1 Hz series pushes are *allowed* to
-/// allocate.
-fn city_tick_path_is_allocation_free_single_thread() {
-    let scenario = city_scenario(1, 1_024);
+        .city(CitySpec::new(40, 2))
+        .build();
     let mut sim = CityRun::new(&scenario);
     while sim.now_millis() < 2_000 {
         sim.tick();
@@ -237,10 +226,7 @@ fn city_tick_path_is_allocation_free_single_thread() {
             sim.tick();
         }
     });
-    assert_eq!(
-        allocs, 0,
-        "single-thread city tick allocated {allocs} times in 99 ticks"
-    );
+    assert_eq!(allocs, 0, "city tick allocated {allocs} times in 99 ticks");
 
     let sink = Telemetry::default();
     let mut sim = CityRun::with_telemetry(&scenario, &sink);
@@ -254,40 +240,13 @@ fn city_tick_path_is_allocation_free_single_thread() {
     });
     assert_eq!(
         allocs, 0,
-        "mounted single-thread city tick allocated {allocs} times in 99 ticks"
+        "mounted city tick allocated {allocs} times in 99 ticks"
     );
     let _ = sim.finish();
     assert!(
         sink.snapshot().stage_calls_of(Stage::Surrogate) > 0,
         "profiler saw no surrogate stages"
     );
-}
-
-/// The *parallel* city engine holds the same pin: per-worker state (pool
-/// shards, telemetry scratches, chunk fold slots) is sized during warmup
-/// and the steady-state tick — chunked surrogate passes, cluster
-/// dispatch, scratch absorption — stays off the heap on every thread
-/// (the counting allocator is process-global, so worker allocations
-/// would be caught here too).
-fn parallel_city_tick_path_is_allocation_free() {
-    // Chunk 16 over 42 lanes gives three chunks, so the chunked passes
-    // genuinely engage; 2 focal vehicles give two clusters.
-    let scenario = city_scenario(2, 16);
-    let sink = Telemetry::default();
-    let mut sim = CityRun::with_telemetry(&scenario, &sink);
-    while sim.now_millis() < 2_000 {
-        sim.tick();
-    }
-    let allocs = count_allocs(|| {
-        for _ in 0..99 {
-            sim.tick();
-        }
-    });
-    assert_eq!(
-        allocs, 0,
-        "parallel city tick allocated {allocs} times in 99 ticks"
-    );
-    let _ = sim.finish();
 }
 
 /// The surrogate-tier batch update is allocation-free from the very
@@ -319,12 +278,11 @@ macro_rules! pins {
 }
 
 /// The pins, in the order [`main`] runs them.
-const PINS: [(&str, fn()); 6] = pins![
+const PINS: [(&str, fn()); 5] = pins![
     nominal_tick_path_is_allocation_free,
     mounted_telemetry_tick_is_allocation_free,
     warm_cache_sweep_allocations_are_independent_of_job_count,
     city_tick_path_is_allocation_free_single_thread,
-    parallel_city_tick_path_is_allocation_free,
     surrogate_store_step_is_allocation_free,
 ];
 
