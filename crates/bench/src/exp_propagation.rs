@@ -81,6 +81,7 @@ pub fn campaign(policy: EscalationPolicy, n: usize, seed: u64) -> Campaign {
     let mut coordinator = Coordinator::new(policy);
     let mut board = DirectiveBoard::new();
     let mut actions = 0usize;
+    let mut hops = 0usize;
     for i in 0..n {
         let kind = KINDS[rng.index(KINDS.len())];
         let origin = origin_of(kind);
@@ -91,7 +92,7 @@ pub fn campaign(policy: EscalationPolicy, n: usize, seed: u64) -> Campaign {
             kind,
         );
         let subject = problem.subject.clone();
-        coordinator.resolve(problem, |layer, p| {
+        let trace = coordinator.resolve(problem, |layer, p| {
             if rng.chance(containment_probability(layer, p.kind)) {
                 // Each layer posts its directive; the board arbitrates.
                 let directive = match layer {
@@ -103,16 +104,15 @@ pub fn campaign(policy: EscalationPolicy, n: usize, seed: u64) -> Campaign {
                 board.post(layer, subject.clone(), directive);
                 actions += 1;
                 Containment::Resolved {
-                    action: format!("{layer} countermeasure"),
+                    action: format!("{layer} countermeasure").into(),
                 }
             } else {
                 Containment::CannotHandle
             }
         });
+        hops += trace.hops();
     }
-    let traces = coordinator.traces();
-    let mean_hops =
-        traces.iter().map(|t| t.hops()).sum::<usize>() as f64 / traces.len().max(1) as f64;
+    let mean_hops = hops as f64 / n.max(1) as f64;
     let per_layer = coordinator
         .resolution_layers()
         .into_iter()

@@ -26,13 +26,16 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use saav_can::v2v::LinkFault;
 use saav_vehicle::sensors::SensorFault;
 use saav_vehicle::surrogate::IdmParams;
 use saav_vehicle::traffic::Participant;
 
 use crate::binenc;
 use crate::outcome::{CitySummary, PlatoonSummary, Summary};
-use crate::scenario::{CitySpec, PlatoonSpec, ResponseStrategy, Scenario, ScenarioEvent};
+use crate::scenario::{
+    CitySpec, PeerLie, PlatoonSpec, ReconfigSpec, ResponseStrategy, Scenario, ScenarioEvent,
+};
 
 /// Engine-version salt mixed into every job key. Bump this whenever a
 /// code change alters simulated trajectories (physics, monitors,
@@ -144,28 +147,50 @@ fn sensor_fault_code(f: SensorFault) -> u8 {
 
 /// The content-hashed identity of one fleet job. Call *after* the per-job
 /// seed has been derived — the seed is part of the identity.
+///
+/// The scenario and its reconfiguration, platoon and city specs are
+/// destructured without `..`, here and in `hash_platoon` / `hash_city`: a
+/// new field fails to compile until it is hashed, instead of silently
+/// aliasing cache entries.
 pub fn job_key(scenario: &Scenario) -> JobKey {
+    let Scenario {
+        label,
+        events,
+        duration,
+        strategy,
+        seed,
+        ego_speed_mps,
+        lead,
+        platoon,
+        city,
+        reconfig:
+            ReconfigSpec {
+                live,
+                prefer_fast,
+                rollback_below_c,
+            },
+    } = scenario;
     let mut h = KeyHasher::new();
     h.write_u64(ENGINE_VERSION);
-    h.write_str(&scenario.label);
-    h.write_u64(scenario.seed);
-    h.write_u64(scenario.duration.as_nanos());
-    h.write_u8(strategy_code(scenario.strategy));
-    h.write_f64(scenario.ego_speed_mps);
-    hash_participant(&mut h, &scenario.lead);
-    h.write_u64(scenario.events.len() as u64);
-    for &(t, ref ev) in &scenario.events {
+    h.write_str(label);
+    h.write_u64(*seed);
+    h.write_u64(duration.as_nanos());
+    h.write_u8(strategy_code(*strategy));
+    h.write_f64(*ego_speed_mps);
+    hash_participant(&mut h, lead);
+    h.write_u64(events.len() as u64);
+    for &(t, ref ev) in events {
         h.write_u64(t.as_nanos());
         hash_event(&mut h, ev);
     }
-    match &scenario.platoon {
+    match platoon {
         None => h.write_u8(0),
         Some(p) => {
             h.write_u8(1);
             hash_platoon(&mut h, p);
         }
     }
-    match &scenario.city {
+    match city {
         None => h.write_u8(0),
         Some(c) => {
             h.write_u8(2);
@@ -174,9 +199,9 @@ pub fn job_key(scenario: &Scenario) -> JobKey {
     }
     // Runtime reconfiguration policy: every field steers which contract
     // switches happen, so each is part of the job identity.
-    h.write_bool(scenario.reconfig.live);
-    h.write_bool(scenario.reconfig.prefer_fast);
-    match scenario.reconfig.rollback_below_c {
+    h.write_bool(*live);
+    h.write_bool(*prefer_fast);
+    match *rollback_below_c {
         None => h.write_u8(0),
         Some(c) => {
             h.write_u8(3);
@@ -218,26 +243,44 @@ fn hash_event(h: &mut KeyHasher, ev: &ScenarioEvent) {
 }
 
 fn hash_platoon(h: &mut KeyHasher, p: &PlatoonSpec) {
-    h.write_u64(p.members as u64);
-    h.write_f64(p.initial_gap_m);
-    h.write_f64(p.cruise_mps);
-    h.write_u64(p.max_faults as u64);
-    h.write_u64(p.negotiation_period.as_nanos());
-    h.write_u64(p.safe_speed_delta_mps.len() as u64);
-    for &d in &p.safe_speed_delta_mps {
+    let PlatoonSpec {
+        members,
+        initial_gap_m,
+        cruise_mps,
+        max_faults,
+        negotiation_period,
+        safe_speed_delta_mps,
+        liars,
+        links,
+    } = p;
+    h.write_u64(*members as u64);
+    h.write_f64(*initial_gap_m);
+    h.write_f64(*cruise_mps);
+    h.write_u64(*max_faults as u64);
+    h.write_u64(negotiation_period.as_nanos());
+    h.write_u64(safe_speed_delta_mps.len() as u64);
+    for &d in safe_speed_delta_mps {
         h.write_f64(d);
     }
-    h.write_u64(p.liars.len() as u64);
-    for lie in &p.liars {
-        h.write_u64(lie.member as u64);
-        h.write_f64(lie.claim_mps);
-    }
-    h.write_u64(p.links.len() as u64);
-    for &(member, ref fault) in &p.links {
+    h.write_u64(liars.len() as u64);
+    for &PeerLie { member, claim_mps } in liars {
         h.write_u64(member as u64);
-        h.write_f64(fault.loss_p);
-        h.write_u64(fault.delay.as_nanos());
-        match fault.spoof_mps {
+        h.write_f64(claim_mps);
+    }
+    h.write_u64(links.len() as u64);
+    for &(
+        member,
+        LinkFault {
+            loss_p,
+            delay,
+            spoof_mps,
+        },
+    ) in links
+    {
+        h.write_u64(member as u64);
+        h.write_f64(loss_p);
+        h.write_u64(delay.as_nanos());
+        match spoof_mps {
             None => h.write_u8(0),
             Some(v) => {
                 h.write_u8(1);
@@ -247,9 +290,6 @@ fn hash_platoon(h: &mut KeyHasher, p: &PlatoonSpec) {
     }
 }
 
-// Destructured without `..`: a new `CitySpec` or `IdmParams` field fails
-// to compile here until it is hashed, instead of silently aliasing cache
-// entries.
 fn hash_city(h: &mut KeyHasher, c: &CitySpec) {
     let CitySpec {
         background,
@@ -639,8 +679,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{PeerLie, ScenarioFamily};
-    use saav_can::v2v::LinkFault;
+    use crate::scenario::ScenarioFamily;
     use saav_sim::time::{Duration, Time};
     use std::sync::atomic::AtomicU32;
 
@@ -704,8 +743,13 @@ mod tests {
                     claim_mps: 5.0,
                 });
             }),
+            Box::new(|s| s.platoon.as_mut().unwrap().liars[0].member += 1),
             Box::new(|s| s.platoon.as_mut().unwrap().liars[0].claim_mps += 1.0),
+            Box::new(|s| s.platoon.as_mut().unwrap().links[0].0 += 1),
             Box::new(|s| s.platoon.as_mut().unwrap().links[0].1.loss_p += 0.1),
+            Box::new(|s| {
+                s.platoon.as_mut().unwrap().links[0].1.delay += Duration::from_millis(1);
+            }),
             Box::new(|s| {
                 s.platoon.as_mut().unwrap().links[0].1.spoof_mps = Some(12.0);
             }),

@@ -453,11 +453,7 @@ fn compose_city(
         .map(|fv| fv.ctx)
         .collect();
     let (resolved, total_problems) = focal.iter().fold((0usize, 0usize), |(r, t), m| {
-        let traces = m.v.coordinator.traces();
-        (
-            r + traces.iter().filter(|tr| tr.resolved()).count(),
-            t + traces.len(),
-        )
+        (r + m.v.coordinator.resolved(), t + m.v.coordinator.routed())
     });
     let outcomes: Vec<Outcome> = focal.into_iter().map(RunContext::finish).collect();
 

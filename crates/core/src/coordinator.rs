@@ -11,6 +11,12 @@
 //! the finite layer order, so every resolution trace has at most
 //! `|layers|` attempts; a hop budget additionally caps the broadcast
 //! policy. This invariant is property-tested in the crate's tests.
+//!
+//! The coordinator keeps no history. [`Coordinator::resolve`] returns each
+//! problem's [`ResolutionTrace`] by value and only counts it: problems
+//! routed, problems resolved, the longest hop count and resolutions per
+//! layer. Its statistics read those counters, so its memory stays constant
+//! however long an escalation storm lasts.
 
 use saav_sim::name::Name;
 use saav_sim::time::Time;
@@ -64,7 +70,7 @@ impl ResolutionTrace {
             .iter()
             .filter_map(|a| match &a.outcome {
                 Containment::Resolved { action } | Containment::Mitigated { action } => {
-                    Some(action.as_str())
+                    Some(action.as_ref())
                 }
                 Containment::CannotHandle => None,
             })
@@ -77,7 +83,11 @@ impl ResolutionTrace {
 pub struct Coordinator {
     policy: EscalationPolicy,
     next_id: u64,
-    traces: Vec<ResolutionTrace>,
+    routed: usize,
+    resolved: usize,
+    max_hops: usize,
+    /// Resolved problems per layer, in [`Layer::ALL`] order.
+    resolved_by_layer: [usize; Layer::ALL.len()],
 }
 
 impl Coordinator {
@@ -86,7 +96,10 @@ impl Coordinator {
         Coordinator {
             policy,
             next_id: 0,
-            traces: Vec::new(),
+            routed: 0,
+            resolved: 0,
+            max_hops: 0,
+            resolved_by_layer: [0; Layer::ALL.len()],
         }
     }
 
@@ -142,10 +155,10 @@ impl Coordinator {
 
     /// Routes `problem` through the layers. `handler(layer, problem)` is the
     /// concrete containment logic of each layer (implemented by the vehicle
-    /// assembly); the coordinator supplies routing, bounding and recording.
+    /// assembly); the coordinator supplies routing, bounding and counting.
     ///
-    /// The returned trace is also stored in the coordinator's history.
-    pub fn resolve<F>(&mut self, problem: Problem, mut handler: F) -> &ResolutionTrace
+    /// The trace is returned, not stored: only the statistics count it.
+    pub fn resolve<F>(&mut self, problem: Problem, mut handler: F) -> ResolutionTrace
     where
         F: FnMut(Layer, &Problem) -> Containment,
     {
@@ -160,51 +173,50 @@ impl Coordinator {
                 break;
             }
         }
-        self.traces.push(ResolutionTrace {
+        self.record(attempts.len(), resolved_by);
+        ResolutionTrace {
             problem,
             attempts,
             resolved_by,
-        });
-        self.traces.last().expect("just pushed")
+        }
     }
 
-    /// All resolution traces so far.
-    pub fn traces(&self) -> &[ResolutionTrace] {
-        &self.traces
+    /// Counts one problem routed elsewhere through [`Self::route_slice`]:
+    /// the live escalation loop contains in place and hands over only the
+    /// hop count and the resolving layer.
+    pub(crate) fn record(&mut self, hops: usize, resolved_by: Option<Layer>) {
+        self.routed += 1;
+        self.max_hops = self.max_hops.max(hops);
+        if let Some(layer) = resolved_by {
+            self.resolved += 1;
+            // `Layer`'s discriminants follow `Layer::ALL` order.
+            self.resolved_by_layer[layer as usize] += 1;
+        }
+    }
+
+    /// Number of problems routed so far.
+    pub(crate) fn routed(&self) -> usize {
+        self.routed
+    }
+
+    /// Number of routed problems some layer resolved.
+    pub(crate) fn resolved(&self) -> usize {
+        self.resolved
     }
 
     /// Fraction of problems resolved, or `None` when no problem was seen.
     pub fn resolution_rate(&self) -> Option<f64> {
-        if self.traces.is_empty() {
-            return None;
-        }
-        let resolved = self.traces.iter().filter(|t| t.resolved()).count();
-        Some(resolved as f64 / self.traces.len() as f64)
+        (self.routed > 0).then(|| self.resolved as f64 / self.routed as f64)
     }
 
     /// Histogram of resolving layers.
     pub fn resolution_layers(&self) -> Vec<(Layer, usize)> {
-        Layer::ALL
-            .iter()
-            .map(|&l| {
-                (
-                    l,
-                    self.traces
-                        .iter()
-                        .filter(|t| t.resolved_by == Some(l))
-                        .count(),
-                )
-            })
-            .collect()
+        Layer::ALL.into_iter().zip(self.resolved_by_layer).collect()
     }
 
     /// The longest propagation chain observed.
     pub fn max_hops(&self) -> usize {
-        self.traces
-            .iter()
-            .map(ResolutionTrace::hops)
-            .max()
-            .unwrap_or(0)
+        self.max_hops
     }
 }
 
@@ -314,7 +326,8 @@ mod tests {
                 .1,
             1
         );
-        assert_eq!(c.traces().len(), 2);
+        assert_eq!(by_layer.iter().map(|&(_, n)| n).sum::<usize>(), 1);
+        assert_eq!((c.resolved(), c.routed()), (1, 2));
     }
 
     /// `route` and `resolve` must visit identical layer sequences — the

@@ -368,11 +368,7 @@ fn compose_outcome(
     // Resolution statistics merge exactly: resolved / total over all
     // members' coordinators.
     let (resolved, total) = members.iter().fold((0usize, 0usize), |(r, t), m| {
-        let traces = m.v.coordinator.traces();
-        (
-            r + traces.iter().filter(|tr| tr.resolved()).count(),
-            t + traces.len(),
-        )
+        (r + m.v.coordinator.resolved(), t + m.v.coordinator.routed())
     });
     let outcomes: Vec<Outcome> = members.into_iter().map(RunContext::finish).collect();
 

@@ -8,6 +8,7 @@
 //! problem records that travel across it, and a [`DirectiveBoard`] that
 //! arbitrates contradictory countermeasures by layer precedence.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use saav_sim::name::Name;
@@ -129,17 +130,20 @@ pub struct Problem {
 }
 
 /// Outcome of a layer's containment attempt.
+///
+/// Actions borrow static text unless they name a runtime subject, so an
+/// escalation storm that repeats one countermeasure allocates no string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Containment {
     /// Fully handled at this layer.
     Resolved {
         /// What was done.
-        action: String,
+        action: Cow<'static, str>,
     },
     /// Partially handled: the residual must escalate further.
     Mitigated {
         /// What was done at this layer.
-        action: String,
+        action: Cow<'static, str>,
     },
     /// This layer has no applicable countermeasure.
     CannotHandle,

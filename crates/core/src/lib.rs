@@ -12,7 +12,8 @@
 //!   structurally guaranteed termination (strictly upward escalation over a
 //!   finite lattice — the paper's "no forwarding ad infinitum").
 //!   [`coordinator::Coordinator::route`] is the single routing
-//!   implementation shared by `resolve` and the scenario runner.
+//!   implementation shared by `resolve` and the scenario runner, and the
+//!   coordinator counts what it routes instead of storing it.
 //! * [`scenario`] — composable scenario descriptions: a builder DSL, the
 //!   named [`scenario::ScenarioFamily`] library (baseline, intrusion,
 //!   thermal, fog, fog+intrusion, thermal+fog, radar-dropout, radar-noise,

@@ -26,22 +26,20 @@ use crate::vehicle::{SelfAwareVehicle, CONTROL_PERIOD};
 
 /// What the run has detected and done so far — threaded through the
 /// anomaly handling shared by the contract monitors and the learned
-/// monitor.
+/// monitor. It holds first-occurrence times and each distinct action once,
+/// so it does not grow with the number of escalations.
 #[derive(Default)]
 pub(crate) struct DetectionLog {
     first_detection: Option<Time>,
     first_model_deviation: Option<Time>,
     mitigated_at: Option<Time>,
     actions: Vec<String>,
-    /// Reused containment-outcome buffer: escalation fills and drains it
-    /// per anomaly, so steady-state escalation stops allocating once the
-    /// buffer has grown to the deepest route.
-    outcomes_buf: Vec<(Layer, Containment)>,
 }
 
 /// Routes one anomaly through the layers and applies containment — the
 /// single escalation path both the hand-written monitors and the learned
-/// monitor feed into.
+/// monitor feed into. The coordinator counts the escalation's hop count and
+/// resolving layer; nothing is kept per problem.
 fn handle_anomaly(
     v: &mut SelfAwareVehicle,
     state: &mut ScenarioState,
@@ -75,17 +73,13 @@ fn handle_anomaly(
             },
         );
     }
-    // Interned subject: every per-hop clone below is a refcount bump.
-    let subject = anomaly.subject.clone();
-    let problem = v.coordinator.detect(v.now, origin, subject.clone(), kind);
     // Split borrows: the coordinator routes, `contain` acts. The routing
-    // slice is `&'static`, so no temporary collection is needed, and the
-    // outcome buffer is reused across anomalies.
-    let outcomes = &mut log.outcomes_buf;
-    outcomes.clear();
+    // slice is `&'static`, so no temporary collection is needed.
+    let mut hops = 0;
+    let mut resolved_by = None;
     for &layer in v.coordinator.route_slice(origin) {
-        let outcome = v.contain(state, layer, kind, &subject);
-        let resolved = matches!(outcome, Containment::Resolved { .. });
+        let outcome = v.contain(state, layer, kind, &anomaly.subject);
+        hops += 1;
         // Containment may have renegotiated contracts through the MCC:
         // drain every switch outcome (admitted, viewpoint-rejected) into
         // the trace at the layer that triggered it.
@@ -102,45 +96,32 @@ fn handle_anomaly(
                 }
             }
         }
-        outcomes.push((layer, outcome));
+        let resolved = matches!(outcome, Containment::Resolved { .. });
+        if let Containment::Resolved { action } | Containment::Mitigated { action } = outcome {
+            if !log.actions.iter().any(|a| *a == action) {
+                log.actions.push(action.into_owned());
+            }
+        }
         if resolved {
+            resolved_by = Some(layer);
             break;
         }
     }
-    let resolved_now = outcomes
-        .iter()
-        .any(|(_, o)| matches!(o, Containment::Resolved { .. }));
     if let Some(t) = tel {
-        let resolved_by = resolved_now
-            .then(|| outcomes.last().map(|(l, _)| *l))
-            .flatten();
         t.record(
             v.now,
             TelemetryEvent::EscalationRouted {
                 kind,
                 origin,
                 resolved_by,
-                hops: outcomes.len() as u8,
+                hops: hops as u8,
             },
         );
     }
-    for (_, o) in outcomes.iter() {
-        if let Containment::Resolved { action } | Containment::Mitigated { action } = o {
-            if !log.actions.contains(action) {
-                log.actions.push(action.clone());
-            }
-        }
-    }
-    if resolved_now {
+    if resolved_by.is_some() {
         log.mitigated_at = Some(v.now);
     }
-    // Record via the coordinator for trace statistics.
-    let mut iter = outcomes.drain(..);
-    v.coordinator.resolve(problem, move |_, _| {
-        iter.next()
-            .map(|(_, o)| o)
-            .unwrap_or(Containment::CannotHandle)
-    });
+    v.coordinator.record(hops, resolved_by);
 }
 
 /// One vehicle's in-flight run state: the vehicle, its scenario-injection
@@ -160,6 +141,9 @@ pub(crate) struct RunContext {
     speed_factor_series: Series,
     model_score: Series,
     log: DetectionLog,
+    /// This tick's anomalies; drained every tick, so it stops growing once
+    /// it has held the largest burst.
+    anomalies_buf: Vec<Anomaly>,
     misses_window: u64,
     jobs_window: u64,
 }
@@ -205,6 +189,7 @@ impl RunContext {
             speed_factor_series: Series::new(),
             model_score: Series::new(),
             log: DetectionLog::default(),
+            anomalies_buf: Vec::new(),
             misses_window: 0,
             jobs_window: 0,
         }
@@ -253,8 +238,8 @@ impl RunContext {
         v.pump_can_traffic(state);
         // 6. monitors → anomalies → problems → cross-layer resolution
         let monitor_t0 = tel.as_deref().and_then(|t| t.stage_enter());
-        let anomalies = v.collect_anomalies();
-        for anomaly in &anomalies {
+        v.collect_anomalies(&mut self.anomalies_buf);
+        for anomaly in &self.anomalies_buf {
             if matches!(anomaly.kind, AnomalyKind::DeadlineMiss) {
                 self.misses_window += 1;
                 if let Some(t) = tel.as_deref_mut() {
@@ -263,7 +248,7 @@ impl RunContext {
             }
         }
         self.jobs_window += 1;
-        for anomaly in anomalies {
+        for anomaly in self.anomalies_buf.drain(..) {
             handle_anomaly(v, state, &mut self.log, tel.as_deref_mut(), anomaly);
         }
         if let Some(t) = tel.as_deref_mut() {
@@ -278,7 +263,7 @@ impl RunContext {
         if matches!(mode, DrivingMode::SafeStop) && !v.world.is_stopped() {
             v.world.command_safe_stop();
         }
-        // 8. metrics + series (1 Hz) + learned-monitor scoring
+        // 8. series (1 Hz) + learned-monitor scoring
         if v.now.as_millis().is_multiple_of(1_000) {
             let speed_now = v.world.ego.speed_mps();
             let temp_now = v.platform.pe(PeId(0)).temperature_c();
@@ -295,8 +280,6 @@ impl RunContext {
             self.speed_factor_series.push(v.now, speed_factor_now);
             self.misses_window = 0;
             self.jobs_window = 0;
-            v.metrics.publish(v.now, "assembly", "root_ability", root);
-            v.metrics.publish(v.now, "assembly", "pe0_temp_c", temp_now);
             // The learned monitor scores the same signal vector the series
             // record (LEARNED_SIGNALS order); a rising threshold crossing
             // escalates through the identical anomaly path.
@@ -305,8 +288,6 @@ impl RunContext {
             let report = v.learned.as_mut().map(|scorer| scorer.ingest(now, &sample));
             if let Some(report) = report {
                 self.model_score.push(v.now, report.score);
-                v.metrics
-                    .publish(v.now, "monitor.learned", "model_score", report.score);
                 if let Some(anomaly) = report.anomaly {
                     handle_anomaly(v, state, &mut self.log, tel.as_deref_mut(), anomaly);
                 }

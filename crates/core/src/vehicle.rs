@@ -24,7 +24,6 @@ use saav_mcc::Renegotiator;
 use saav_monitor::access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 use saav_monitor::anomaly::{Anomaly, AnomalyKind};
 use saav_monitor::exec::{ExecutionMonitor, JobTiming, TaskSlot};
-use saav_monitor::metrics::MetricBus;
 use saav_monitor::signal::{HeartbeatMonitor, QualityMonitor};
 use saav_rte::component::{ComponentSpec, VmId};
 use saav_rte::rte::Rte;
@@ -81,7 +80,6 @@ pub struct SelfAwareVehicle {
     pub(crate) radar_quality: QualityMonitor,
     radar_heartbeat: HeartbeatMonitor,
     pub(crate) learned: Option<OnlineScorer>,
-    pub(crate) metrics: MetricBus,
     pub(crate) coordinator: Coordinator,
     pub(crate) board: DirectiveBoard,
     pub(crate) tracer: Tracer,
@@ -269,7 +267,6 @@ impl SelfAwareVehicle {
             radar_quality: QualityMonitor::new("radar", 0.5, 5.0, 0.7),
             radar_heartbeat: HeartbeatMonitor::new("radar", Duration::from_millis(10), 5.0),
             learned: None,
-            metrics: MetricBus::new(),
             coordinator: Coordinator::new(EscalationPolicy::LocalFirst),
             board: DirectiveBoard::new(),
             tracer: Tracer::new(),
@@ -422,9 +419,9 @@ impl SelfAwareVehicle {
         self.bus.advance(self.now);
     }
 
-    /// Drains all monitors for this cycle.
-    pub(crate) fn collect_anomalies(&mut self) -> Vec<Anomaly> {
-        let mut anomalies = Vec::new();
+    /// Drains all monitors for this cycle, appending their anomalies to
+    /// `anomalies` (a buffer the runner reuses across ticks).
+    pub(crate) fn collect_anomalies(&mut self, anomalies: &mut Vec<Anomaly>) {
         // Execution monitoring from RTE job records, drained into a reused
         // buffer (the per-tick record traffic must not allocate).
         self.rte.drain_records_into(&mut self.job_records_buf);
@@ -445,7 +442,7 @@ impl SelfAwareVehicle {
                 response: rec.response,
                 deadline_met: rec.deadline_met,
             };
-            self.exec_mon.observe_slot(slot, job, &mut anomalies);
+            self.exec_mon.observe_slot(slot, job, anomalies);
         }
         // Access monitoring from the RTE log.
         for ev in self.rte.take_access_log() {
@@ -480,7 +477,6 @@ impl SelfAwareVehicle {
         if let Some(a) = self.radar_heartbeat.check(self.now) {
             anomalies.push(a);
         }
-        anomalies
     }
 
     /// Maps a monitor anomaly to the layer whose self-awareness detected it
@@ -633,7 +629,7 @@ impl SelfAwareVehicle {
                         format!("{subject} distrusted: platoon continues without it"),
                     );
                     Containment::Resolved {
-                        action: format!("eject {subject} from platoon"),
+                        action: format!("eject {subject} from platoon").into(),
                     }
                 }
             }
@@ -651,23 +647,24 @@ impl SelfAwareVehicle {
                     }
                     self.world.allocator.set_speed_cap(Some(15.0));
                     self.world.allocator.prefer_regen = true;
-                    let mut action = String::from("speed cap 15 m/s + regen braking");
-                    if kind == ProblemKind::ThermalStress
+                    // Relax the perception and control rates so the
+                    // throttled PE can hold its deadlines again — at the
+                    // capped speed the halved control rate is sufficient.
+                    // The swap is proposed to the mounted MCC and applied
+                    // only when the full viewpoint battery admits it.
+                    let halved = kind == ProblemKind::ThermalStress
                         && !state.acc_reconfigured
                         && self.reconfig.live
-                    {
-                        // Relax the perception and control rates so the
-                        // throttled PE can hold its deadlines again — at the
-                        // capped speed the halved control rate is sufficient.
-                        // The swap is no longer hardcoded: it is proposed to
-                        // the mounted MCC and applied only when the full
-                        // viewpoint battery admits it.
-                        if self.renegotiate_thermal(state) {
-                            action.push_str(" + control rate halved");
-                        }
+                        && self.renegotiate_thermal(state);
+                    let action = if halved {
+                        "speed cap 15 m/s + regen braking + control rate halved"
+                    } else {
+                        "speed cap 15 m/s + regen braking"
+                    };
+                    self.tracer.action(self.now, "ability", action);
+                    Containment::Resolved {
+                        action: action.into(),
                     }
-                    self.tracer.action(self.now, "ability", action.clone());
-                    Containment::Resolved { action }
                 } else {
                     Containment::CannotHandle
                 }

@@ -11,7 +11,6 @@
 //!   baseline), plausibility and signal-quality estimation.
 //! * [`access_mon`] — capability-violation and message-rate intrusion
 //!   detection over the RTE access log.
-//! * [`metrics`] — the metric feedback bus toward the model domain.
 //!
 //! ```
 //! use saav_monitor::signal::BoundaryMonitor;
@@ -28,11 +27,9 @@
 pub mod access_mon;
 pub mod anomaly;
 pub mod exec;
-pub mod metrics;
 pub mod signal;
 
 pub use access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 pub use anomaly::{Anomaly, AnomalyKind};
 pub use exec::{ExecProfile, ExecutionMonitor, JobObservation, JobTiming, TaskSlot};
-pub use metrics::{Metric, MetricBus};
 pub use signal::{BoundaryMonitor, HeartbeatMonitor, PlausibilityMonitor, QualityMonitor};

@@ -4,7 +4,12 @@
 //! query the trace to compute detection latencies, count actions, or render a
 //! timeline. Tracing is append-only and cheap; severity filtering happens at
 //! query time so a single run can feed several analyses.
+//!
+//! An entry borrows static text: its source is always a literal, and its
+//! message is one unless it was formatted. A containment storm that repeats
+//! the same action line adds one entry per repeat and allocates no string.
 
+use std::borrow::Cow;
 use std::fmt;
 
 use crate::time::Time;
@@ -42,9 +47,9 @@ pub struct TraceEntry {
     /// Severity class.
     pub severity: Severity,
     /// Reporting subsystem, e.g. `"can.vf0"` or `"skills"`.
-    pub source: String,
+    pub source: &'static str,
     /// Human-readable description.
-    pub message: String,
+    pub message: Cow<'static, str>,
 }
 
 impl fmt::Display for TraceEntry {
@@ -84,13 +89,13 @@ impl Tracer {
         &mut self,
         at: Time,
         severity: Severity,
-        source: impl Into<String>,
-        message: impl Into<String>,
+        source: &'static str,
+        message: impl Into<Cow<'static, str>>,
     ) {
         let entry = TraceEntry {
             at,
             severity,
-            source: source.into(),
+            source,
             message: message.into(),
         };
         if self.echo {
@@ -100,22 +105,22 @@ impl Tracer {
     }
 
     /// Shorthand for [`Severity::Info`].
-    pub fn info(&mut self, at: Time, source: impl Into<String>, msg: impl Into<String>) {
+    pub fn info(&mut self, at: Time, source: &'static str, msg: impl Into<Cow<'static, str>>) {
         self.record(at, Severity::Info, source, msg);
     }
 
     /// Shorthand for [`Severity::Warning`].
-    pub fn warn(&mut self, at: Time, source: impl Into<String>, msg: impl Into<String>) {
+    pub fn warn(&mut self, at: Time, source: &'static str, msg: impl Into<Cow<'static, str>>) {
         self.record(at, Severity::Warning, source, msg);
     }
 
     /// Shorthand for [`Severity::Fault`].
-    pub fn fault(&mut self, at: Time, source: impl Into<String>, msg: impl Into<String>) {
+    pub fn fault(&mut self, at: Time, source: &'static str, msg: impl Into<Cow<'static, str>>) {
         self.record(at, Severity::Fault, source, msg);
     }
 
     /// Shorthand for [`Severity::Action`].
-    pub fn action(&mut self, at: Time, source: impl Into<String>, msg: impl Into<String>) {
+    pub fn action(&mut self, at: Time, source: &'static str, msg: impl Into<Cow<'static, str>>) {
         self.record(at, Severity::Action, source, msg);
     }
 
@@ -184,7 +189,7 @@ mod tests {
         let e = TraceEntry {
             at: Time::from_millis(5),
             severity: Severity::Action,
-            source: "core".into(),
+            source: "core",
             message: "cap speed".into(),
         };
         let s = e.to_string();

@@ -318,11 +318,15 @@ proptest! {
     }
 
     /// The coordinator terminates within |layers| hops for every possible
-    /// handler behaviour (modelled as a random resolution layer).
+    /// handler behaviour (modelled as a random resolution layer), and its
+    /// counters equal the folds over the traces it returns: resolved over
+    /// total, the longest hop count and resolutions per layer.
     #[test]
     fn coordinator_always_terminates(
-        origin_idx in 0usize..5,
-        resolve_at in proptest::option::of(0usize..5),
+        problems in proptest::collection::vec(
+            (0usize..5, proptest::option::of(0usize..5)),
+            0..40,
+        ),
         policy_broadcast in any::<bool>(),
     ) {
         let policy = if policy_broadcast {
@@ -331,21 +335,35 @@ proptest! {
             EscalationPolicy::LocalFirst
         };
         let mut c = Coordinator::new(policy);
-        let origin = Layer::ALL[origin_idx];
-        let p = c.detect(Time::ZERO, origin, "x", ProblemKind::ComponentFailure);
-        let trace = c.resolve(p, |layer, _| {
-            if Some(layer) == resolve_at.map(|i| Layer::ALL[i]) {
-                Containment::Resolved { action: "act".into() }
-            } else {
-                Containment::CannotHandle
+        let mut traces = Vec::with_capacity(problems.len());
+        for &(origin_idx, resolve_at) in &problems {
+            let origin = Layer::ALL[origin_idx];
+            let p = c.detect(Time::ZERO, origin, "x", ProblemKind::ComponentFailure);
+            let trace = c.resolve(p, |layer, _| {
+                if Some(layer) == resolve_at.map(|i| Layer::ALL[i]) {
+                    Containment::Resolved { action: "act".into() }
+                } else {
+                    Containment::CannotHandle
+                }
+            });
+            prop_assert!(trace.hops() <= Layer::ALL.len());
+            if let Some(r) = trace.resolved_by {
+                if policy == EscalationPolicy::LocalFirst {
+                    prop_assert!(r >= origin, "resolution below origin layer");
+                }
             }
-        });
-        prop_assert!(trace.hops() <= Layer::ALL.len());
-        if let Some(r) = trace.resolved_by {
-            if policy == EscalationPolicy::LocalFirst {
-                prop_assert!(r >= origin, "resolution below origin layer");
-            }
+            traces.push(trace);
         }
+        let resolved = traces.iter().filter(|t| t.resolved()).count();
+        let rate = (!traces.is_empty()).then(|| resolved as f64 / traces.len() as f64);
+        prop_assert_eq!(c.resolution_rate(), rate);
+        let max_hops = traces.iter().map(|t| t.hops()).max().unwrap_or(0);
+        prop_assert_eq!(c.max_hops(), max_hops);
+        let per_layer: Vec<(Layer, usize)> = Layer::ALL
+            .iter()
+            .map(|&l| (l, traces.iter().filter(|t| t.resolved_by == Some(l)).count()))
+            .collect();
+        prop_assert_eq!(c.resolution_layers(), per_layer);
     }
 
     /// Fleet determinism at scale: with the same master seed, the

@@ -1,12 +1,16 @@
-//! Allocation pins for the hot tick paths.
+//! Allocation and heap pins for the hot tick paths.
 //!
 //! The whole binary runs under a counting wrapper around the system
-//! allocator; each pin warms a simulation up past its start-up
+//! allocator. Most pins warm a simulation up past its start-up
 //! allocations (series buffers, scheduler queues, CAN queues), then
-//! counts heap allocations across a window of nominal ticks placed
-//! between the 1 Hz recording instants and asserts the count is zero.
+//! count heap allocations across a window of nominal ticks placed
+//! between the 1 Hz recording instants and assert the count is zero.
 //! Any future `clone()`, `format!()` or `Vec` growth snuck into a tick
 //! path fails these tests rather than silently costing 100 Hz × fleet.
+//!
+//! The wrapper also tracks live heap bytes and their peak, so a heap pin
+//! can bound what a whole run keeps: an escalation storm must not keep
+//! memory per problem it routes.
 //!
 //! The count is process-wide, so fleet worker threads are counted too.
 //! That is why the binary has no test harness (`harness = false` in the
@@ -17,49 +21,81 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use saav::core::cache::ResultCache;
 use saav::core::city::CityRun;
 use saav::core::fleet::FleetRunner;
-use saav::core::runner::SteppedRun;
+use saav::core::runner::{self, SteppedRun};
 use saav::core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioFamily};
 use saav::core::telemetry::{Stage, Telemetry};
 use saav::sim::time::Duration;
 use saav::vehicle::{IdmParams, SurrogateTraffic};
 
 /// Forwards to the system allocator, counting allocations (and
-/// reallocations) while [`COUNTING`] is set.
+/// reallocations) while [`COUNTING`] is set and tracking live bytes and
+/// their peak at all times.
 struct CountingAllocator;
 
 static COUNTING: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
 
+fn note_alloc() {
+    if COUNTING.load(Ordering::Relaxed) {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes, Ordering::Relaxed);
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, so
+// `System`'s guarantees are the caller's. The bookkeeping only updates
+// atomics: it never allocates and never touches the memory handed out.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
         }
-        System.alloc(layout)
+        ptr
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grow(layout.size());
         }
-        System.alloc_zeroed(layout)
+        ptr
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
+        let new_ptr = System.realloc(ptr, layout, new_size);
+        if !new_ptr.is_null() {
+            if new_size >= layout.size() {
+                grow(new_size - layout.size());
+            } else {
+                shrink(layout.size() - new_size);
+            }
         }
-        System.realloc(ptr, layout, new_size)
+        new_ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        shrink(layout.size());
     }
 }
 
@@ -74,6 +110,15 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     f();
     COUNTING.store(false, Ordering::SeqCst);
     ALLOCS.load(Ordering::SeqCst)
+}
+
+/// Runs `f` and returns the peak of live heap bytes it reached above the
+/// live bytes at its start.
+fn peak_heap_bytes(f: impl FnOnce()) -> usize {
+    let start = LIVE.load(Ordering::SeqCst);
+    PEAK.store(start, Ordering::SeqCst);
+    f();
+    PEAK.load(Ordering::SeqCst) - start
 }
 
 /// The nominal single-vehicle tick path allocates nothing: platform,
@@ -270,6 +315,35 @@ fn surrogate_store_step_is_allocation_free() {
     assert!(!store.collision(), "warm chain must stay collision-free");
 }
 
+/// An escalation storm keeps no memory per problem it routes: the worst
+/// storm jobs (unrepaired deadline misses escalating to the objective
+/// layer, and an intrusion whose single-layer response never quarantines
+/// the flooding component) each peak under 2 MiB of heap over a whole
+/// `runner::run`, returned outcome included.
+fn escalation_storm_peak_heap_is_bounded() {
+    const LIMIT: usize = 2 << 20;
+    for (family, strategy) in [
+        (
+            ScenarioFamily::ReconfigRollback,
+            ResponseStrategy::ObjectiveStop,
+        ),
+        (ScenarioFamily::Thermal, ResponseStrategy::ObjectiveStop),
+        (ScenarioFamily::Intrusion, ResponseStrategy::SingleLayer),
+    ] {
+        let scenario = family.build(strategy, 2017);
+        let label = scenario.label.clone();
+        let peak = peak_heap_bytes(|| drop(runner::run(scenario)));
+        println!(
+            "  {label}: peak heap {:.2} MiB",
+            peak as f64 / (1u64 << 20) as f64
+        );
+        assert!(
+            peak < LIMIT,
+            "{label} peaked at {peak} heap bytes (limit {LIMIT})"
+        );
+    }
+}
+
 /// Pairs each pin with its name.
 macro_rules! pins {
     ($($pin:ident),* $(,)?) => {
@@ -278,12 +352,13 @@ macro_rules! pins {
 }
 
 /// The pins, in the order [`main`] runs them.
-const PINS: [(&str, fn()); 5] = pins![
+const PINS: [(&str, fn()); 6] = pins![
     nominal_tick_path_is_allocation_free,
     mounted_telemetry_tick_is_allocation_free,
     warm_cache_sweep_allocations_are_independent_of_job_count,
     city_tick_path_is_allocation_free_single_thread,
     surrogate_store_step_is_allocation_free,
+    escalation_storm_peak_heap_is_bounded,
 ];
 
 /// Harness options that take the next argument as their value.
