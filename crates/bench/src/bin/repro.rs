@@ -1,4 +1,5 @@
-//! Prints the reproduced tables for every experiment in DESIGN.md.
+//! Prints the reproduced tables for every experiment in the `saav-bench`
+//! crate docs (E1–E17 and the A1–A3 ablations).
 //!
 //! Usage: `repro [--threads N] [e1 … e17 a1 a2 a3 | all]`
 //!

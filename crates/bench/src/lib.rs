@@ -1,7 +1,7 @@
 //! # saav-bench — the experiment harness
 //!
 //! Regenerates every table/figure-level claim of Schlatow et al. (DATE
-//! 2017) as identified in `DESIGN.md`:
+//! 2017), plus the experiments that pin the engine grown around it:
 //!
 //! | id | module | claim |
 //! |----|--------|-------|
@@ -18,6 +18,7 @@
 //! | E12 | [`exp_learn`] | learned self-awareness: train on nominal fleet runs, score online, compare to contracts |
 //! | E13 | [`exp_cosim`] | platoon co-simulation: V2V negotiation, trust-based ejection, cooperative containment |
 //! | E14 | [`exp_city`] | city-scale tiered fidelity: focal detection latency invariant as background density grows 0 → 1,000 |
+//! | E15 | [`exp_fleet`] | memoized fleet engine: a warm sweep is pure cache traffic with identical statistics; columnar group-by queries |
 //! | E16 | [`exp_obs`] | engine telemetry: virtual-time escalation traces per subsystem, bit-identical across reruns and thread counts |
 //! | E17 | [`exp_dynamic`] | live contract renegotiation: MCC-admitted switch, viewpoint rejection with fallback, rollback; fleet-level budget renegotiation |
 //! | A1–A3 | various | ablations (aggregation op, policy, sampling period) |
@@ -42,4 +43,3 @@ pub mod exp_platoon;
 pub mod exp_propagation;
 pub mod exp_scenarios;
 pub mod exp_skills;
-pub mod replay;

@@ -98,7 +98,7 @@ pub fn run_city(scenario: Scenario, model: Option<&SelfAwarenessModel>) -> Outco
 }
 
 /// [`run_city`] with optional mounted telemetry: the batched surrogate
-/// update charges the surrogate stage, focal ticks charge the
+/// update counts the surrogate stage, focal ticks count the
 /// runner/monitor stages, and tier transitions become trace events.
 pub(crate) fn run_city_observed(
     scenario: Scenario,
@@ -217,10 +217,9 @@ impl CityEngine {
         // 1. One batched surrogate update: mirrored slots are read as
         //    leaders (at their last mirrored state — the standard one-tick
         //    co-simulation delay) but never written.
-        let surrogate_t0 = tel.as_deref().and_then(|t| t.stage_enter());
         self.store.step(CONTROL_PERIOD);
         if let Some(t) = tel.as_deref_mut() {
-            t.stage_exit(Stage::Surrogate, surrogate_t0);
+            t.count_stage(Stage::Surrogate);
         }
         self.surrogate_vehicle_ticks += self.store.surrogate_count() as u64;
         self.full_vehicle_ticks += self.full.len() as u64;

@@ -53,8 +53,8 @@ pub fn run_platoon(scenario: Scenario, model: Option<&SelfAwarenessModel>) -> Ou
     run_platoon_observed(scenario, model, None)
 }
 
-/// [`run_platoon`] with optional mounted telemetry: member ticks charge
-/// the runner/monitor stages, each negotiation round charges the platoon
+/// [`run_platoon`] with optional mounted telemetry: member ticks count
+/// the runner/monitor stages, each negotiation round counts the platoon
 /// stage, ejections become trace events and the V2V channel's traffic
 /// counters land in the registry at run end.
 pub(crate) fn run_platoon_observed(
@@ -162,7 +162,6 @@ pub(crate) fn run_platoon_observed(
             while next_round <= now {
                 next_round += spec.negotiation_period;
             }
-            let round_t0 = tel.as_deref().and_then(|t| t.stage_enter());
             negotiate_round(
                 now,
                 &spec,
@@ -177,7 +176,7 @@ pub(crate) fn run_platoon_observed(
                 tel.as_deref_mut(),
             );
             if let Some(t) = tel.as_deref_mut() {
-                t.stage_exit(Stage::Platoon, round_t0);
+                t.count_stage(Stage::Platoon);
             }
         }
     }

@@ -101,10 +101,10 @@ pub fn strategy_csv(stats: &FleetStats) -> String {
 }
 
 /// The telemetry-registry CSV document: every counter, the per-stage
-/// profile (`stage_<name>_ns` / `stage_<name>_calls`), the cache hit
-/// rate when lookups happened, the trace-ring totals and the fixed
-/// detection-latency buckets (`detection_latency_le_<bound>s`). Long
-/// `metric,value` format so the schema never needs widening.
+/// counts (`stage_<name>_calls`), the cache hit rate when lookups
+/// happened, the trace-ring totals and the fixed detection-latency
+/// buckets (`detection_latency_le_<bound>s`). Long `metric,value` format
+/// so the schema never needs widening.
 pub fn telemetry_csv(snap: &TelemetrySnapshot) -> String {
     let mut out = String::from(TELEMETRY_HEADER);
     out.push('\n');
@@ -112,7 +112,6 @@ pub fn telemetry_csv(snap: &TelemetrySnapshot) -> String {
         let _ = writeln!(out, "{},{}", c.name(), snap.counter(c));
     }
     for s in Stage::ALL {
-        let _ = writeln!(out, "stage_{}_ns,{}", s.name(), snap.stage_nanos_of(s));
         let _ = writeln!(out, "stage_{}_calls,{}", s.name(), snap.stage_calls_of(s));
     }
     if let Some(rate) = snap.cache_hit_rate() {
@@ -221,6 +220,7 @@ mod tests {
         run.record(Time::ZERO, TelemetryEvent::CacheHit);
         run.record(Time::ZERO, TelemetryEvent::CacheMiss);
         run.record_detection_latency(0.3);
+        run.count_stage(Stage::Runner);
         tel.absorb(run);
         let csv = telemetry_csv(&tel.snapshot());
         assert!(csv.starts_with("metric,value\n"));
@@ -228,8 +228,9 @@ mod tests {
             assert!(csv.contains(c.name()), "missing {}", c.name());
         }
         for s in Stage::ALL {
-            assert!(csv.contains(&format!("stage_{}_ns", s.name())));
+            assert!(csv.contains(&format!("stage_{}_calls,", s.name())));
         }
+        assert!(csv.contains("stage_runner_calls,1\n"));
         assert!(csv.contains("cache_hit_rate,0.5"));
         assert!(csv.contains("detection_latency_le_0.5s,1"));
         assert!(csv.lines().skip(1).all(|l| l.split(',').count() == 2));

@@ -186,7 +186,7 @@ pub struct FleetStats {
     /// Aggregates per strategy, in first-appearance order.
     pub per_strategy: Vec<StrategyStats>,
     /// The batch's engine-telemetry snapshot (counters, histograms, stage
-    /// profile) — `Some` only when the batch ran with a mounted
+    /// counts) — `Some` only when the batch ran with a mounted
     /// [`Telemetry`] sink ([`FleetRunner::with_telemetry`]), so unmounted
     /// batches stay bit-comparable across cache states and refactors.
     pub telemetry: Option<TelemetrySnapshot>,
@@ -402,7 +402,7 @@ impl FleetRunner {
     }
 
     /// Mounts an engine-telemetry sink: every batch records its escalation
-    /// trace, registry counters and per-stage profile into `sink`, and the
+    /// trace, registry counters and per-stage counts into `sink`, and the
     /// batch's [`FleetStats::telemetry`] carries the snapshot delta. The
     /// simulated results are bit-identical to an unmounted runner's —
     /// telemetry observes, never perturbs (property-tested in
@@ -919,7 +919,6 @@ mod tests {
             counters,
             detection_latency: Histogram::default(),
             escalation_hops: Histogram::default(),
-            stage_nanos: [0; Stage::COUNT],
             stage_calls: [0; Stage::COUNT],
             events_recorded: 0,
             events_evicted: 0,

@@ -56,9 +56,10 @@
 //!   consume.
 //! * [`telemetry`] — the engine's own observability: a deterministic,
 //!   virtual-time-stamped trace ring ([`telemetry::TraceRing`]),
-//!   allocation-free counters/histograms ([`telemetry::Counter`]) and a
-//!   per-stage profiler, merged into a mountable [`telemetry::Telemetry`]
-//!   sink with a chrome-tracing (Perfetto) exporter.
+//!   allocation-free counters/histograms ([`telemetry::Counter`]) and
+//!   per-stage invocation counts, merged into a mountable
+//!   [`telemetry::Telemetry`] sink with a chrome-tracing (Perfetto)
+//!   exporter.
 //!
 //! ```
 //! use saav_core::coordinator::{Coordinator, EscalationPolicy};
@@ -112,7 +113,7 @@ pub use scenario::{
     ScenarioFamily, ScenarioState,
 };
 pub use telemetry::{
-    Counter, ProfilerMode, Stage, SwitchOutcome, Telemetry, TelemetryConfig, TelemetryEvent,
-    TelemetrySnapshot, TraceRecord, TraceRing,
+    Counter, Stage, SwitchOutcome, Telemetry, TelemetryConfig, TelemetryEvent, TelemetrySnapshot,
+    TraceRecord, TraceRing,
 };
 pub use vehicle::SelfAwareVehicle;

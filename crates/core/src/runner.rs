@@ -211,11 +211,10 @@ impl RunContext {
     /// platform, execution domain, plant, communication, monitors, ability
     /// propagation and the 1 Hz recording/scoring instant.
     ///
-    /// With telemetry mounted (`tel`), the tick additionally charges the
-    /// runner/monitor stage profile, counts deadline misses and records
+    /// With telemetry mounted (`tel`), the tick additionally counts its
+    /// runner and monitor stages and its deadline misses, and records
     /// escalation trace events — all into preallocated per-run storage.
     pub(crate) fn tick(&mut self, mut tel: Option<&mut RunTelemetry>) {
-        let tick_t0 = tel.as_deref().and_then(|t| t.stage_enter());
         let v = &mut self.v;
         let state = &mut self.state;
         v.now += CONTROL_PERIOD;
@@ -237,7 +236,6 @@ impl RunContext {
         // 5. communication traffic
         v.pump_can_traffic(state);
         // 6. monitors → anomalies → problems → cross-layer resolution
-        let monitor_t0 = tel.as_deref().and_then(|t| t.stage_enter());
         v.collect_anomalies(&mut self.anomalies_buf);
         for anomaly in &self.anomalies_buf {
             if matches!(anomaly.kind, AnomalyKind::DeadlineMiss) {
@@ -252,7 +250,7 @@ impl RunContext {
             handle_anomaly(v, state, &mut self.log, tel.as_deref_mut(), anomaly);
         }
         if let Some(t) = tel.as_deref_mut() {
-            t.stage_exit(Stage::Monitor, monitor_t0);
+            t.count_stage(Stage::Monitor);
         }
         // 7. ability propagation from sensor quality + mode decision
         let q = v.radar_quality.quality();
@@ -311,7 +309,7 @@ impl RunContext {
             }
         }
         if let Some(t) = tel {
-            t.stage_exit(Stage::Runner, tick_t0);
+            t.count_stage(Stage::Runner);
         }
     }
 
@@ -461,7 +459,7 @@ pub fn run_with_model(scenario: Scenario, model: Option<&SelfAwarenessModel>) ->
 }
 
 /// Runs a scenario to completion with `sink`'s telemetry mounted: the
-/// run's escalation trace, registry counters and stage profile are folded
+/// run's escalation trace, registry counters and stage counts are folded
 /// into the sink. The measured [`Outcome`] is bit-identical to
 /// [`run_with_model`]'s — telemetry observes, never perturbs.
 ///

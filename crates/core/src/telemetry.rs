@@ -1,6 +1,6 @@
 //! Deterministic, virtual-time-stamped observability for the engine
 //! itself: structured trace events, an allocation-free metrics registry
-//! and per-layer profiling hooks.
+//! and per-layer stage counts.
 //!
 //! The simulated vehicles have been self-aware since PR 1; the *engine*
 //! running them was a black box. This module turns the observer/controller
@@ -15,12 +15,11 @@
 //!    [`Histogram`]s (detection latency, escalation hops). No `HashMap`,
 //!    no `String`, no heap on the hot path: every metric is an enum index
 //!    into a preallocated array.
-//! 3. **Profiling hooks** — a sampling-free per-[`Stage`] timer (runner /
-//!    monitor / platoon / surrogate). In the default
-//!    [`ProfilerMode::Virtual`] each stage is charged a fixed nominal
-//!    cost per invocation, so CI tables are host-independent and
-//!    bit-reproducible; [`ProfilerMode::Wall`] measures real elapsed
-//!    nanoseconds for local profiling.
+//! 3. **Stage counts** — how often each per-layer [`Stage`] ran (runner
+//!    tick, monitor scan, platoon round, surrogate pass). Counts, not
+//!    times: they are a pure function of the scenario, so they compare
+//!    for equality like every other registry slot. Where the time went
+//!    is measured on the host by the `saavbench` harness.
 //!
 //! # Determinism contract
 //!
@@ -32,9 +31,8 @@
 //! independent of thread count and scheduler; the shared [`Telemetry`]
 //! sink merges absorbed runs and canonicalizes event order by
 //! `(virtual_time, job_slot, seq)` at export. The only intentionally
-//! host/schedule-dependent quantities are executor steal counts and
-//! wall-mode stage nanoseconds — both live in the registry, never in the
-//! deterministic trace.
+//! schedule-dependent quantity is the executor steal count — it lives in
+//! the registry, never in the deterministic trace.
 //!
 //! # Zero cost when unmounted
 //!
@@ -47,7 +45,6 @@
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use saav_monitor::anomaly::AnomalyKind;
 use saav_sim::time::Time;
@@ -406,7 +403,7 @@ impl Histogram {
     }
 }
 
-/// The per-layer stages the profiler attributes time to.
+/// The per-layer stages the registry counts invocations of.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Stage {
@@ -441,32 +438,6 @@ impl Stage {
             Stage::Surrogate => "surrogate",
         }
     }
-
-    /// Nominal per-invocation cost charged in [`ProfilerMode::Virtual`],
-    /// in nanoseconds. Calibrated once from the `city_cosim` tier-cost
-    /// measurements; the *ratios* are what the replay tables report, and
-    /// fixing the constants is exactly what makes them host-independent.
-    pub const fn virtual_cost_ns(self) -> u64 {
-        match self {
-            Stage::Runner => 2_400,
-            Stage::Monitor => 500,
-            Stage::Platoon => 900,
-            Stage::Surrogate => 15,
-        }
-    }
-}
-
-/// How the per-stage profiler attributes time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ProfilerMode {
-    /// Charge each stage invocation its fixed nominal cost
-    /// ([`Stage::virtual_cost_ns`]): deterministic, host-independent —
-    /// the replay mode CI tables and determinism pins use.
-    #[default]
-    Virtual,
-    /// Measure real elapsed nanoseconds with [`Instant`]: for local
-    /// profiling; host- and load-dependent by nature.
-    Wall,
 }
 
 /// Mount-time configuration of a [`Telemetry`] sink.
@@ -474,28 +445,17 @@ pub enum ProfilerMode {
 pub struct TelemetryConfig {
     /// Trace-ring capacity per run (events).
     pub ring_capacity: usize,
-    /// Profiler time source.
-    pub profiler: ProfilerMode,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             ring_capacity: DEFAULT_RING_CAPACITY,
-            profiler: ProfilerMode::Virtual,
         }
     }
 }
 
 impl TelemetryConfig {
-    /// The default configuration with the wall-clock profiler.
-    pub fn wall_profiler() -> Self {
-        TelemetryConfig {
-            profiler: ProfilerMode::Wall,
-            ..TelemetryConfig::default()
-        }
-    }
-
     /// Overrides the per-run trace-ring capacity.
     pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
         self.ring_capacity = capacity;
@@ -514,9 +474,7 @@ pub struct RunTelemetry {
     counters: [u64; Counter::COUNT],
     detection_latency: Histogram,
     escalation_hops: Histogram,
-    stage_nanos: [u64; Stage::COUNT],
     stage_calls: [u64; Stage::COUNT],
-    mode: ProfilerMode,
 }
 
 impl RunTelemetry {
@@ -527,9 +485,7 @@ impl RunTelemetry {
             counters: [0; Counter::COUNT],
             detection_latency: Histogram::default(),
             escalation_hops: Histogram::default(),
-            stage_nanos: [0; Stage::COUNT],
             stage_calls: [0; Stage::COUNT],
-            mode: config.profiler,
         }
     }
 
@@ -565,23 +521,9 @@ impl RunTelemetry {
         self.detection_latency.record(latency_s);
     }
 
-    /// Opens a stage window; pass the token to [`Self::stage_exit`].
-    /// Returns `None` (and costs nothing but a branch) in virtual mode.
-    pub fn stage_enter(&self) -> Option<Instant> {
-        match self.mode {
-            ProfilerMode::Wall => Some(Instant::now()),
-            ProfilerMode::Virtual => None,
-        }
-    }
-
-    /// Closes a stage window: wall mode charges the elapsed nanoseconds,
-    /// virtual mode the stage's fixed nominal cost.
-    pub fn stage_exit(&mut self, stage: Stage, opened: Option<Instant>) {
+    /// Counts one invocation of `stage`.
+    pub fn count_stage(&mut self, stage: Stage) {
         self.stage_calls[stage as usize] += 1;
-        self.stage_nanos[stage as usize] += match opened {
-            Some(t0) => t0.elapsed().as_nanos() as u64,
-            None => stage.virtual_cost_ns(),
-        };
     }
 
     /// The run's surviving trace, oldest first.
@@ -591,7 +533,7 @@ impl RunTelemetry {
 }
 
 /// A deterministic snapshot of the registry: counters, histograms and the
-/// per-stage profile. Snapshots subtract ([`Self::minus`]) so per-batch
+/// per-stage counts. Snapshots subtract ([`Self::minus`]) so per-batch
 /// deltas come from a cumulative sink.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetrySnapshot {
@@ -601,9 +543,6 @@ pub struct TelemetrySnapshot {
     pub detection_latency: Histogram,
     /// Escalation-hop distribution (bucketed like the latency bounds).
     pub escalation_hops: Histogram,
-    /// Nanoseconds attributed per stage (virtual or wall, per the mount
-    /// configuration).
-    pub stage_nanos: [u64; Stage::COUNT],
     /// Invocations per stage.
     pub stage_calls: [u64; Stage::COUNT],
     /// Trace events recorded across all absorbed runs.
@@ -623,11 +562,6 @@ impl TelemetrySnapshot {
         let hits = self.counter(Counter::CacheHits);
         let total = hits + self.counter(Counter::CacheMisses);
         (total > 0).then(|| hits as f64 / total as f64)
-    }
-
-    /// Nanoseconds attributed to a stage.
-    pub fn stage_nanos_of(&self, stage: Stage) -> u64 {
-        self.stage_nanos[stage as usize]
     }
 
     /// Invocations of a stage.
@@ -656,9 +590,6 @@ impl TelemetrySnapshot {
             .iter_mut()
             .zip(earlier.escalation_hops.counts.iter())
         {
-            *a -= b;
-        }
-        for (a, b) in out.stage_nanos.iter_mut().zip(earlier.stage_nanos.iter()) {
             *a -= b;
         }
         for (a, b) in out.stage_calls.iter_mut().zip(earlier.stage_calls.iter()) {
@@ -753,7 +684,6 @@ impl Telemetry {
             counters: [0; Counter::COUNT],
             detection_latency: Histogram::default(),
             escalation_hops: Histogram::default(),
-            stage_nanos: [0; Stage::COUNT],
             stage_calls: [0; Stage::COUNT],
             events_recorded: 0,
             events_evicted: 0,
@@ -764,9 +694,6 @@ impl Telemetry {
             }
             snap.detection_latency.merge(&run.detection_latency);
             snap.escalation_hops.merge(&run.escalation_hops);
-            for (a, b) in snap.stage_nanos.iter_mut().zip(run.stage_nanos.iter()) {
-                *a += b;
-            }
             for (a, b) in snap.stage_calls.iter_mut().zip(run.stage_calls.iter()) {
                 *a += b;
             }
@@ -972,21 +899,25 @@ mod tests {
     }
 
     #[test]
-    fn virtual_profiler_charges_fixed_costs() {
+    fn stage_counts_sum_across_absorbed_runs() {
         let tel = Telemetry::default();
-        let mut run = tel.begin_run(0);
+        let mut a = tel.begin_run(0);
         for _ in 0..10 {
-            let t0 = run.stage_enter();
-            assert!(t0.is_none(), "virtual mode must not read the clock");
-            run.stage_exit(Stage::Runner, t0);
+            a.count_stage(Stage::Runner);
         }
-        tel.absorb(run);
+        a.count_stage(Stage::Monitor);
+        let mut b = tel.begin_run(1);
+        for _ in 0..5 {
+            b.count_stage(Stage::Runner);
+        }
+        tel.absorb(a);
+        let first = tel.snapshot();
+        tel.absorb(b);
         let snap = tel.snapshot();
-        assert_eq!(snap.stage_calls_of(Stage::Runner), 10);
-        assert_eq!(
-            snap.stage_nanos_of(Stage::Runner),
-            10 * Stage::Runner.virtual_cost_ns()
-        );
+        assert_eq!(snap.stage_calls_of(Stage::Runner), 15);
+        assert_eq!(snap.stage_calls_of(Stage::Monitor), 1);
+        assert_eq!(snap.stage_calls_of(Stage::Platoon), 0);
+        assert_eq!(snap.minus(&first).stage_calls_of(Stage::Runner), 5);
     }
 
     #[test]

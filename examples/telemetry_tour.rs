@@ -3,8 +3,8 @@
 //! The 5-member platoon-liar scenario runs with a telemetry sink
 //! mounted. The sink records every engine event (anomalies, escalations,
 //! ejections, V2V traffic) as a typed, virtual-time-stamped trace, keeps
-//! the metrics registry (counters, detection-latency histogram) and the
-//! per-layer virtual-time profile — then exports the run as
+//! the metrics registry (counters, detection-latency histogram) and counts
+//! how often each per-layer stage ran — then exports the run as
 //! `telemetry_tour_trace.json` (open at <https://ui.perfetto.dev>) and
 //! `telemetry_tour_metrics.csv`.
 //!
@@ -48,21 +48,13 @@ fn main() {
         println!("  {:<22} {}", c.name(), snap.counter(c));
     }
 
-    println!("\n-- per-layer virtual-time profile --");
-    let total: u64 = Stage::ALL.iter().map(|&s| snap.stage_nanos_of(s)).sum();
+    println!("\n-- per-layer stage counts --");
     for &stage in &Stage::ALL {
         let calls = snap.stage_calls_of(stage);
         if calls == 0 {
             continue;
         }
-        let ns = snap.stage_nanos_of(stage);
-        println!(
-            "  {:<10} {:>6} calls  {:>9} ns  {:>5.1}%",
-            stage.name(),
-            calls,
-            ns,
-            100.0 * ns as f64 / total as f64
-        );
+        println!("  {:<10} {:>6} calls", stage.name(), calls);
     }
 
     std::fs::write("telemetry_tour_trace.json", sink.chrome_trace_json()).expect("write trace");

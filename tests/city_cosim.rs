@@ -63,18 +63,25 @@ fn city_fleet_is_bit_identical_across_thread_counts() {
 /// The legacy experiment families (the E1–E13 substrate) stay bit-identical
 /// across worker counts too — the city engine rides the same dispatcher,
 /// so this pins that nothing about the new path leaks into the old ones.
+///
+/// A 45 s intrusion job leads the 6 s family jobs, so the batch is skewed:
+/// at 4 workers the long job pins its shard's owner while the idle workers
+/// steal that shard's remaining jobs. Stealing moves where a job runs,
+/// never what it computes.
 #[test]
 fn legacy_families_are_bit_identical_across_thread_counts() {
     let jobs = || -> Vec<Scenario> {
-        ScenarioFamily::ALL
+        let mut heavy = ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, 0);
+        heavy.duration = Duration::from_secs(45);
+        let light = ScenarioFamily::ALL
             .iter()
             .chain(&ScenarioFamily::PLATOON)
             .map(|&family| {
                 let mut s = family.build(ResponseStrategy::CrossLayer, 0);
                 s.duration = Duration::from_secs(6);
                 s
-            })
-            .collect()
+            });
+        std::iter::once(heavy).chain(light).collect()
     };
     let single = FleetRunner::new(0xE1).with_threads(1).run_scenarios(jobs());
     let pooled = FleetRunner::new(0xE1).with_threads(4).run_scenarios(jobs());

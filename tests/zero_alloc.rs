@@ -151,10 +151,9 @@ fn nominal_tick_path_is_allocation_free() {
 }
 
 /// A *mounted* telemetry sink stays off the heap too: the trace ring is
-/// sized once at `begin_run`, counters and histograms are fixed arrays,
-/// and the virtual-time profiler charges constants instead of reading
-/// clocks — so the steady-state tick is allocation-free with telemetry
-/// on, not just off.
+/// sized once at `begin_run`, and counters, histograms and stage counts
+/// are fixed arrays — so the steady-state tick is allocation-free with
+/// telemetry on, not just off.
 fn mounted_telemetry_tick_is_allocation_free() {
     let mut scenario = ScenarioFamily::Baseline.build(ResponseStrategy::CrossLayer, 42);
     scenario.duration = Duration::from_secs(30);
@@ -175,7 +174,7 @@ fn mounted_telemetry_tick_is_allocation_free() {
     let _ = sim.finish();
     assert!(
         sink.snapshot().stage_calls_of(Stage::Runner) > 0,
-        "profiler saw no runner ticks"
+        "no runner stages counted"
     );
 }
 
@@ -290,7 +289,7 @@ fn city_tick_path_is_allocation_free_single_thread() {
     let _ = sim.finish();
     assert!(
         sink.snapshot().stage_calls_of(Stage::Surrogate) > 0,
-        "profiler saw no surrogate stages"
+        "no surrogate stages counted"
     );
 }
 
