@@ -16,8 +16,8 @@
 //! [`crate::exp_fleet`].
 
 use saav_core::outcome::Outcome;
+use saav_core::runner;
 use saav_core::scenario::{ResponseStrategy, Scenario};
-use saav_core::vehicle::SelfAwareVehicle;
 use saav_sim::report::{fmt_f64, Table};
 use saav_sim::time::Time;
 
@@ -25,7 +25,7 @@ use saav_sim::time::Time;
 pub fn e6_outcomes(seed: u64) -> Vec<Outcome> {
     ResponseStrategy::ALL
         .into_iter()
-        .map(|s| SelfAwareVehicle::run(Scenario::intrusion(s, seed)))
+        .map(|s| runner::run(Scenario::intrusion(s, seed)))
         .collect()
 }
 
@@ -61,7 +61,7 @@ pub fn e6_table() -> Table {
 pub fn e7_outcomes(ambient_c: f64, seed: u64) -> Vec<Outcome> {
     [ResponseStrategy::SingleLayer, ResponseStrategy::CrossLayer]
         .into_iter()
-        .map(|s| SelfAwareVehicle::run(Scenario::thermal(ambient_c, s, seed)))
+        .map(|s| runner::run(Scenario::thermal(ambient_c, s, seed)))
         .collect()
 }
 

@@ -13,7 +13,8 @@
 //! store: each tick their true state is pushed back into the lanes, so
 //! surrogate followers react to focal physics and focal radars see
 //! surrogate leaders — the identical `push_lead_state` coupling contract
-//! `run_platoon` uses, with the store standing in for the peer vehicle.
+//! the platoon engine uses, with the store standing in for the peer
+//! vehicle.
 //!
 //! Once per simulated second the engine re-evaluates neighborhoods:
 //! background vehicles within the spec's promotion radius of a focal
@@ -23,8 +24,8 @@
 //! every focal neighborhood are **demoted** back — the store resumes
 //! integrating from their last mirrored state. Promotion cost is paid at
 //! the (rare) tier transitions; the steady-state tick path allocates
-//! nothing (pinned by `tests/zero_alloc.rs` through the steppable
-//! [`CityRun`]).
+//! nothing (pinned by `tests/zero_alloc.rs` through
+//! [`crate::runner::SteppedRun`], the one run handle).
 //!
 //! A run steps on its calling thread. Parallelism lives one level up:
 //! a [`crate::fleet::FleetRunner`] runs many city runs side by side.
@@ -33,17 +34,14 @@
 
 use saav_learn::SelfAwarenessModel;
 use saav_sim::rng::derive_seed;
-use saav_sim::series::Series;
 use saav_sim::time::Time;
-use saav_sim::trace::Tracer;
-use saav_skills::decision::DrivingMode;
 use saav_vehicle::surrogate::SurrogateTraffic;
 use saav_vehicle::traffic::LeadVehicle;
 
 use crate::outcome::{CityOutcome, Outcome};
-use crate::runner::{record_outcome_latency, RunContext};
+use crate::runner::{compose_members, RunContext, SteppedRun};
 use crate::scenario::{CitySpec, Scenario};
-use crate::telemetry::{RunTelemetry, Stage, Telemetry, TelemetryEvent};
+use crate::telemetry::{RunTelemetry, Stage, TelemetryEvent};
 use crate::vehicle::CONTROL_PERIOD;
 
 /// Seed-space offset separating promoted background vehicles from focal
@@ -86,35 +84,9 @@ fn near_focal_linear(focal_pos: &[f64], pos: f64, radius: f64) -> bool {
     focal_pos.iter().any(|&f| (pos - f).abs() <= radius)
 }
 
-/// Runs a city scenario to completion and returns the composed
-/// [`Outcome`] (lead focal series + fleet-worst safety fields + the tier
-/// statistics in [`CityOutcome`]).
-///
-/// # Panics
-/// Panics if the scenario carries no [`CitySpec`], the chain is empty, or
-/// the initial gap is not positive.
-pub fn run_city(scenario: Scenario, model: Option<&SelfAwarenessModel>) -> Outcome {
-    run_city_observed(scenario, model, None)
-}
-
-/// [`run_city`] with optional mounted telemetry: the batched surrogate
-/// update counts the surrogate stage, focal ticks count the
-/// runner/monitor stages, and tier transitions become trace events.
-pub(crate) fn run_city_observed(
-    scenario: Scenario,
-    model: Option<&SelfAwarenessModel>,
-    mut tel: Option<&mut RunTelemetry>,
-) -> Outcome {
-    let mut engine = CityEngine::new(scenario, model);
-    while !engine.done() {
-        engine.tick(tel.as_deref_mut());
-    }
-    engine.finish()
-}
-
 /// The city engine's live state: the chain, the full-fidelity tier and
 /// the running tier statistics.
-struct CityEngine {
+pub(crate) struct CityEngine {
     scenario: Scenario,
     spec: CitySpec,
     store: SurrogateTraffic,
@@ -134,9 +106,15 @@ struct CityEngine {
 }
 
 impl CityEngine {
-    // `model` is threaded into the focal stacks at construction; promoted
-    // background vehicles deliberately run without learned monitors.
-    fn new(scenario: Scenario, model: Option<&SelfAwarenessModel>) -> Self {
+    /// Builds the chain of `scenario`'s [`CitySpec`] with its focal
+    /// vehicles at full fidelity. `model` is threaded into the focal
+    /// stacks; promoted background vehicles deliberately run without
+    /// learned monitors.
+    ///
+    /// # Panics
+    /// Panics if the scenario carries no [`CitySpec`], the chain is empty,
+    /// or the initial gap is not positive.
+    pub(crate) fn new(scenario: &Scenario, model: Option<&SelfAwarenessModel>) -> Self {
         let spec = scenario.city.clone().expect("city scenario");
         let total = spec.total();
         assert!(total >= 1, "city chain needs at least one vehicle");
@@ -160,11 +138,11 @@ impl CityEngine {
             .map(|k| {
                 let slot = spec.focal_slot(k);
                 let mut ctx = RunContext::for_member(
-                    &scenario,
+                    scenario,
                     format!("{}#f{k}", scenario.label),
                     derive_seed(scenario.seed, k as u64),
                     spec.cruise_mps,
-                    chain_lead(&scenario, &spec, slot),
+                    chain_lead(scenario, &spec, slot),
                     model,
                 );
                 ctx.v
@@ -183,7 +161,8 @@ impl CityEngine {
         let end = Time::ZERO + scenario.duration;
         let max_full_tier = full.len();
         CityEngine {
-            scenario,
+            // Promotions build full stacks from the scenario mid-run.
+            scenario: scenario.clone(),
             spec,
             store,
             full,
@@ -201,17 +180,19 @@ impl CityEngine {
     }
 
     /// Whether the scenario's time horizon has been reached.
-    fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.now >= self.end
     }
 
-    /// Simulated time since run start, in milliseconds.
-    fn now_millis(&self) -> u64 {
-        self.now.as_millis()
+    /// Simulated time since run start.
+    pub(crate) fn now(&self) -> Time {
+        self.now
     }
 
-    /// Advances the city by one control period (10 ms).
-    fn tick(&mut self, mut tel: Option<&mut RunTelemetry>) {
+    /// Advances the city by one control period (10 ms). Mounted telemetry
+    /// counts the surrogate stage and the focal runner/monitor stages, and
+    /// records tier transitions as trace events.
+    pub(crate) fn tick(&mut self, mut tel: Option<&mut RunTelemetry>) {
         self.now += CONTROL_PERIOD;
         self.ticks += 1;
         // 1. One batched surrogate update: mirrored slots are read as
@@ -333,89 +314,51 @@ impl CityEngine {
         self.max_full_tier = self.max_full_tier.max(self.full.len());
     }
 
-    /// Closes the run: composes the focal outcomes and chain metrics.
-    fn finish(self) -> Outcome {
-        compose_city(
-            self.scenario,
-            &self.spec,
-            self.full,
-            &self.store,
-            self.ticks,
-            self.surrogate_vehicle_ticks,
-            self.full_vehicle_ticks,
-            self.promotions,
-            self.demotions,
-            self.max_full_tier,
-        )
-    }
-}
-
-/// A city run stepped one control period at a time — the city-engine
-/// counterpart of [`crate::runner::SteppedRun`], exposed so external
-/// drivers (allocation pins, benchmarks, custom co-simulation loops) can
-/// observe or interleave with the tick stream.
-pub struct CityRun {
-    engine: CityEngine,
-    tel: Option<RunTelemetry>,
-    sink: Option<Telemetry>,
-}
-
-impl CityRun {
-    /// Readies `scenario`'s city chain without advancing time.
-    ///
-    /// # Panics
-    /// Panics when the scenario carries no [`CitySpec`] (single-vehicle
-    /// scenarios step through [`crate::runner::SteppedRun`]).
-    pub fn new(scenario: &Scenario) -> Self {
-        assert!(
-            scenario.city.is_some(),
-            "CityRun drives city scenarios only"
+    /// Closes the run: composes the focal vehicles' outcomes with the
+    /// chain metrics and the tier record.
+    pub(crate) fn finish(self) -> Outcome {
+        let focal: Vec<RunContext> = self
+            .full
+            .into_iter()
+            .filter(|fv| fv.focal_index.is_some())
+            .map(|fv| fv.ctx)
+            .collect();
+        let city = CityOutcome {
+            vehicles: self.total,
+            focal: self.spec.focal,
+            ticks: self.ticks,
+            surrogate_vehicle_ticks: self.surrogate_vehicle_ticks,
+            full_vehicle_ticks: self.full_vehicle_ticks,
+            promotions: self.promotions,
+            demotions: self.demotions,
+            max_full_tier: self.max_full_tier,
+            chain_min_gap_m: self.store.min_gap_m(),
+            chain_collision: self.store.collision(),
+            focal_first_detection: focal.iter().map(RunContext::first_detection).collect(),
+            focal_collisions: focal.iter().map(RunContext::collision).collect(),
+        };
+        let mut out = compose_members(
+            self.scenario.label,
+            focal,
+            self.store.min_gap_m(),
+            self.store.collision(),
         );
-        CityRun {
-            engine: CityEngine::new(scenario.clone(), None),
-            tel: None,
-            sink: None,
+        if city.focal == 0 {
+            // A pure surrogate run: no stack ran, so the chain's front
+            // stands for the distance travelled.
+            out.distance_m = self.store.position_m(0);
         }
-    }
-
-    /// Like [`CityRun::new`] with `sink`'s telemetry mounted: ticks
-    /// record into a per-run ring/registry, folded back into the sink by
-    /// [`CityRun::finish`].
-    pub fn with_telemetry(scenario: &Scenario, sink: &Telemetry) -> Self {
-        let mut run = CityRun::new(scenario);
-        run.tel = Some(sink.begin_run(0));
-        run.sink = Some(sink.clone());
-        run
-    }
-
-    /// Whether the scenario's time horizon has been reached.
-    pub fn done(&self) -> bool {
-        self.engine.done()
-    }
-
-    /// Advances the city by one control period (10 ms).
-    pub fn tick(&mut self) {
-        self.engine.tick(self.tel.as_mut());
-    }
-
-    /// Simulated time since run start, in milliseconds. Tier
-    /// re-evaluation fires on whole-second instants; allocation pins use
-    /// this to place their measurement window between them.
-    pub fn now_millis(&self) -> u64 {
-        self.engine.now_millis()
-    }
-
-    /// Closes the run and returns its composed [`Outcome`], absorbing any
-    /// mounted telemetry into its sink.
-    pub fn finish(self) -> Outcome {
-        let out = self.engine.finish();
-        if let (Some(mut tel), Some(sink)) = (self.tel, self.sink) {
-            record_outcome_latency(&mut tel, &out);
-            sink.absorb(tel);
+        Outcome {
+            city: Some(city),
+            ..out
         }
-        out
     }
 }
+
+/// The city engine's run handle, kept as an alias of the one handle
+/// because the benchmark under `saavbench/` names it; the next benchmark
+/// change removes it.
+pub type CityRun = SteppedRun;
 
 /// The lead coupling of a full-fidelity vehicle at `slot`: the front of
 /// the chain follows the scenario's scripted lead (like the platoon
@@ -426,142 +369,6 @@ fn chain_lead(scenario: &Scenario, spec: &CitySpec, slot: usize) -> LeadVehicle 
         scenario.lead.clone()
     } else {
         LeadVehicle::external(spec.initial_gap_m, spec.cruise_mps)
-    }
-}
-
-/// Composes the focal outcomes and the chain metrics into one [`Outcome`]
-/// mirroring [`crate::cosim`]'s composition: lead-focal series,
-/// fleet-worst safety fields, merged escalation statistics, and the tier
-/// record.
-#[allow(clippy::too_many_arguments)]
-fn compose_city(
-    scenario: Scenario,
-    spec: &CitySpec,
-    full: Vec<FullVehicle>,
-    store: &SurrogateTraffic,
-    ticks: u64,
-    surrogate_vehicle_ticks: u64,
-    full_vehicle_ticks: u64,
-    promotions: u64,
-    demotions: u64,
-    max_full_tier: usize,
-) -> Outcome {
-    let focal: Vec<RunContext> = full
-        .into_iter()
-        .filter(|fv| fv.focal_index.is_some())
-        .map(|fv| fv.ctx)
-        .collect();
-    let (resolved, total_problems) = focal.iter().fold((0usize, 0usize), |(r, t), m| {
-        (r + m.v.coordinator.resolved(), t + m.v.coordinator.routed())
-    });
-    let outcomes: Vec<Outcome> = focal.into_iter().map(RunContext::finish).collect();
-
-    let city = CityOutcome {
-        vehicles: spec.total(),
-        focal: spec.focal,
-        ticks,
-        surrogate_vehicle_ticks,
-        full_vehicle_ticks,
-        promotions,
-        demotions,
-        max_full_tier,
-        chain_min_gap_m: store.min_gap_m(),
-        chain_collision: store.collision(),
-        focal_first_detection: outcomes.iter().map(|o| o.first_detection).collect(),
-        focal_collisions: outcomes.iter().map(|o| o.collision).collect(),
-    };
-
-    if outcomes.is_empty() {
-        // A pure surrogate run (focal = 0): no self-awareness stack ran,
-        // so the outcome carries only the chain-level quantities.
-        return Outcome {
-            label: scenario.label,
-            speed: Series::new(),
-            ability: Series::new(),
-            miss_rate: Series::new(),
-            temp_c: Series::new(),
-            speed_factor: Series::new(),
-            model_score: Series::new(),
-            final_mode: DrivingMode::Normal,
-            min_gap_m: store.min_gap_m(),
-            min_ttc_s: f64::INFINITY,
-            collision: store.collision(),
-            distance_m: store.position_m(0),
-            first_detection: None,
-            first_model_deviation: None,
-            mitigated_at: None,
-            actions: Vec::new(),
-            conflicts: 0,
-            max_hops: 0,
-            resolution_rate: None,
-            trace: Tracer::new(),
-            platoon: None,
-            city: Some(city),
-        };
-    }
-
-    let severity = |mode: DrivingMode| match mode {
-        DrivingMode::Normal => 0,
-        DrivingMode::Reduced { .. } => 1,
-        DrivingMode::SafeStop => 2,
-    };
-    let final_mode = outcomes
-        .iter()
-        .map(|o| o.final_mode)
-        .max_by_key(|&m| severity(m))
-        .expect("at least one focal vehicle");
-    let mut actions: Vec<String> = Vec::new();
-    for o in &outcomes {
-        for a in &o.actions {
-            if !actions.contains(a) {
-                actions.push(a.clone());
-            }
-        }
-    }
-    let n = outcomes.len() as f64;
-    let distance_m = outcomes.iter().map(|o| o.distance_m).sum::<f64>() / n;
-    let min_gap_m = outcomes
-        .iter()
-        .map(|o| o.min_gap_m)
-        .fold(store.min_gap_m(), f64::min);
-    let min_ttc_s = outcomes
-        .iter()
-        .map(|o| o.min_ttc_s)
-        .fold(f64::INFINITY, f64::min);
-    let collision = outcomes.iter().any(|o| o.collision) || store.collision();
-    let first_detection = outcomes.iter().filter_map(|o| o.first_detection).min();
-    let first_model_deviation = outcomes
-        .iter()
-        .filter_map(|o| o.first_model_deviation)
-        .min();
-    let mitigated_at = outcomes.iter().filter_map(|o| o.mitigated_at).max();
-    let conflicts = outcomes.iter().map(|o| o.conflicts).sum();
-    let max_hops = outcomes.iter().map(|o| o.max_hops).max().unwrap_or(0);
-    let lead_focal = outcomes.into_iter().next().expect("at least one focal");
-
-    Outcome {
-        label: scenario.label,
-        speed: lead_focal.speed,
-        ability: lead_focal.ability,
-        miss_rate: lead_focal.miss_rate,
-        temp_c: lead_focal.temp_c,
-        speed_factor: lead_focal.speed_factor,
-        model_score: lead_focal.model_score,
-        final_mode,
-        min_gap_m,
-        min_ttc_s,
-        collision,
-        distance_m,
-        first_detection,
-        first_model_deviation,
-        mitigated_at,
-        actions,
-        conflicts,
-        max_hops,
-        resolution_rate: (total_problems > 0).then(|| resolved as f64 / total_problems as f64),
-        trace: lead_focal.trace,
-        platoon: None,
-        city: Some(city),
     }
 }
 
@@ -627,21 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn steppable_city_run_matches_run_city() {
-        let scenario = short_city(20, 2, 11);
-        let direct = crate::runner::run(scenario.clone());
-        let mut stepped = CityRun::new(&scenario);
-        assert!(!stepped.done());
-        while !stepped.done() {
-            stepped.tick();
-        }
-        assert_eq!(stepped.now_millis(), 10_000);
-        let out = stepped.finish();
-        assert_eq!(out.distance_m.to_bits(), direct.distance_m.to_bits());
-        assert_eq!(out.city.as_ref().unwrap(), direct.city.as_ref().unwrap());
-    }
-
-    #[test]
     fn balanced_promotion_churn_keeps_the_full_tier_in_slot_order() {
         // A 1 Hz pass that demotes and promotes an equal number of
         // vehicles leaves the full-tier count unchanged but must still
@@ -650,7 +442,7 @@ mod tests {
         // that: nudge one focal's mirrored position so its window
         // swallows one more background vehicle, and teleport a promoted
         // vehicle out of the other focal's neighborhood.
-        let mut engine = CityEngine::new(short_city(20, 2, 17), None);
+        let mut engine = CityEngine::new(&short_city(20, 2, 17), None);
         let f0 = engine.spec.focal_slot(0);
         let f1 = engine.spec.focal_slot(1);
         engine.reevaluate(None);

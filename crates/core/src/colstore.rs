@@ -27,7 +27,7 @@ use crate::cache::{strategy_code, strategy_from_code};
 use crate::fleet::{
     latency_stats_from, FleetRecord, FleetStats, LatencyStats, StatRow, StatsAccumulator,
 };
-use crate::outcome::{CitySummary, PlatoonSummary, Summary};
+use crate::outcome::{latency_s, CitySummary, PlatoonSummary, Summary};
 
 /// Magic prefix of the serialized columnar format.
 pub const MAGIC: &[u8; 8] = b"SAAVCOLS";
@@ -358,10 +358,7 @@ impl FleetColumns {
     /// Detection latency of row `i` in seconds (see
     /// [`FleetRecord::detection_latency_s`]), straight from the columns.
     fn latency_s(&self, col: &OptTimeCol, i: usize) -> Option<f64> {
-        col.get(i).map(|det| {
-            let injected = self.injected.get(i).unwrap_or(Time::ZERO);
-            det.saturating_since(injected).as_secs_f64()
-        })
+        latency_s(col.get(i), self.injected.get(i))
     }
 
     /// Fleet statistics computed directly from the columns — bit-identical

@@ -45,7 +45,7 @@ use saav_sim::time::Time;
 
 use crate::cache::{job_key, ResultCache};
 use crate::executor;
-use crate::outcome::Summary;
+use crate::outcome::{latency_s, Summary};
 use crate::runner;
 use crate::scenario::{ResponseStrategy, Scenario, ScenarioFamily};
 use crate::telemetry::{Telemetry, TelemetryEvent, TelemetrySnapshot};
@@ -111,10 +111,7 @@ impl FleetRecord {
     }
 
     fn latency_of(&self, detected: Option<Time>) -> Option<f64> {
-        detected.map(|det| {
-            let injected = self.injected_at.unwrap_or(Time::ZERO);
-            det.saturating_since(injected).as_secs_f64()
-        })
+        latency_s(detected, self.injected_at)
     }
 }
 
@@ -471,52 +468,42 @@ impl FleetRunner {
         let sink = self.telemetry.as_ref();
         let before = sink.map(Telemetry::snapshot);
         let records = self.execute(scenarios, |job_index, scenario| {
-            let mut tel = sink.map(|s| s.begin_run(job_index as u32));
+            let mut tel = sink.map(|s| (s.begin_run(job_index as u32), s));
+            let run = |model, tel| Arc::new(runner::run_mounted(scenario, model, tel).summary());
+            let injected_at = scenario.first_event_at();
             let summary = match cache {
                 Some(cache) => {
                     let key = job_key(scenario);
                     match cache.get(key) {
                         Some(hit) => {
-                            if let Some(t) = tel.as_mut() {
+                            // A hit never runs, so its telemetry closes here.
+                            if let Some((mut t, sink)) = tel {
                                 t.record(Time::ZERO, TelemetryEvent::CacheHit);
+                                if let Some(latency) = latency_s(hit.first_detection, injected_at) {
+                                    t.record_detection_latency(latency);
+                                }
+                                sink.absorb(t);
                             }
                             hit
                         }
                         None => {
-                            if let Some(t) = tel.as_mut() {
+                            if let Some((t, _)) = tel.as_mut() {
                                 t.record(Time::ZERO, TelemetryEvent::CacheMiss);
                             }
-                            let computed = Arc::new(
-                                runner::run_with_model_observed(
-                                    scenario.clone(),
-                                    None,
-                                    tel.as_mut(),
-                                )
-                                .summary(),
-                            );
+                            let computed = run(None, tel);
                             cache.insert(key, Arc::clone(&computed));
                             computed
                         }
                     }
                 }
-                None => Arc::new(
-                    runner::run_with_model_observed(scenario.clone(), model, tel.as_mut())
-                        .summary(),
-                ),
+                None => run(model, tel),
             };
-            let record = FleetRecord {
+            FleetRecord {
                 strategy: scenario.strategy,
                 seed: scenario.seed,
-                injected_at: scenario.events.iter().map(|&(t, _)| t).min(),
+                injected_at,
                 summary,
-            };
-            if let Some(mut t) = tel {
-                if let Some(latency) = record.detection_latency_s() {
-                    t.record_detection_latency(latency);
-                }
-                sink.expect("sink exists when tel does").absorb(t);
             }
-            record
         });
         let mut stats = FleetStats::from_records(&records);
         if let (Some(sink), Some(before)) = (sink, before) {
@@ -532,7 +519,7 @@ impl FleetRunner {
     /// the cache is not consulted (traces are not part of a [`Summary`]).
     pub fn capture_traces(&self, scenarios: Vec<Scenario>) -> Vec<SignalTrace> {
         self.execute(scenarios, |_i, scenario| {
-            runner::run(scenario.clone()).signal_trace()
+            runner::run_mounted(scenario, None, None).signal_trace()
         })
     }
 

@@ -22,8 +22,9 @@
 //! * [`vehicle`] — the full vehicle: hardware platform, CAN, RTE, monitors,
 //!   ability graph, mode policy and the coordinator wired into one machine,
 //!   with each layer's concrete containment actions.
-//! * [`runner`] — the closed-loop stepping engine that drives one vehicle
-//!   through one scenario.
+//! * [`runner`] — the closed-loop stepping engine: one run handle,
+//!   [`runner::SteppedRun`], steps one vehicle, a platoon or a city chain
+//!   through a scenario, and every entry point loops over it.
 //! * [`cosim`] — the multi-vehicle co-simulation engine: N vehicles in
 //!   lockstep over a shared road, coupled by a faultable V2V channel and a
 //!   trust-managed platoon negotiation, with peer misbehavior escalating
@@ -98,7 +99,6 @@ pub mod telemetry;
 pub mod vehicle;
 
 pub use cache::{job_key, CacheStats, JobKey, ResultCache, ENGINE_VERSION};
-pub use city::{run_city, CityRun};
 pub use colstore::{FleetColumns, GroupBy};
 pub use coordinator::{Attempt, Coordinator, EscalationPolicy, ResolutionTrace};
 pub use fleet::{

@@ -102,6 +102,17 @@ impl Outcome {
     }
 }
 
+/// Detection latency in seconds: `detected` relative to `injected`, the
+/// scenario's first scripted disturbance (run start when it has none).
+/// The one definition behind fleet records, the columnar statistics and
+/// the telemetry latency histogram.
+pub(crate) fn latency_s(detected: Option<Time>, injected: Option<Time>) -> Option<f64> {
+    detected.map(|det| {
+        det.saturating_since(injected.unwrap_or(Time::ZERO))
+            .as_secs_f64()
+    })
+}
+
 /// The compact, cheaply clonable essence of an [`Outcome`] — what fleet
 /// aggregation and the repro tables consume, so call sites stop
 /// hand-picking fields.
@@ -182,8 +193,8 @@ impl PlatoonOutcome {
     }
 }
 
-/// Tier statistics of one city-scale co-simulation run — what
-/// [`crate::city::run_city`] records on top of the lead focal vehicle's
+/// Tier statistics of one city-scale co-simulation run — what the city
+/// engine ([`crate::city`]) records on top of the lead focal vehicle's
 /// [`Outcome`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CityOutcome {

@@ -1,12 +1,12 @@
-//! The scenario runner: steps a [`SelfAwareVehicle`] through a
-//! [`Scenario`]'s timeline and records the [`Outcome`].
+//! The scenario runner: steps a [`Scenario`] — one [`SelfAwareVehicle`],
+//! a platoon or a city chain — and records the [`Outcome`].
 //!
-//! One run is a fixed-step closed loop: scripted events pop from the
-//! deterministic [`crate::scenario::ScenarioState`] queue, the platform /
-//! execution / plant / communication layers advance, monitors raise
-//! anomalies, and each anomaly is routed through the layers by
-//! [`Coordinator::route`] — the same routing the coordinator itself uses,
-//! so escalation exists exactly once.
+//! One run is a fixed-step closed loop over one [`SteppedRun`]: scripted
+//! events pop from the deterministic [`crate::scenario::ScenarioState`]
+//! queue, the platform / execution / plant / communication layers
+//! advance, monitors raise anomalies, and each anomaly is routed through
+//! the layers by [`Coordinator::route`] — the same routing the coordinator
+//! itself uses, so escalation exists exactly once.
 //!
 //! [`Coordinator::route`]: crate::coordinator::Coordinator::route
 
@@ -18,8 +18,10 @@ use saav_sim::time::Time;
 use saav_skills::decision::DrivingMode;
 use saav_vehicle::traffic::LeadVehicle;
 
+use crate::city::CityEngine;
+use crate::cosim::PlatoonEngine;
 use crate::layer::{Containment, Layer};
-use crate::outcome::Outcome;
+use crate::outcome::{latency_s, Outcome};
 use crate::scenario::{Scenario, ScenarioState};
 use crate::telemetry::{Counter, RunTelemetry, Stage, Telemetry, TelemetryEvent};
 use crate::vehicle::{SelfAwareVehicle, CONTROL_PERIOD};
@@ -125,10 +127,10 @@ fn handle_anomaly(
 }
 
 /// One vehicle's in-flight run state: the vehicle, its scenario-injection
-/// state and the per-run recording. The single-vehicle loop drives exactly
-/// one context; the multi-vehicle engine ([`crate::cosim`]) drives N of
-/// them in lockstep — [`RunContext::tick`] is the *only* stepping
-/// implementation, so a solo run is literally the 1-member special case.
+/// state and the per-run recording. A solo run drives exactly one context;
+/// the platoon and city engines drive N of them in lockstep —
+/// [`RunContext::tick`] is the *only* vehicle stepping implementation, so a
+/// solo run is literally the 1-member special case.
 pub(crate) struct RunContext {
     pub(crate) v: SelfAwareVehicle,
     pub(crate) state: ScenarioState,
@@ -198,6 +200,16 @@ impl RunContext {
     /// Whether the scenario's time horizon has been reached.
     pub(crate) fn done(&self) -> bool {
         self.v.now >= self.end
+    }
+
+    /// Whether this vehicle has collided so far.
+    pub(crate) fn collision(&self) -> bool {
+        self.v.world.metrics().collision
+    }
+
+    /// When the contract monitors first detected a problem, if they have.
+    pub(crate) fn first_detection(&self) -> Option<Time> {
+        self.log.first_detection
     }
 
     /// Raises an externally-detected anomaly (e.g. peer misbehavior from
@@ -344,37 +356,93 @@ impl RunContext {
     }
 }
 
-/// A single-vehicle run stepped one control period at a time.
+/// The engine behind a [`SteppedRun`]: one vehicle, a platoon or a city
+/// chain.
+// One engine exists per run, so boxing the larger solo variant would only
+// add a heap allocation per run.
+#[allow(clippy::large_enum_variant)]
+enum Engine {
+    Solo(RunContext),
+    Platoon(PlatoonEngine),
+    City(CityEngine),
+}
+
+impl Engine {
+    /// The one place a run's topology is picked: a
+    /// [`crate::scenario::CitySpec`] takes precedence over a
+    /// [`crate::scenario::PlatoonSpec`], and with neither one vehicle runs.
+    /// The model, if any, is mounted on every member (every focal vehicle,
+    /// for a city).
+    fn new(scenario: &Scenario, model: Option<&SelfAwarenessModel>) -> Self {
+        if scenario.city.is_some() {
+            Engine::City(CityEngine::new(scenario, model))
+        } else if scenario.platoon.is_some() {
+            Engine::Platoon(PlatoonEngine::new(scenario, model))
+        } else {
+            Engine::Solo(RunContext::new(scenario, model))
+        }
+    }
+
+    fn done(&self) -> bool {
+        match self {
+            Engine::Solo(ctx) => ctx.done(),
+            Engine::Platoon(platoon) => platoon.done(),
+            Engine::City(city) => city.done(),
+        }
+    }
+
+    fn tick(&mut self, tel: Option<&mut RunTelemetry>) {
+        match self {
+            Engine::Solo(ctx) => ctx.tick(tel),
+            Engine::Platoon(platoon) => platoon.tick(tel),
+            Engine::City(city) => city.tick(tel),
+        }
+    }
+
+    fn now(&self) -> Time {
+        match self {
+            Engine::Solo(ctx) => ctx.v.now,
+            Engine::Platoon(platoon) => platoon.now(),
+            Engine::City(city) => city.now(),
+        }
+    }
+
+    fn finish(self, tel: Option<&mut RunTelemetry>) -> Outcome {
+        match self {
+            Engine::Solo(ctx) => ctx.finish(),
+            Engine::Platoon(platoon) => platoon.finish(tel),
+            Engine::City(city) => city.finish(),
+        }
+    }
+}
+
+/// A run stepped one control period at a time: the one run handle, for a
+/// single vehicle, a platoon and a city chain alike.
 ///
-/// [`run`] is literally `while !done { tick() }` over this handle; it is
-/// exposed so external drivers — allocation pins, benchmarks, custom
-/// co-simulation loops — can observe or interleave with the tick stream
-/// instead of paying for a whole scenario per measurement. Only the
-/// single-vehicle path is steppable; scenarios carrying a platoon or city
-/// spec go through [`run`].
+/// [`run`], [`run_with_model`], [`run_observed`] and the fleet runner are
+/// all `while !done { tick() }` over it. It is exposed so external
+/// drivers — allocation pins, benchmarks, custom co-simulation loops — can
+/// observe or interleave with the tick stream instead of paying for a
+/// whole scenario per measurement.
 pub struct SteppedRun {
-    ctx: RunContext,
-    tel: Option<RunTelemetry>,
-    sink: Option<Telemetry>,
+    engine: Engine,
+    /// The scenario's first scripted disturbance, from which the mounted
+    /// detection-latency histogram measures.
+    injected_at: Option<Time>,
+    /// Mounted telemetry: this run's recording and the sink it folds into.
+    tel: Option<(RunTelemetry, Telemetry)>,
 }
 
 impl SteppedRun {
-    /// Readies `scenario`'s vehicle without advancing time.
+    /// Readies `scenario`'s engine without advancing time.
     ///
     /// # Panics
-    /// Panics when the scenario carries a
-    /// [`crate::scenario::PlatoonSpec`] or [`crate::scenario::CitySpec`]
-    /// — multi-vehicle engines own their own lockstep loops.
+    /// Panics on a malformed [`crate::scenario::PlatoonSpec`] — zero
+    /// members, a zero negotiation period, or a liar/link index beyond the
+    /// member count — or [`crate::scenario::CitySpec`] — an empty chain or
+    /// a non-positive initial gap.
     pub fn new(scenario: &Scenario) -> Self {
-        assert!(
-            scenario.platoon.is_none() && scenario.city.is_none(),
-            "SteppedRun drives single-vehicle scenarios only"
-        );
-        SteppedRun {
-            ctx: RunContext::new(scenario, None),
-            tel: None,
-            sink: None,
-        }
+        SteppedRun::mounted(scenario, None, None)
     }
 
     /// Like [`SteppedRun::new`] with `sink`'s telemetry mounted: every
@@ -382,56 +450,79 @@ impl SteppedRun {
     /// folded back into the sink by [`SteppedRun::finish`].
     ///
     /// # Panics
-    /// Panics like [`SteppedRun::new`] on a multi-vehicle scenario.
+    /// Panics like [`SteppedRun::new`] on a malformed multi-vehicle spec.
     pub fn with_telemetry(scenario: &Scenario, sink: &Telemetry) -> Self {
-        let mut run = SteppedRun::new(scenario);
-        run.tel = Some(sink.begin_run(0));
-        run.sink = Some(sink.clone());
-        run
+        SteppedRun::mounted(scenario, None, Some((sink.begin_run(0), sink)))
+    }
+
+    /// The shared constructor: `model` is mounted beside the hand-written
+    /// monitors, and `tel` is a recording already begun on its sink.
+    pub(crate) fn mounted(
+        scenario: &Scenario,
+        model: Option<&SelfAwarenessModel>,
+        tel: Option<(RunTelemetry, &Telemetry)>,
+    ) -> Self {
+        SteppedRun {
+            engine: Engine::new(scenario, model),
+            injected_at: scenario.first_event_at(),
+            tel: tel.map(|(run, sink)| (run, sink.clone())),
+        }
     }
 
     /// Whether the scenario's time horizon has been reached.
     pub fn done(&self) -> bool {
-        self.ctx.done()
+        self.engine.done()
     }
 
-    /// Advances the vehicle by one control period (10 ms).
+    /// Advances the run by one control period (10 ms).
     pub fn tick(&mut self) {
-        self.ctx.tick(self.tel.as_mut());
+        self.engine.tick(self.tel.as_mut().map(|(run, _)| run));
     }
 
-    /// Simulated time since run start, in milliseconds. Recording and
-    /// learned-monitor scoring fire on whole-second instants; allocation
-    /// pins use this to place their measurement window between them.
+    /// Simulated time since run start, in milliseconds. Recording,
+    /// learned-monitor scoring, city tier re-evaluation and (at the
+    /// default period) platoon negotiation fire on whole-second instants;
+    /// allocation pins use this to place their measurement window between
+    /// them.
     pub fn now_millis(&self) -> u64 {
-        self.ctx.v.now.as_millis()
+        self.engine.now().as_millis()
     }
 
     /// Closes the run and returns its measured [`Outcome`], absorbing any
-    /// mounted telemetry into its sink.
+    /// mounted telemetry into its sink. The detection latency folded into
+    /// the sink's histogram is measured like
+    /// [`crate::fleet::FleetRecord::detection_latency_s`].
     pub fn finish(self) -> Outcome {
-        let out = self.ctx.finish();
-        if let (Some(mut tel), Some(sink)) = (self.tel, self.sink) {
-            record_outcome_latency(&mut tel, &out);
-            sink.absorb(tel);
+        let mut tel = self.tel;
+        let out = self.engine.finish(tel.as_mut().map(|(run, _)| run));
+        if let Some((mut run, sink)) = tel {
+            if let Some(latency) = latency_s(out.first_detection, self.injected_at) {
+                run.record_detection_latency(latency);
+            }
+            sink.absorb(run);
         }
         out
     }
 }
 
-/// Folds an outcome's detection latency (scenario start → first
-/// detection) into the run's histogram.
-pub(crate) fn record_outcome_latency(tel: &mut RunTelemetry, out: &Outcome) {
-    if let Some(t) = out.first_detection {
-        tel.record_detection_latency(t.as_secs_f64());
+/// Steps a [`SteppedRun`] to its horizon and closes it: the one run loop
+/// behind every entry point and the fleet runner.
+pub(crate) fn run_mounted(
+    scenario: &Scenario,
+    model: Option<&SelfAwarenessModel>,
+    tel: Option<(RunTelemetry, &Telemetry)>,
+) -> Outcome {
+    let mut run = SteppedRun::mounted(scenario, model, tel);
+    while !run.done() {
+        run.tick();
     }
+    run.finish()
 }
 
 /// Runs a scenario to completion with the hand-written monitors only.
 ///
 /// # Panics
-/// Panics like [`run_with_model`] on a malformed
-/// [`crate::scenario::PlatoonSpec`].
+/// Panics like [`SteppedRun::new`] on a malformed multi-vehicle spec.
 pub fn run(scenario: Scenario) -> Outcome {
     run_with_model(scenario, None)
 }
@@ -440,61 +531,122 @@ pub fn run(scenario: Scenario) -> Outcome {
 /// self-awareness monitor mounted beside the hand-written ones. With
 /// `None` this is exactly [`run`]; with a model, the online scorer ingests
 /// the 1 Hz signal vector and threshold crossings escalate like any other
-/// anomaly.
-///
-/// A scenario carrying a [`crate::scenario::CitySpec`] is handed to the
-/// city-scale tiered-fidelity engine ([`crate::city::run_city`]), which
-/// steps the whole chain on the calling thread. One carrying a
-/// [`crate::scenario::PlatoonSpec`] goes to the platoon co-simulation
-/// engine ([`crate::cosim::run_platoon`]). The model, if any, is mounted
-/// on every member (every focal vehicle, for a city).
+/// anomaly. The model is mounted on every platoon member and every focal
+/// vehicle of a city.
 ///
 /// # Panics
-/// Panics on a malformed [`crate::scenario::PlatoonSpec`] — zero members,
-/// a zero negotiation period, or a liar/link index beyond the member
-/// count (see [`crate::cosim::run_platoon`]) — or a malformed
-/// [`crate::scenario::CitySpec`] (see [`crate::city::run_city`]).
+/// Panics like [`SteppedRun::new`] on a malformed multi-vehicle spec.
 pub fn run_with_model(scenario: Scenario, model: Option<&SelfAwarenessModel>) -> Outcome {
-    run_with_model_observed(scenario, model, None)
+    run_mounted(&scenario, model, None)
 }
 
 /// Runs a scenario to completion with `sink`'s telemetry mounted: the
-/// run's escalation trace, registry counters and stage counts are folded
-/// into the sink. The measured [`Outcome`] is bit-identical to
-/// [`run_with_model`]'s — telemetry observes, never perturbs.
+/// run's escalation trace, registry counters, stage counts and detection
+/// latency are folded into the sink. The measured [`Outcome`] is
+/// bit-identical to [`run_with_model`]'s — telemetry observes, never
+/// perturbs.
 ///
 /// # Panics
-/// Panics like [`run_with_model`] on a malformed multi-vehicle spec.
+/// Panics like [`SteppedRun::new`] on a malformed multi-vehicle spec.
 pub fn run_observed(
     scenario: Scenario,
     model: Option<&SelfAwarenessModel>,
     sink: &Telemetry,
 ) -> Outcome {
-    let mut tel = sink.begin_run(0);
-    let out = run_with_model_observed(scenario, model, Some(&mut tel));
-    record_outcome_latency(&mut tel, &out);
-    sink.absorb(tel);
-    out
+    run_mounted(&scenario, model, Some((sink.begin_run(0), sink)))
 }
 
-/// The shared implementation behind [`run_with_model`] (unmounted) and
-/// [`run_observed`] / the fleet runner (mounted).
-pub(crate) fn run_with_model_observed(
-    scenario: Scenario,
-    model: Option<&SelfAwarenessModel>,
-    mut tel: Option<&mut RunTelemetry>,
+/// Composes member runs — a platoon's members or a city's focal vehicles —
+/// into one [`Outcome`]: the first member's series and trace, the most
+/// severe final mode, the worst safety fields, the mean distance and
+/// exactly merged escalation statistics. The fold starts from the chain's
+/// own `min_gap_m` and `collision` (`INFINITY` and `false` for a platoon,
+/// whose chain is its members). The engine adds its own record.
+pub(crate) fn compose_members(
+    label: String,
+    members: Vec<RunContext>,
+    min_gap_m: f64,
+    collision: bool,
 ) -> Outcome {
-    if scenario.city.is_some() {
-        return crate::city::run_city_observed(scenario, model, tel);
+    // Resolution statistics merge exactly: resolved / total over all
+    // members' coordinators.
+    let (resolved, routed) = members.iter().fold((0usize, 0usize), |(r, t), m| {
+        (r + m.v.coordinator.resolved(), t + m.v.coordinator.routed())
+    });
+    let outcomes: Vec<Outcome> = members.into_iter().map(RunContext::finish).collect();
+
+    let severity = |mode: &DrivingMode| match mode {
+        DrivingMode::Normal => 0,
+        DrivingMode::Reduced { .. } => 1,
+        DrivingMode::SafeStop => 2,
+    };
+    let final_mode = outcomes
+        .iter()
+        .map(|o| o.final_mode)
+        .max_by_key(severity)
+        .unwrap_or(DrivingMode::Normal);
+    let mut actions: Vec<String> = Vec::new();
+    for a in outcomes.iter().flat_map(|o| &o.actions) {
+        if !actions.contains(a) {
+            actions.push(a.clone());
+        }
     }
-    if scenario.platoon.is_some() {
-        return crate::cosim::run_platoon_observed(scenario, model, tel);
+    let distance_m = outcomes.iter().map(|o| o.distance_m).sum::<f64>() / outcomes.len() as f64;
+    let min_gap_m = outcomes
+        .iter()
+        .map(|o| o.min_gap_m)
+        .fold(min_gap_m, f64::min);
+    let min_ttc_s = outcomes
+        .iter()
+        .map(|o| o.min_ttc_s)
+        .fold(f64::INFINITY, f64::min);
+    let collision = outcomes.iter().any(|o| o.collision) || collision;
+    let first_detection = outcomes.iter().filter_map(|o| o.first_detection).min();
+    let first_model_deviation = outcomes
+        .iter()
+        .filter_map(|o| o.first_model_deviation)
+        .min();
+    let mitigated_at = outcomes.iter().filter_map(|o| o.mitigated_at).max();
+    let conflicts = outcomes.iter().map(|o| o.conflicts).sum();
+    let max_hops = outcomes.iter().map(|o| o.max_hops).max().unwrap_or(0);
+    let (speed, ability, miss_rate, temp_c, speed_factor, model_score, trace) =
+        match outcomes.into_iter().next() {
+            Some(l) => (
+                l.speed,
+                l.ability,
+                l.miss_rate,
+                l.temp_c,
+                l.speed_factor,
+                l.model_score,
+                l.trace,
+            ),
+            None => Default::default(),
+        };
+
+    Outcome {
+        label,
+        speed,
+        ability,
+        miss_rate,
+        temp_c,
+        speed_factor,
+        model_score,
+        final_mode,
+        min_gap_m,
+        min_ttc_s,
+        collision,
+        distance_m,
+        first_detection,
+        first_model_deviation,
+        mitigated_at,
+        actions,
+        conflicts,
+        max_hops,
+        resolution_rate: (routed > 0).then(|| resolved as f64 / routed as f64),
+        trace,
+        platoon: None,
+        city: None,
     }
-    let mut ctx = RunContext::new(&scenario, model);
-    while !ctx.done() {
-        ctx.tick(tel.as_deref_mut());
-    }
-    ctx.finish()
 }
 
 #[cfg(test)]
@@ -502,9 +654,58 @@ mod tests {
     use super::*;
     use crate::scenario::ResponseStrategy;
 
+    /// Stepping the one handle to done equals the entry points for every
+    /// topology, unmounted and with a telemetry sink mounted.
+    #[test]
+    fn stepped_run_matches_run_for_every_topology() {
+        use crate::scenario::{CitySpec, PlatoonSpec, ScenarioEvent};
+        use saav_sim::time::Duration;
+        let scenario = |label: &str| {
+            Scenario::builder(label)
+                .seed(11)
+                .duration(Duration::from_secs(10))
+                .at(Time::from_secs(3), ScenarioEvent::CompromiseRearBrake)
+        };
+        let table = [
+            scenario("stepped/solo").build(),
+            scenario("stepped/platoon")
+                .platoon(PlatoonSpec::new(4).with_liar(3, 2.0))
+                .build(),
+            scenario("stepped/city").city(CitySpec::new(20, 2)).build(),
+        ];
+        for scenario in table {
+            let label = scenario.label.clone();
+            let direct = run(scenario.clone());
+            let mut stepped = SteppedRun::new(&scenario);
+            while !stepped.done() {
+                stepped.tick();
+            }
+            assert_eq!(stepped.now_millis(), 10_000, "{label}");
+            let out = stepped.finish();
+            assert_eq!(out.summary(), direct.summary(), "{label}");
+            assert_eq!(out.platoon, direct.platoon, "{label}");
+            assert_eq!(out.city, direct.city, "{label}");
+            assert_eq!(
+                out.trace.entries().len(),
+                direct.trace.entries().len(),
+                "{label}"
+            );
+
+            let (stepped_sink, observed_sink) = (Telemetry::default(), Telemetry::default());
+            let mut mounted = SteppedRun::with_telemetry(&scenario, &stepped_sink);
+            while !mounted.done() {
+                mounted.tick();
+            }
+            mounted.finish();
+            run_observed(scenario, None, &observed_sink);
+            assert_eq!(stepped_sink.snapshot(), observed_sink.snapshot(), "{label}");
+            assert_eq!(stepped_sink.events(), observed_sink.events(), "{label}");
+        }
+    }
+
     #[test]
     fn baseline_runs_clean() {
-        let out = SelfAwareVehicle::run(Scenario::baseline(42));
+        let out = run(Scenario::baseline(42));
         assert!(!out.collision);
         assert!(out.distance_m > 2_000.0, "distance {}", out.distance_m);
         assert!(matches!(out.final_mode, DrivingMode::Normal));
@@ -513,7 +714,7 @@ mod tests {
 
     #[test]
     fn intrusion_cross_layer_keeps_driving_capped() {
-        let out = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
+        let out = run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
         assert!(!out.collision, "min gap {}", out.min_gap_m);
         assert!(out.first_detection.is_some(), "attack must be detected");
         assert!(out.mitigated_at.is_some());
@@ -536,7 +737,7 @@ mod tests {
 
     #[test]
     fn intrusion_objective_stop_halts_vehicle() {
-        let out = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::ObjectiveStop, 42));
+        let out = run(Scenario::intrusion(ResponseStrategy::ObjectiveStop, 42));
         assert!(!out.collision);
         let final_speed = out.speed.last().unwrap();
         assert!(final_speed < 0.5, "should be stopped, at {final_speed}");
@@ -545,8 +746,8 @@ mod tests {
 
     #[test]
     fn intrusion_single_layer_preserves_speed_but_less_margin() {
-        let cross = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
-        let single = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::SingleLayer, 42));
+        let cross = run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
+        let single = run(Scenario::intrusion(ResponseStrategy::SingleLayer, 42));
         // Single-layer never caps speed, so it drives further …
         assert!(single.distance_m > cross.distance_m);
         // … but with a worse worst-case safety margin during the lead's
@@ -561,7 +762,7 @@ mod tests {
 
     #[test]
     fn thermal_cross_layer_recovers_deadlines() {
-        let out = SelfAwareVehicle::run(Scenario::thermal(75.0, ResponseStrategy::CrossLayer, 7));
+        let out = run(Scenario::thermal(75.0, ResponseStrategy::CrossLayer, 7));
         // Misses appear mid-run, then the reconfiguration clears them.
         let peak = out.miss_rate.max().unwrap();
         let tail = out
@@ -607,7 +808,7 @@ mod tests {
     #[test]
     fn propagation_bounded_in_all_scenarios() {
         for strategy in ResponseStrategy::ALL {
-            let out = SelfAwareVehicle::run(Scenario::intrusion(strategy, 3));
+            let out = run(Scenario::intrusion(strategy, 3));
             assert!(out.max_hops <= Layer::ALL.len(), "{strategy:?}");
         }
     }
@@ -615,9 +816,7 @@ mod tests {
     #[test]
     fn composed_fog_intrusion_scenario_runs() {
         use crate::scenario::{ScenarioEvent, ScenarioFamily};
-        let out = SelfAwareVehicle::run(
-            ScenarioFamily::FogIntrusion.build(ResponseStrategy::CrossLayer, 5),
-        );
+        let out = run(ScenarioFamily::FogIntrusion.build(ResponseStrategy::CrossLayer, 5));
         assert!(out.first_detection.is_some());
         assert!(!out.actions.is_empty());
         // The DSL composes the same events the family declares.
@@ -635,9 +834,7 @@ mod tests {
     #[test]
     fn radar_dropout_is_detected_and_contained() {
         use crate::scenario::ScenarioFamily;
-        let out = SelfAwareVehicle::run(
-            ScenarioFamily::RadarDropout.build(ResponseStrategy::CrossLayer, 3),
-        );
+        let out = run(ScenarioFamily::RadarDropout.build(ResponseStrategy::CrossLayer, 3));
         assert!(out.first_detection.is_some(), "dropout must be detected");
         assert!(!out.collision);
     }

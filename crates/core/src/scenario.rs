@@ -113,9 +113,8 @@ pub struct PeerLie {
     pub claim_mps: f64,
 }
 
-/// Multi-vehicle configuration of a scenario: when present, the runner
-/// hands the scenario to the co-simulation engine
-/// ([`crate::cosim::run_platoon`]) instead of the single-vehicle loop.
+/// Multi-vehicle configuration of a scenario: when present, the run steps
+/// the co-simulation engine ([`crate::cosim`]) instead of one vehicle.
 ///
 /// All members share the scripted environment ([`ScenarioEvent`]s apply to
 /// every vehicle); member-specific deceptions and V2V link faults are
@@ -201,8 +200,8 @@ impl PlatoonSpec {
 }
 
 /// City-scale tiered-fidelity configuration of a scenario: when present,
-/// the runner hands the scenario to [`crate::city::run_city`] instead of
-/// the single-vehicle loop or the platoon engine.
+/// the run steps the city engine ([`crate::city`]) instead of one vehicle
+/// or the platoon engine.
 ///
 /// The scene is one single-lane chain of `background + focal` vehicles.
 /// Background vehicles live in the struct-of-arrays
@@ -315,6 +314,12 @@ impl Scenario {
     /// Starts a builder for a scenario with the given report label.
     pub fn builder(label: impl Into<String>) -> ScenarioBuilder {
         ScenarioBuilder::new(label)
+    }
+
+    /// When the first scripted disturbance fires, if any: detection
+    /// latency is measured from it.
+    pub(crate) fn first_event_at(&self) -> Option<Time> {
+        self.events.iter().map(|&(t, _)| t).min()
     }
 
     /// A 120 s highway following scenario with no disturbances.

@@ -539,7 +539,9 @@ impl RunTelemetry {
 pub struct TelemetrySnapshot {
     /// Counter values, indexed by `Counter as usize`.
     pub counters: [u64; Counter::COUNT],
-    /// Detection-latency distribution over [`LATENCY_BOUNDS_S`].
+    /// Detection-latency distribution over [`LATENCY_BOUNDS_S`], one
+    /// sample per detecting run, measured from its first scripted
+    /// disturbance like [`crate::fleet::FleetRecord::detection_latency_s`].
     pub detection_latency: Histogram,
     /// Escalation-hop distribution (bucketed like the latency bounds).
     pub escalation_hops: Histogram,
@@ -613,7 +615,8 @@ struct TelemetryInner {
 /// The mountable telemetry sink: cheaply cloneable (an [`Arc`] share,
 /// like [`crate::cache::ResultCache`]), mounted on a
 /// [`crate::fleet::FleetRunner`] via `with_telemetry` or threaded through
-/// a solo run via [`crate::runner::run_observed`]. All reads are
+/// any run via [`crate::runner::run_observed`] or
+/// [`crate::runner::SteppedRun::with_telemetry`]. All reads are
 /// cumulative over everything absorbed since construction.
 #[derive(Clone)]
 pub struct Telemetry {

@@ -39,7 +39,6 @@ use saav_vehicle::world::VehicleWorld;
 use crate::contracts;
 use crate::coordinator::{Coordinator, EscalationPolicy};
 use crate::layer::{Containment, Directive, DirectiveBoard, Layer, Posting, ProblemKind};
-use crate::outcome::Outcome;
 use crate::scenario::{ReconfigSpec, ResponseStrategy, Scenario, ScenarioEvent, ScenarioState};
 use crate::telemetry::SwitchOutcome;
 
@@ -851,16 +850,5 @@ impl SelfAwareVehicle {
     /// (read access for reports and experiments).
     pub fn renegotiator(&self) -> &Renegotiator {
         &self.renegotiator
-    }
-
-    /// Runs a scenario to completion (delegates to [`crate::runner::run`]).
-    pub fn run(scenario: Scenario) -> Outcome {
-        crate::runner::run(scenario)
-    }
-
-    /// Runs a scenario with a learned self-awareness monitor mounted
-    /// (delegates to [`crate::runner::run_with_model`]).
-    pub fn run_with_model(scenario: Scenario, model: &SelfAwarenessModel) -> Outcome {
-        crate::runner::run_with_model(scenario, Some(model))
     }
 }

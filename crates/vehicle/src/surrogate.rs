@@ -14,7 +14,7 @@
 //! Focal vehicles occupy *mirrored* slots: the engine pushes their true
 //! state into the store each lockstep tick ([`SurrogateTraffic::
 //! push_state`]), exactly like the externally-driven
-//! [`crate::traffic::Participant`] coupling `run_platoon` uses — so
+//! [`crate::traffic::Participant`] coupling the platoon engine uses — so
 //! surrogate followers react to a focal vehicle's physics and vice versa,
 //! and promotion/demotion between the tiers is just flipping the mirror
 //! bit with the state already in place.

@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example intrusion_response --release`
 
-use saav::core::{ResponseStrategy, Scenario, SelfAwareVehicle};
+use saav::core::{runner, ResponseStrategy, Scenario};
 
 fn main() {
     for strategy in [
@@ -16,7 +16,7 @@ fn main() {
         ResponseStrategy::CrossLayer,
         ResponseStrategy::ObjectiveStop,
     ] {
-        let outcome = SelfAwareVehicle::run(Scenario::intrusion(strategy, 42));
+        let outcome = runner::run(Scenario::intrusion(strategy, 42));
         println!("=== {strategy:?} ===");
         println!(
             "  detected: {}   mitigated: {}",

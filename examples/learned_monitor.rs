@@ -13,8 +13,8 @@
 //! Run with: `cargo run --example learned_monitor --release`
 
 use saav::core::fleet::FleetRunner;
+use saav::core::runner;
 use saav::core::scenario::{ResponseStrategy, Scenario, ScenarioFamily};
-use saav::core::vehicle::SelfAwareVehicle;
 use saav::learn::{LearnConfig, SelfAwarenessModel};
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
     // 3. Score online: the stop-and-go scenario is mechanically healthy —
     //    no contract is violated — but it is not nominal highway driving.
     let scenario = ScenarioFamily::StopAndGo.build(ResponseStrategy::CrossLayer, 7);
-    let out = SelfAwareVehicle::run_with_model(scenario, &model);
+    let out = runner::run_with_model(scenario, Some(&model));
     println!("\nstop-and-go run with the learned monitor mounted:");
     println!(
         "  contract monitors detected: {}",
@@ -62,7 +62,7 @@ fn main() {
 
     // 4. And on a baseline run the learned monitor stays silent — its
     //    threshold was calibrated to make nominal operation score below it.
-    let quiet = SelfAwareVehicle::run_with_model(Scenario::baseline(43), &model);
+    let quiet = runner::run_with_model(Scenario::baseline(43), Some(&model));
     println!(
         "\nbaseline run: learned monitor fired: {}",
         quiet.first_model_deviation.is_some()

@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use saav::core::{ResponseStrategy, Scenario, SelfAwareVehicle};
+use saav::core::{runner, ResponseStrategy, Scenario};
 use saav::skills::ability::{AbilityGraph, AggregateOp, Thresholds};
 use saav::skills::acc::build_acc_graph;
 use saav::skills::decision::ModePolicy;
@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. A full closed-loop scenario: the paper's rear-brake intrusion with
     //    cross-layer response.
     println!("\nrunning the intrusion scenario (cross-layer response)...");
-    let outcome = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
+    let outcome = runner::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 42));
     println!("  first detection : {:?}", outcome.first_detection);
     println!("  actions taken   : {:?}", outcome.actions);
     println!("  distance driven : {:.0} m", outcome.distance_m);

@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --example thermal_stress --release`
 
-use saav::core::{ResponseStrategy, Scenario, SelfAwareVehicle};
+use saav::core::{runner, ResponseStrategy, Scenario};
 
 fn main() {
     for strategy in [ResponseStrategy::SingleLayer, ResponseStrategy::CrossLayer] {
-        let outcome = SelfAwareVehicle::run(Scenario::thermal(75.0, strategy, 7));
+        let outcome = runner::run(Scenario::thermal(75.0, strategy, 7));
         println!("=== {strategy:?} ===");
         println!("t[s]   temp[C]  speed-factor  miss-rate");
         for (((t, miss), (_, temp)), (_, factor)) in outcome

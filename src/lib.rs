@@ -22,10 +22,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use saav::core::{ResponseStrategy, Scenario, SelfAwareVehicle};
+//! use saav::core::{runner, ResponseStrategy, Scenario};
 //!
 //! // Run the paper's intrusion scenario with cross-layer self-awareness.
-//! let outcome = SelfAwareVehicle::run(Scenario::intrusion(
+//! let outcome = runner::run(Scenario::intrusion(
 //!     ResponseStrategy::CrossLayer,
 //!     42,
 //! ));

@@ -3,7 +3,7 @@
 //! executable checks.
 
 use saav::core::layer::{Directive, DirectiveBoard, Layer, Posting};
-use saav::core::{ResponseStrategy, Scenario, SelfAwareVehicle};
+use saav::core::{runner, ResponseStrategy, Scenario};
 use saav::skills::decision::DrivingMode;
 
 #[test]
@@ -14,7 +14,7 @@ fn no_strategy_ever_collides_in_the_intrusion_scenario() {
         ResponseStrategy::ObjectiveStop,
     ] {
         for seed in [1, 42, 1234] {
-            let out = SelfAwareVehicle::run(Scenario::intrusion(strategy, seed));
+            let out = runner::run(Scenario::intrusion(strategy, seed));
             assert!(!out.collision, "{strategy:?} seed {seed}");
         }
     }
@@ -23,9 +23,8 @@ fn no_strategy_ever_collides_in_the_intrusion_scenario() {
 #[test]
 fn cross_layer_keeps_the_mission_objective_stop_aborts_it() {
     for seed in [1, 42] {
-        let cross = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, seed));
-        let stop =
-            SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::ObjectiveStop, seed));
+        let cross = runner::run(Scenario::intrusion(ResponseStrategy::CrossLayer, seed));
+        let stop = runner::run(Scenario::intrusion(ResponseStrategy::ObjectiveStop, seed));
         assert!(cross.distance_m > stop.distance_m, "seed {seed}");
         assert!(
             matches!(stop.final_mode, DrivingMode::SafeStop),
@@ -50,7 +49,7 @@ fn propagation_chains_bounded_in_every_run() {
             Scenario::thermal(75.0, strategy, 7),
             Scenario::fog(0.8, 7),
         ] {
-            let out = SelfAwareVehicle::run(scenario);
+            let out = runner::run(scenario);
             assert!(
                 out.max_hops <= Layer::ALL.len(),
                 "{}: {} hops",
@@ -63,7 +62,7 @@ fn propagation_chains_bounded_in_every_run() {
 
 #[test]
 fn baseline_runs_are_quiet() {
-    let out = SelfAwareVehicle::run(Scenario::baseline(9));
+    let out = runner::run(Scenario::baseline(9));
     assert!(
         out.actions.is_empty(),
         "unexpected actions: {:?}",
@@ -76,7 +75,7 @@ fn baseline_runs_are_quiet() {
 
 #[test]
 fn fog_scenario_degrades_ability_and_caps_speed() {
-    let out = SelfAwareVehicle::run(Scenario::fog(0.85, 11));
+    let out = runner::run(Scenario::fog(0.85, 11));
     // Ability sinks as the fog builds …
     assert!(out.ability.min().unwrap() < 0.7, "{:?}", out.ability.min());
     // … and the vehicle leaves Normal mode.
@@ -195,7 +194,7 @@ fn legacy_scenarios_match_pre_split_outcomes() {
     ];
     for pin in pins {
         let label = pin.scenario.label.clone();
-        let out = SelfAwareVehicle::run(pin.scenario);
+        let out = runner::run(pin.scenario);
         assert_eq!(out.distance_m, pin.distance_m, "{label}: distance");
         assert_eq!(out.min_ttc_s, pin.min_ttc_s, "{label}: min TTC");
         assert_eq!(
@@ -466,8 +465,8 @@ fn single_vehicle_family_grid_matches_pre_refactor_outcomes() {
 
 #[test]
 fn determinism_same_seed_same_outcome() {
-    let a = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 5));
-    let b = SelfAwareVehicle::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 5));
+    let a = runner::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 5));
+    let b = runner::run(Scenario::intrusion(ResponseStrategy::CrossLayer, 5));
     assert_eq!(a.distance_m, b.distance_m);
     assert_eq!(a.first_detection, b.first_detection);
     assert_eq!(a.actions, b.actions);

@@ -3,8 +3,8 @@
 //! disturbed ones, and the learn-then-monitor pipeline over the fleet.
 
 use saav::core::fleet::FleetRunner;
+use saav::core::runner;
 use saav::core::scenario::{ResponseStrategy, Scenario, ScenarioFamily};
-use saav::core::vehicle::SelfAwareVehicle;
 use saav::core::LEARNED_SIGNALS;
 use saav::learn::{LearnConfig, SelfAwarenessModel, SignalTrace};
 use saav::sim::time::{Duration, Time};
@@ -63,7 +63,7 @@ fn learned_monitor_flags_non_contract_disturbances() {
     let (_, model) = trained_model(2024);
     let mut scenario = ScenarioFamily::StopAndGo.build(ResponseStrategy::CrossLayer, 5);
     scenario.duration = Duration::from_secs(45);
-    let out = SelfAwareVehicle::run_with_model(scenario, &model);
+    let out = runner::run_with_model(scenario, Some(&model));
     assert!(
         out.first_model_deviation.is_some(),
         "stop-and-go must deviate from the learned highway model"
@@ -83,7 +83,7 @@ fn scored_runs_record_model_series_and_traces() {
     let (_, model) = trained_model(7);
     let mut scenario = Scenario::baseline(9);
     scenario.duration = Duration::from_secs(20);
-    let out = SelfAwareVehicle::run_with_model(scenario, &model);
+    let out = runner::run_with_model(scenario, Some(&model));
     assert_eq!(out.model_score.len(), 20);
     let trace = out.signal_trace();
     assert_eq!(trace.signals(), LEARNED_SIGNALS);
@@ -91,7 +91,7 @@ fn scored_runs_record_model_series_and_traces() {
     // Unscored runs leave the series empty.
     let mut plain = Scenario::baseline(9);
     plain.duration = Duration::from_secs(20);
-    assert!(SelfAwareVehicle::run(plain).model_score.is_empty());
+    assert!(runner::run(plain).model_score.is_empty());
 }
 
 /// Calibrating on additional nominal traces only raises the threshold,
@@ -126,7 +126,7 @@ fn capture_matches_outcome_series() {
     let mut scenario = short_baselines(1, 15).remove(0);
     // The fleet runner derives job 0's seed from the master seed.
     scenario.seed = saav::sim::rng::derive_seed(11, 0);
-    let out = SelfAwareVehicle::run(scenario);
+    let out = runner::run(scenario);
     assert_eq!(
         traces[0],
         out.signal_trace(),

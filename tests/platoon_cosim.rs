@@ -4,8 +4,8 @@
 
 use saav::can::v2v::LinkFault;
 use saav::core::fleet::FleetRunner;
+use saav::core::runner;
 use saav::core::scenario::{PlatoonSpec, ResponseStrategy, Scenario, ScenarioFamily};
-use saav::core::{runner, SelfAwareVehicle};
 use saav::sim::time::Duration;
 
 fn liar_low(seed: u64) -> Scenario {
@@ -16,7 +16,7 @@ fn liar_low(seed: u64) -> Scenario {
 fn no_platoon_family_ever_collides() {
     for family in ScenarioFamily::PLATOON {
         for strategy in ResponseStrategy::ALL {
-            let out = SelfAwareVehicle::run(family.build(strategy, 42));
+            let out = runner::run(family.build(strategy, 42));
             let p = out.platoon.as_ref().expect("platoon outcome");
             assert!(!out.collision, "{family}/{strategy:?}");
             assert_eq!(

@@ -1,13 +1,15 @@
 //! End-to-end tests of the telemetry layer: mounted traces are
 //! deterministic across thread counts, the stepped-run sink sees the
-//! escalation a scripted run produces, the chrome-tracing export is
-//! well-formed JSON, and a single-worker fleet never counts a steal.
+//! escalation a scripted run produces, the fleet and a single run fold the
+//! same detection latency, the chrome-tracing export is well-formed JSON,
+//! and a single-worker fleet never counts a steal.
 
 use saav::core::cache::ResultCache;
 use saav::core::fleet::FleetRunner;
 use saav::core::runner::{self, SteppedRun};
 use saav::core::scenario::{ResponseStrategy, Scenario, ScenarioEvent, ScenarioFamily};
 use saav::core::telemetry::{Counter, Telemetry, TelemetryEvent};
+use saav::sim::rng::derive_seed;
 use saav::sim::time::{Duration, Time};
 
 fn intrusion_jobs() -> Vec<Scenario> {
@@ -78,6 +80,28 @@ fn stepped_run_with_telemetry_sees_the_escalation() {
         .events()
         .iter()
         .any(|r| matches!(r.event, TelemetryEvent::EscalationRouted { .. })));
+}
+
+/// The detection-latency histogram means one thing on every path: an
+/// intrusion job run through the fleet and the same job at the fleet's
+/// derived seed run through `run_observed` both measure latency from the
+/// first scripted disturbance, so they fold into the same bucket.
+#[test]
+fn fleet_and_run_observed_fold_the_same_detection_latency() {
+    const MASTER_SEED: u64 = 17;
+    let mut job = ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, 0);
+    job.duration = Duration::from_secs(40);
+    let fleet_sink = Telemetry::default();
+    FleetRunner::new(MASTER_SEED)
+        .with_threads(1)
+        .with_telemetry(fleet_sink.clone())
+        .run_scenarios(vec![job.clone()]);
+    job.seed = derive_seed(MASTER_SEED, 0);
+    let run_sink = Telemetry::default();
+    runner::run_observed(job, None, &run_sink);
+    let fleet = fleet_sink.snapshot().detection_latency;
+    assert_eq!(fleet.total(), 1, "the intrusion must be detected");
+    assert_eq!(fleet, run_sink.snapshot().detection_latency);
 }
 
 /// With `SAAV_THREADS=1` the fleet runs as an inline loop — nothing can

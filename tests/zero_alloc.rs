@@ -25,10 +25,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use saav::core::cache::ResultCache;
-use saav::core::city::CityRun;
 use saav::core::fleet::FleetRunner;
 use saav::core::runner::{self, SteppedRun};
-use saav::core::scenario::{CitySpec, ResponseStrategy, Scenario, ScenarioFamily};
+use saav::core::scenario::{CitySpec, PlatoonSpec, ResponseStrategy, Scenario, ScenarioFamily};
 use saav::core::telemetry::{Stage, Telemetry};
 use saav::sim::time::Duration;
 use saav::vehicle::{IdmParams, SurrogateTraffic};
@@ -260,7 +259,7 @@ fn city_tick_path_is_allocation_free_single_thread() {
         .duration(Duration::from_secs(30))
         .city(CitySpec::new(40, 2))
         .build();
-    let mut sim = CityRun::new(&scenario);
+    let mut sim = SteppedRun::new(&scenario);
     while sim.now_millis() < 2_000 {
         sim.tick();
     }
@@ -273,7 +272,7 @@ fn city_tick_path_is_allocation_free_single_thread() {
     assert_eq!(allocs, 0, "city tick allocated {allocs} times in 99 ticks");
 
     let sink = Telemetry::default();
-    let mut sim = CityRun::with_telemetry(&scenario, &sink);
+    let mut sim = SteppedRun::with_telemetry(&scenario, &sink);
     while sim.now_millis() < 2_000 {
         sim.tick();
     }
@@ -290,6 +289,44 @@ fn city_tick_path_is_allocation_free_single_thread() {
     assert!(
         sink.snapshot().stage_calls_of(Stage::Surrogate) > 0,
         "no surrogate stages counted"
+    );
+}
+
+/// The platoon engine allocates nothing in steady state, unmounted or
+/// with a telemetry sink mounted: four members ticking in lockstep, each
+/// coupled to the vehicle ahead. Negotiation rounds fire on whole seconds
+/// at the default period, outside the window, like the 1 Hz recording.
+fn platoon_tick_path_is_allocation_free() {
+    let scenario = Scenario::builder("alloc/platoon")
+        .seed(3)
+        .duration(Duration::from_secs(30))
+        .platoon(PlatoonSpec::new(4))
+        .build();
+    let sink = Telemetry::default();
+    for mounted in [false, true] {
+        let mut sim = if mounted {
+            SteppedRun::with_telemetry(&scenario, &sink)
+        } else {
+            SteppedRun::new(&scenario)
+        };
+        while sim.now_millis() < 2_000 {
+            sim.tick();
+        }
+        assert_eq!(sim.now_millis() % 1_000, 0, "warmup must end on a second");
+        let allocs = count_allocs(|| {
+            for _ in 0..99 {
+                sim.tick();
+            }
+        });
+        assert_eq!(
+            allocs, 0,
+            "platoon tick (telemetry mounted: {mounted}) allocated {allocs} times in 99 ticks"
+        );
+        let _ = sim.finish();
+    }
+    assert!(
+        sink.snapshot().stage_calls_of(Stage::Platoon) > 0,
+        "no platoon stages counted"
     );
 }
 
@@ -351,11 +388,12 @@ macro_rules! pins {
 }
 
 /// The pins, in the order [`main`] runs them.
-const PINS: [(&str, fn()); 6] = pins![
+const PINS: [(&str, fn()); 7] = pins![
     nominal_tick_path_is_allocation_free,
     mounted_telemetry_tick_is_allocation_free,
     warm_cache_sweep_allocations_are_independent_of_job_count,
     city_tick_path_is_allocation_free_single_thread,
+    platoon_tick_path_is_allocation_free,
     surrogate_store_step_is_allocation_free,
     escalation_storm_peak_heap_is_bounded,
 ];
