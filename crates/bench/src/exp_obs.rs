@@ -24,7 +24,7 @@ use saav_core::fleet::FleetRunner;
 use saav_core::runner;
 use saav_core::scenario::{CitySpec, PlatoonSpec, ResponseStrategy, Scenario, ScenarioEvent};
 use saav_core::telemetry::{
-    chrome_trace_json, Counter, Stage, Telemetry, TelemetryEvent, TelemetrySnapshot, TraceRecord,
+    chrome_trace_json, Counter, Stage, Telemetry, TelemetrySnapshot, TraceRecord,
 };
 use saav_sim::report::Table;
 use saav_sim::time::{Duration, Time};
@@ -169,29 +169,6 @@ pub fn e16_trace_json() -> String {
     chrome_trace_json(&all)
 }
 
-fn event_detail(event: &TelemetryEvent) -> String {
-    match event {
-        TelemetryEvent::AnomalyRaised { kind, origin } => {
-            format!("{kind:?} at {origin}")
-        }
-        TelemetryEvent::EscalationRouted {
-            kind,
-            origin,
-            resolved_by,
-            hops,
-        } => match resolved_by {
-            Some(l) => format!("{kind:?}: {origin} -> {l} ({hops} hops)"),
-            None => format!("{kind:?}: {origin} -> unresolved ({hops} hops)"),
-        },
-        TelemetryEvent::ContractSwitch { layer, outcome } => format!("{outcome} by {layer}"),
-        TelemetryEvent::PlatoonEjection { member } => format!("member {member}"),
-        TelemetryEvent::TierPromotion { slot } | TelemetryEvent::TierDemotion { slot } => {
-            format!("slot {slot}")
-        }
-        TelemetryEvent::CacheHit | TelemetryEvent::CacheMiss => String::new(),
-    }
-}
-
 /// Rows shown per scenario before eliding the rest.
 const MAX_ROWS_PER_SCENARIO: usize = 12;
 
@@ -211,7 +188,7 @@ pub fn e16_table() -> Table {
                 format!("{:.2}s", rec.at.as_secs_f64()),
                 format!("{}", rec.job_slot),
                 rec.event.name().to_string(),
-                event_detail(&rec.event),
+                rec.event.to_string(),
             ]);
         }
         if sc.events.len() > MAX_ROWS_PER_SCENARIO {
@@ -253,6 +230,7 @@ pub fn e16b_table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use saav_core::telemetry::TelemetryEvent;
 
     #[test]
     fn e16_traces_every_subsystem() {

@@ -108,15 +108,23 @@ pub(crate) fn read_bitmap(bytes: &[u8], pos: &mut usize, n: usize) -> Option<Vec
     Some((0..n).map(|i| chunk[i / 8] >> (i % 8) & 1 == 1).collect())
 }
 
-/// FNV-1a 64-bit hash of a byte slice — the checksum both binary formats
-/// append so corruption is detected instead of decoded.
-pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut state = 0xcbf2_9ce4_8422_2325u64;
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+pub(crate) const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a 64-bit hash `state`: the one FNV-1a
+/// loop, behind both [`fnv64`] and the cache's `KeyHasher`.
+pub(crate) fn fnv64_fold(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= u64::from(b);
         state = state.wrapping_mul(0x0000_0100_0000_01b3);
     }
     state
+}
+
+/// FNV-1a 64-bit hash of a byte slice — the checksum both binary formats
+/// append so corruption is detected instead of decoded.
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
+    fnv64_fold(FNV64_OFFSET, bytes)
 }
 
 #[cfg(test)]

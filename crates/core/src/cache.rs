@@ -72,21 +72,22 @@ impl KeyHasher {
     /// A fresh hasher at the FNV-1a offset basis.
     pub fn new() -> Self {
         KeyHasher {
-            state: 0xcbf2_9ce4_8422_2325,
+            state: binenc::FNV64_OFFSET,
         }
+    }
+
+    fn write_bytes(&mut self, bytes: &[u8]) {
+        self.state = binenc::fnv64_fold(self.state, bytes);
     }
 
     /// Hashes one byte.
     pub fn write_u8(&mut self, v: u8) {
-        self.state ^= u64::from(v);
-        self.state = self.state.wrapping_mul(0x0000_0100_0000_01b3);
+        self.write_bytes(&[v]);
     }
 
     /// Hashes a `u64` as 8 little-endian bytes.
     pub fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_u8(b);
-        }
+        self.write_bytes(&v.to_le_bytes());
     }
 
     /// Hashes an `f64` by its IEEE-754 bits (`-0.0` and `0.0` differ, as
@@ -104,9 +105,7 @@ impl KeyHasher {
     /// distinct from `"a","bc"` across consecutive writes).
     pub fn write_str(&mut self, s: &str) {
         self.write_u64(s.len() as u64);
-        for &b in s.as_bytes() {
-            self.write_u8(b);
-        }
+        self.write_bytes(s.as_bytes());
     }
 
     /// The accumulated 64-bit hash.

@@ -1,11 +1,16 @@
 //! Measured results of a scenario run: the full [`Outcome`] record and the
 //! compact [`Summary`] used by fleet aggregation and the repro tables.
+//!
+//! An outcome holds what a run measured, not what happened tick by tick:
+//! the typed event stream of a run goes to a mounted
+//! [`crate::telemetry::Telemetry`] sink, whose ring bounds it.
 
 use saav_learn::SignalTrace;
 use saav_sim::series::Series;
 use saav_sim::time::Time;
-use saav_sim::trace::Tracer;
 use saav_skills::decision::DrivingMode;
+
+use crate::telemetry::TraceRecord;
 
 /// The signals (in ingestion order) the learned self-awareness model is
 /// trained on and scored against — the 1 Hz series every run records.
@@ -61,8 +66,10 @@ pub struct Outcome {
     pub max_hops: usize,
     /// Problems resolved / total.
     pub resolution_rate: Option<f64>,
-    /// Full event trace.
-    pub trace: Tracer,
+    /// Always empty: a run's events go to a mounted telemetry sink. Kept
+    /// only because the benchmark sums its length into a metric; the next
+    /// benchmark change deletes the field together with that metric.
+    pub trace: [TraceRecord; 0],
     /// Cooperative measurements of a platoon co-simulation run (`None` for
     /// single-vehicle runs).
     pub platoon: Option<PlatoonOutcome>,

@@ -49,22 +49,12 @@ fn handle_anomaly(
     mut tel: Option<&mut RunTelemetry>,
     anomaly: Anomaly,
 ) {
-    let learned = matches!(anomaly.kind, AnomalyKind::ModelDeviation);
-    let slot = if learned {
+    let first = if matches!(anomaly.kind, AnomalyKind::ModelDeviation) {
         &mut log.first_model_deviation
     } else {
         &mut log.first_detection
     };
-    if slot.is_none() {
-        *slot = Some(v.now);
-        let source = if learned {
-            "monitor.learned"
-        } else {
-            "monitor"
-        };
-        v.tracer
-            .fault(v.now, source, format!("first anomaly: {anomaly}"));
-    }
+    first.get_or_insert(v.now);
     let (origin, kind) = v.anomaly_to_problem(state, &anomaly);
     if let Some(t) = tel.as_deref_mut() {
         t.record(
@@ -349,7 +339,7 @@ impl RunContext {
             conflicts: v.board.conflicts_detected(),
             max_hops: v.coordinator.max_hops(),
             resolution_rate: v.coordinator.resolution_rate(),
-            trace: v.tracer,
+            trace: [],
             platoon: None,
             city: None,
         }
@@ -557,7 +547,7 @@ pub fn run_observed(
 }
 
 /// Composes member runs — a platoon's members or a city's focal vehicles —
-/// into one [`Outcome`]: the first member's series and trace, the most
+/// into one [`Outcome`]: the first member's series, the most
 /// severe final mode, the worst safety fields, the mean distance and
 /// exactly merged escalation statistics. The fold starts from the chain's
 /// own `min_gap_m` and `collision` (`INFINITY` and `false` for a platoon,
@@ -609,7 +599,7 @@ pub(crate) fn compose_members(
     let mitigated_at = outcomes.iter().filter_map(|o| o.mitigated_at).max();
     let conflicts = outcomes.iter().map(|o| o.conflicts).sum();
     let max_hops = outcomes.iter().map(|o| o.max_hops).max().unwrap_or(0);
-    let (speed, ability, miss_rate, temp_c, speed_factor, model_score, trace) =
+    let (speed, ability, miss_rate, temp_c, speed_factor, model_score) =
         match outcomes.into_iter().next() {
             Some(l) => (
                 l.speed,
@@ -618,7 +608,6 @@ pub(crate) fn compose_members(
                 l.temp_c,
                 l.speed_factor,
                 l.model_score,
-                l.trace,
             ),
             None => Default::default(),
         };
@@ -643,7 +632,7 @@ pub(crate) fn compose_members(
         conflicts,
         max_hops,
         resolution_rate: (routed > 0).then(|| resolved as f64 / routed as f64),
-        trace,
+        trace: [],
         platoon: None,
         city: None,
     }
@@ -685,11 +674,6 @@ mod tests {
             assert_eq!(out.summary(), direct.summary(), "{label}");
             assert_eq!(out.platoon, direct.platoon, "{label}");
             assert_eq!(out.city, direct.city, "{label}");
-            assert_eq!(
-                out.trace.entries().len(),
-                direct.trace.entries().len(),
-                "{label}"
-            );
 
             let (stepped_sink, observed_sink) = (Telemetry::default(), Telemetry::default());
             let mut mounted = SteppedRun::with_telemetry(&scenario, &stepped_sink);

@@ -11,6 +11,9 @@
 //!    contract switch, platoon ejection, tier promotion/demotion, cache
 //!    hit/miss) stamped with *virtual* time, exportable as chrome-tracing
 //!    JSON ([`Telemetry::chrome_trace_json`]) and openable in Perfetto.
+//!    It is a run's only event stream: an [`crate::outcome::Outcome`]
+//!    keeps no log of its own, and a narrative of the run renders each
+//!    event's name and its `Display` payload.
 //! 2. **Metrics registry** — fixed [`Counter`] slots and fixed-bucket
 //!    [`Histogram`]s (detection latency, escalation hops). No `HashMap`,
 //!    no `String`, no heap on the hot path: every metric is an enum index
@@ -163,6 +166,33 @@ impl TelemetryEvent {
             TelemetryEvent::TierDemotion { .. } => Counter::TierDemotions,
             TelemetryEvent::CacheHit => Counter::CacheHits,
             TelemetryEvent::CacheMiss => Counter::CacheMisses,
+        }
+    }
+}
+
+/// Renders the event's payload, e.g. `SecurityBreach: communication ->
+/// ability (3 hops)`: the E16 detail column and the lines of any narrative
+/// told from the stream. The class name is [`TelemetryEvent::name`]; cache
+/// events carry no payload and render empty.
+impl std::fmt::Display for TelemetryEvent {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TelemetryEvent::AnomalyRaised { kind, origin } => write!(f, "{kind:?} at {origin}"),
+            TelemetryEvent::EscalationRouted {
+                kind,
+                origin,
+                resolved_by,
+                hops,
+            } => match resolved_by {
+                Some(l) => write!(f, "{kind:?}: {origin} -> {l} ({hops} hops)"),
+                None => write!(f, "{kind:?}: {origin} -> unresolved ({hops} hops)"),
+            },
+            TelemetryEvent::ContractSwitch { layer, outcome } => write!(f, "{outcome} by {layer}"),
+            TelemetryEvent::PlatoonEjection { member } => write!(f, "member {member}"),
+            TelemetryEvent::TierPromotion { slot } | TelemetryEvent::TierDemotion { slot } => {
+                write!(f, "slot {slot}")
+            }
+            TelemetryEvent::CacheHit | TelemetryEvent::CacheMiss => Ok(()),
         }
     }
 }
@@ -976,6 +1006,52 @@ mod tests {
         assert!(json.contains("\"pid\":2"));
         assert!(json.contains("\"resolved_by\":null"));
         assert!(json.contains("\"outcome\":\"rolled_back\""));
+    }
+
+    #[test]
+    fn display_renders_every_event_class() {
+        let cases = [
+            (
+                TelemetryEvent::AnomalyRaised {
+                    kind: AnomalyKind::AccessViolation,
+                    origin: Layer::Communication,
+                },
+                "AccessViolation at communication",
+            ),
+            (
+                TelemetryEvent::EscalationRouted {
+                    kind: ProblemKind::SecurityBreach,
+                    origin: Layer::Communication,
+                    resolved_by: Some(Layer::Ability),
+                    hops: 3,
+                },
+                "SecurityBreach: communication -> ability (3 hops)",
+            ),
+            (
+                TelemetryEvent::EscalationRouted {
+                    kind: ProblemKind::TimingViolation,
+                    origin: Layer::Platform,
+                    resolved_by: None,
+                    hops: 5,
+                },
+                "TimingViolation: platform -> unresolved (5 hops)",
+            ),
+            (
+                TelemetryEvent::ContractSwitch {
+                    layer: Layer::Ability,
+                    outcome: SwitchOutcome::RolledBack,
+                },
+                "rolled_back by ability",
+            ),
+            (TelemetryEvent::PlatoonEjection { member: 2 }, "member 2"),
+            (TelemetryEvent::TierPromotion { slot: 7 }, "slot 7"),
+            (TelemetryEvent::TierDemotion { slot: 8 }, "slot 8"),
+            (TelemetryEvent::CacheHit, ""),
+            (TelemetryEvent::CacheMiss, ""),
+        ];
+        for (event, text) in cases {
+            assert_eq!(event.to_string(), text, "{}", event.name());
+        }
     }
 
     #[test]

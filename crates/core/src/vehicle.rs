@@ -29,7 +29,6 @@ use saav_rte::component::{ComponentSpec, VmId};
 use saav_rte::rte::Rte;
 use saav_rte::sched::{JobRecord, Priority, TaskRef, TaskSpec};
 use saav_sim::time::{Duration, Time};
-use saav_sim::trace::Tracer;
 use saav_skills::ability::{AbilityGraph, AggregateOp, Thresholds};
 use saav_skills::acc::{build_acc_graph, AccNodes};
 use saav_skills::decision::ModePolicy;
@@ -81,7 +80,6 @@ pub struct SelfAwareVehicle {
     pub(crate) learned: Option<OnlineScorer>,
     pub(crate) coordinator: Coordinator,
     pub(crate) board: DirectiveBoard,
-    pub(crate) tracer: Tracer,
     strategy: ResponseStrategy,
     // live contract renegotiation (the MCC mounted per vehicle)
     reconfig: ReconfigSpec,
@@ -268,7 +266,6 @@ impl SelfAwareVehicle {
             learned: None,
             coordinator: Coordinator::new(EscalationPolicy::LocalFirst),
             board: DirectiveBoard::new(),
-            tracer: Tracer::new(),
             strategy: scenario.strategy,
             reconfig: scenario.reconfig,
             renegotiator: contracts::vehicle_renegotiator(scenario.reconfig.prefer_fast),
@@ -314,11 +311,6 @@ impl SelfAwareVehicle {
         self.learned.is_some()
     }
 
-    /// The event trace (after a run).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The response strategy the vehicle was configured with.
     pub fn strategy(&self) -> ResponseStrategy {
         self.strategy
@@ -330,26 +322,15 @@ impl SelfAwareVehicle {
         match event {
             ScenarioEvent::CompromiseRearBrake => {
                 state.compromised = true;
-                self.tracer.fault(
-                    self.now,
-                    "scenario",
-                    "rear-brake component compromised (attacker active)",
-                );
             }
             ScenarioEvent::FogRamp { to, over } => {
                 state.begin_fog_ramp(self.now, self.world.weather.fog, to, over);
-                self.tracer
-                    .info(self.now, "scenario", format!("fog ramp to {to}"));
             }
             ScenarioEvent::AmbientRamp { to_c, over } => {
                 state.begin_ambient_ramp(self.now, self.platform.ambient_c(), to_c, over);
-                self.tracer
-                    .info(self.now, "scenario", format!("ambient ramp to {to_c} degC"));
             }
             ScenarioEvent::RadarFault(fault) => {
                 self.world.radar.set_fault(fault);
-                self.tracer
-                    .fault(self.now, "scenario", format!("radar fault {fault:?}"));
             }
         }
     }
@@ -530,8 +511,6 @@ impl SelfAwareVehicle {
             (Layer::Platform, ProblemKind::ThermalStress) => {
                 // The throttle governor is already acting; that protects the
                 // silicon but not the deadlines.
-                self.tracer
-                    .action(self.now, "platform", "DVFS throttling engaged");
                 if single {
                     Containment::Resolved {
                         action: "dvfs throttling".into(),
@@ -559,8 +538,6 @@ impl SelfAwareVehicle {
                     120.0,
                     10.0,
                 );
-                self.tracer
-                    .action(self.now, "communication", "VF quota imposed on flooding VM");
                 if single {
                     Containment::Resolved {
                         action: "vf quota".into(),
@@ -578,11 +555,6 @@ impl SelfAwareVehicle {
                     self.world.brakes.rear.set_enabled(false);
                     state.brake_rear_quarantined = true;
                     self.abilities.set_measured(self.nodes.brakes, 0.55);
-                    self.tracer.action(
-                        self.now,
-                        "safety",
-                        "rear-brake component quarantined, circuit disabled",
-                    );
                     if single {
                         Containment::Resolved {
                             action: "quarantine rear brake".into(),
@@ -613,20 +585,10 @@ impl SelfAwareVehicle {
                     .is_some_and(|m| crate::cosim::is_member_subject(subject, m));
                 if own {
                     self.platoon_active = false;
-                    self.tracer.action(
-                        self.now,
-                        "ability",
-                        "ejected from platoon: fall back to standalone ACC",
-                    );
                     Containment::Resolved {
                         action: "leave platoon, standalone ACC".into(),
                     }
                 } else {
-                    self.tracer.action(
-                        self.now,
-                        "ability",
-                        format!("{subject} distrusted: platoon continues without it"),
-                    );
                     Containment::Resolved {
                         action: format!("eject {subject} from platoon").into(),
                     }
@@ -660,7 +622,6 @@ impl SelfAwareVehicle {
                     } else {
                         "speed cap 15 m/s + regen braking"
                     };
-                    self.tracer.action(self.now, "ability", action);
                     Containment::Resolved {
                         action: action.into(),
                     }
@@ -672,8 +633,6 @@ impl SelfAwareVehicle {
                 self.post_standing(Layer::Objective, "vehicle", Directive::SafeStop);
                 self.world.command_safe_stop();
                 self.mode.commit_safe_stop();
-                self.tracer
-                    .action(self.now, "objective", "minimal-risk stop committed");
                 Containment::Resolved {
                     action: "safe stop".into(),
                 }
@@ -715,23 +674,13 @@ impl SelfAwareVehicle {
                 self.apply_admitted_swap(state);
                 true
             }
-            NegotiationOutcome::FallbackAccepted { rejected_by, .. } => {
+            NegotiationOutcome::FallbackAccepted { .. } => {
                 self.switch_events.push(SwitchOutcome::Rejected);
-                self.tracer.info(
-                    self.now,
-                    "mcc",
-                    format!("fast path rejected by {rejected_by:?}; lowrate fallback admitted"),
-                );
                 self.apply_admitted_swap(state);
                 true
             }
-            NegotiationOutcome::Rejected { rejected_by } => {
+            NegotiationOutcome::Rejected { .. } => {
                 self.switch_events.push(SwitchOutcome::Rejected);
-                self.tracer.info(
-                    self.now,
-                    "mcc",
-                    format!("renegotiation rejected by {rejected_by:?}: mitigation only"),
-                );
                 false
             }
             NegotiationOutcome::NoPlan => false,
@@ -837,11 +786,6 @@ impl SelfAwareVehicle {
         self.world.allocator.set_speed_cap(None);
         self.world.allocator.prefer_regen = false;
         state.acc_reconfigured = false;
-        self.tracer.action(
-            self.now,
-            "ability",
-            "pressure cleared: nominal contracts rolled back in",
-        );
         self.switch_events.push(SwitchOutcome::RolledBack);
         true
     }

@@ -80,14 +80,8 @@ impl OnlineScorer {
         let threshold = self.model.threshold();
         let crossed = score > threshold && !self.above;
         self.above = score > threshold;
-        let anomaly = crossed.then(|| {
-            Anomaly::new(
-                at,
-                "learned_model",
-                AnomalyKind::ModelDeviation,
-                format!("windowed surprise {score:.2} > threshold {threshold:.2} (state {state}, novelty {novelty:.1})"),
-            )
-        });
+        let anomaly =
+            crossed.then(|| Anomaly::new(at, "learned_model", AnomalyKind::ModelDeviation));
         ScoreReport {
             score,
             state,

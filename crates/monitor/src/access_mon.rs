@@ -115,18 +115,18 @@ impl AccessMonitor {
         self.channels[slot.0].nominal_rate = Some(rate_per_sec.max(0.0));
     }
 
-    /// Feeds one access observation.
-    pub fn observe(&mut self, obs: &AccessObservation) -> Vec<Anomaly> {
+    /// Feeds one access observation. A denied access is an immediate
+    /// violation; an allowed one can at most raise its channel's rate flag.
+    pub fn observe(&mut self, obs: &AccessObservation) -> Option<Anomaly> {
         if !obs.allowed {
-            return vec![Anomaly::new(
+            return Some(Anomaly::new(
                 obs.at,
                 obs.client.clone(),
                 AnomalyKind::AccessViolation,
-                format!("denied access to `{}`", obs.service),
-            )];
+            ));
         }
         let slot = self.channel(&obs.client, &obs.service);
-        self.observe_slot(slot, obs.at).into_iter().collect()
+        self.observe_slot(slot, obs.at)
     }
 
     /// Feeds one *allowed* access on the channel resolved to `slot`: the
@@ -159,10 +159,6 @@ impl AccessMonitor {
                 at,
                 state.client.clone(),
                 AnomalyKind::RateAnomaly,
-                format!(
-                    "`{}` at {rate:.1}/s vs nominal {nominal:.1}/s",
-                    state.service
-                ),
             ));
         }
         None
@@ -191,8 +187,7 @@ mod tests {
             service: "actuator.brake".into(),
             allowed: false,
         });
-        assert_eq!(a.len(), 1);
-        assert_eq!(a[0].kind, AnomalyKind::AccessViolation);
+        assert_eq!(a.map(|a| a.kind), Some(AnomalyKind::AccessViolation));
     }
 
     #[test]
@@ -203,7 +198,7 @@ mod tests {
         for i in 0..100 {
             assert!(m
                 .observe(&allowed(i * 10, "acc", "actuator.brake"))
-                .is_empty());
+                .is_none());
         }
     }
 
@@ -261,7 +256,7 @@ mod tests {
         // flag the slot path raised; the slot path then flags again.
         assert!(m
             .observe(&allowed(1_000, "brake_ctl", "actuator.brake"))
-            .is_empty());
+            .is_none());
         let again: Vec<_> = (0..400)
             .filter_map(|_| m.observe_slot(slot, Time::from_millis(1_001)))
             .collect();
@@ -273,7 +268,7 @@ mod tests {
     fn unprofiled_channel_never_rate_flags() {
         let mut m = AccessMonitor::with_defaults();
         for i in 0..2000u64 {
-            assert!(m.observe(&allowed(i / 4, "x", "y")).is_empty());
+            assert!(m.observe(&allowed(i / 4, "x", "y")).is_none());
         }
     }
 }

@@ -65,34 +65,22 @@ pub struct Anomaly {
     pub subject: Name,
     /// Deviation class.
     pub kind: AnomalyKind,
-    /// Free-form detail for reports.
-    pub detail: String,
 }
 
 impl Anomaly {
     /// Creates an anomaly.
-    pub fn new(
-        at: Time,
-        subject: impl Into<Name>,
-        kind: AnomalyKind,
-        detail: impl Into<String>,
-    ) -> Self {
+    pub fn new(at: Time, subject: impl Into<Name>, kind: AnomalyKind) -> Self {
         Anomaly {
             at,
             subject: subject.into(),
             kind,
-            detail: detail.into(),
         }
     }
 }
 
 impl fmt::Display for Anomaly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "[{}] {}: {} ({})",
-            self.at, self.subject, self.kind, self.detail
-        )
+        write!(f, "[{}] {}: {}", self.at, self.subject, self.kind)
     }
 }
 
@@ -102,15 +90,9 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let a = Anomaly::new(
-            Time::from_secs(3),
-            "acc_ctl",
-            AnomalyKind::DeadlineMiss,
-            "response 12ms > 10ms",
-        );
+        let a = Anomaly::new(Time::from_secs(3), "acc_ctl", AnomalyKind::DeadlineMiss);
         let s = a.to_string();
         assert!(s.contains("acc_ctl"));
         assert!(s.contains("deadline miss"));
-        assert!(s.contains("12ms"));
     }
 }

@@ -145,7 +145,6 @@ impl ExecutionMonitor {
                     job.at,
                     task.name.clone(),
                     AnomalyKind::ExecutionOverrun,
-                    format!("exec {} > contract {}", job.exec_nominal, wcet),
                 ));
             }
         }
@@ -155,7 +154,6 @@ impl ExecutionMonitor {
                 job.at,
                 task.name.clone(),
                 AnomalyKind::DeadlineMiss,
-                format!("response {}", job.response),
             ));
         }
     }

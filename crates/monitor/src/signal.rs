@@ -63,7 +63,6 @@ impl HeartbeatMonitor {
                 now,
                 self.subject.clone(),
                 AnomalyKind::HeartbeatLoss,
-                format!("no beat for {}", now.saturating_since(reference)),
             ));
         }
         None
@@ -104,7 +103,6 @@ impl BoundaryMonitor {
                 at,
                 self.subject.clone(),
                 AnomalyKind::OutOfRange,
-                format!("{value:.3} outside [{:.3}, {:.3}]", self.min, self.max),
             ))
         } else {
             None
@@ -170,7 +168,6 @@ impl PlausibilityMonitor {
                 at,
                 self.subject.clone(),
                 AnomalyKind::OutOfRange,
-                format!("{value:.3} outside [{:.3}, {:.3}]", self.min, self.max),
             ));
         }
         if let Some((t0, v0)) = self.last {
@@ -182,7 +179,6 @@ impl PlausibilityMonitor {
                         at,
                         self.subject.clone(),
                         AnomalyKind::ImplausibleRate,
-                        format!("rate {rate:.3}/s > {:.3}/s", self.max_rate),
                     ));
                 }
             }
@@ -209,7 +205,6 @@ impl PlausibilityMonitor {
                         at,
                         self.subject.clone(),
                         AnomalyKind::StuckSignal,
-                        format!("variation {:.6} over {} samples", hi - lo, self.window_len),
                     ));
                     self.window.clear(); // re-arm
                 }
@@ -274,7 +269,6 @@ impl QualityMonitor {
                 at,
                 self.subject.clone(),
                 AnomalyKind::QualityDegraded,
-                format!("quality {q:.2} < {:.2}", self.threshold),
             ));
         }
         if q >= self.threshold {

@@ -13,7 +13,6 @@
 //! * [`rng`] — seedable [`rng::SimRng`] so every experiment is reproducible.
 //! * [`series`] — time-series recording and the summary statistics the
 //!   benchmark harness reports.
-//! * [`trace`] — structured fault/action traces queried by experiments.
 //! * [`report`] — aligned text tables for regenerated paper tables.
 //!
 //! ## Example
@@ -43,11 +42,9 @@ pub mod report;
 pub mod rng;
 pub mod series;
 pub mod time;
-pub mod trace;
 
 pub use event::EventQueue;
 pub use name::Name;
 pub use rng::SimRng;
 pub use series::{Histogram, Series};
 pub use time::{Duration, Time};
-pub use trace::{Severity, TraceEntry, Tracer};

@@ -3,12 +3,18 @@
 //! A compromised rear-brake component is detected at run time; the vehicle
 //! can (a) only shut it down at the safety layer, (b) coordinate across
 //! layers (shutdown + speed cap + drive-train braking), or (c) perform a
-//! minimal-risk stop. The run prints the cross-layer trace and the
-//! availability/safety trade the paper describes.
+//! minimal-risk stop. The run prints the first events of its typed
+//! telemetry stream and the availability/safety trade the paper describes.
 //!
 //! Run with: `cargo run --example intrusion_response --release`
 
+use saav::core::telemetry::{Telemetry, TelemetryConfig};
 use saav::core::{runner, ResponseStrategy, Scenario};
+
+/// A ring that holds a whole run. The single-layer flood records about
+/// 18,000 events, and the default ring keeps only the newest 4,096, which
+/// would start the story long after the attack.
+const RING_CAPACITY: usize = 1 << 15;
 
 fn main() {
     for strategy in [
@@ -16,7 +22,8 @@ fn main() {
         ResponseStrategy::CrossLayer,
         ResponseStrategy::ObjectiveStop,
     ] {
-        let outcome = runner::run(Scenario::intrusion(strategy, 42));
+        let sink = Telemetry::new(TelemetryConfig::default().with_ring_capacity(RING_CAPACITY));
+        let outcome = runner::run_observed(Scenario::intrusion(strategy, 42), None, &sink);
         println!("=== {strategy:?} ===");
         println!(
             "  detected: {}   mitigated: {}",
@@ -43,9 +50,18 @@ fn main() {
         );
         println!("  mode    : {}", outcome.final_mode);
         println!("  actions : {:?}", outcome.actions);
-        println!("  cross-layer trace:");
-        for entry in outcome.trace.entries().iter().take(6) {
-            println!("    {entry}");
+        let snapshot = sink.snapshot();
+        println!(
+            "  cross-layer trace ({} events, {} evicted):",
+            snapshot.events_recorded, snapshot.events_evicted
+        );
+        for rec in sink.events().iter().take(6) {
+            println!(
+                "    [{:>7.2}s] {:<17} {}",
+                rec.at.as_secs_f64(),
+                rec.event.name(),
+                rec.event
+            );
         }
         println!();
     }

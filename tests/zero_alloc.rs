@@ -354,10 +354,10 @@ fn surrogate_store_step_is_allocation_free() {
 /// An escalation storm keeps no memory per problem it routes: the worst
 /// storm jobs (unrepaired deadline misses escalating to the objective
 /// layer, and an intrusion whose single-layer response never quarantines
-/// the flooding component) each peak under 2 MiB of heap over a whole
+/// the flooding component) each peak under 1 MiB of heap over a whole
 /// `runner::run`, returned outcome included.
 fn escalation_storm_peak_heap_is_bounded() {
-    const LIMIT: usize = 2 << 20;
+    const LIMIT: usize = 1 << 20;
     for (family, strategy) in [
         (
             ScenarioFamily::ReconfigRollback,
@@ -380,6 +380,58 @@ fn escalation_storm_peak_heap_is_bounded() {
     }
 }
 
+/// A whole storm second allocates nothing: deadline misses escalate to
+/// the objective layer on every tick, and each one is counted, routed and
+/// contained without a string, a log entry or a buffer that grows. The
+/// window is the 100 ticks after t = 200 s, 1 Hz instant included: by
+/// then each 1 Hz series holds 200 samples in 256 slots, so the push at
+/// 201 s does not grow it.
+fn escalation_storm_second_is_allocation_free() {
+    for family in [ScenarioFamily::Thermal, ScenarioFamily::ReconfigRollback] {
+        let scenario = family.build(ResponseStrategy::ObjectiveStop, 2017);
+        let label = scenario.label.clone();
+        let mut sim = SteppedRun::new(&scenario);
+        while sim.now_millis() < 200_000 {
+            sim.tick();
+        }
+        let allocs = count_allocs(|| {
+            for _ in 0..100 {
+                sim.tick();
+            }
+        });
+        assert_eq!(sim.now_millis(), 201_000, "{label}");
+        assert_eq!(
+            allocs, 0,
+            "{label}: storm second allocated {allocs} times in 100 ticks"
+        );
+        let out = sim.finish();
+        assert!(out.first_detection.is_some(), "{label}: no storm detected");
+    }
+}
+
+/// A storm that never ends keeps no memory per tick: the single-layer
+/// intrusion never quarantines the flooding component, so it escalates on
+/// every tick until the horizon. Doubling the horizon from 240 s to 480 s
+/// adds only the 1 Hz series' growth to the run's peak heap, under 64 KiB.
+fn storm_heap_does_not_grow_with_horizon() {
+    const SLACK: usize = 64 << 10;
+    let peak_at = |secs: u64| {
+        let mut scenario = ScenarioFamily::Intrusion.build(ResponseStrategy::SingleLayer, 2017);
+        scenario.duration = Duration::from_secs(secs);
+        peak_heap_bytes(|| drop(runner::run(scenario)))
+    };
+    let (short, long) = (peak_at(240), peak_at(480));
+    println!(
+        "  intrusion/SingleLayer: peak heap {:.3} MiB at 240 s, {:.3} MiB at 480 s",
+        short as f64 / (1u64 << 20) as f64,
+        long as f64 / (1u64 << 20) as f64
+    );
+    assert!(
+        long < short + SLACK,
+        "peak heap grew with the horizon: {short} bytes at 240 s, {long} at 480 s"
+    );
+}
+
 /// Pairs each pin with its name.
 macro_rules! pins {
     ($($pin:ident),* $(,)?) => {
@@ -388,7 +440,7 @@ macro_rules! pins {
 }
 
 /// The pins, in the order [`main`] runs them.
-const PINS: [(&str, fn()); 7] = pins![
+const PINS: [(&str, fn()); 9] = pins![
     nominal_tick_path_is_allocation_free,
     mounted_telemetry_tick_is_allocation_free,
     warm_cache_sweep_allocations_are_independent_of_job_count,
@@ -396,6 +448,8 @@ const PINS: [(&str, fn()); 7] = pins![
     platoon_tick_path_is_allocation_free,
     surrogate_store_step_is_allocation_free,
     escalation_storm_peak_heap_is_bounded,
+    escalation_storm_second_is_allocation_free,
+    storm_heap_does_not_grow_with_horizon,
 ];
 
 /// Harness options that take the next argument as their value.
