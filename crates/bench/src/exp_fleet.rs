@@ -1,8 +1,8 @@
 //! E11: the fleet sweep — the whole scenario library × every response
 //! strategy, executed through the [`FleetRunner`]. E15: the incremental
 //! fleet engine on the same grid — a cold memoized sweep, a warm re-sweep
-//! served entirely from the [`ResultCache`], and the columnar results
-//! sink with its group-by latency queries.
+//! served entirely from the [`ResultCache`], the warm batch's columnar
+//! size and its per-family latency percentiles.
 //!
 //! The paper's claim is that cross-layer self-awareness pays off across
 //! *many* operating conditions, not just the three headline scenarios.
@@ -16,9 +16,9 @@
 use std::sync::OnceLock;
 
 use saav_core::cache::{CacheStats, ResultCache};
-use saav_core::colstore::{FleetColumns, GroupBy};
+use saav_core::colstore;
 use saav_core::csv::records_csv;
-use saav_core::fleet::{FleetOutcome, FleetRunner};
+use saav_core::fleet::{latency_by_family, FleetOutcome, FleetRunner};
 use saav_core::scenario::{ResponseStrategy, ScenarioFamily};
 use saav_sim::report::{fmt_f64, Table};
 
@@ -108,7 +108,7 @@ pub fn e11_summary_table(fleet: &FleetOutcome) -> Table {
 
 /// The completed E15 experiment: one cold memoized sweep, one warm
 /// re-sweep over the identical grid, the cache counter snapshots taken
-/// after each, and the warm batch in columnar form.
+/// after each, and the warm batch's encoded sizes.
 pub struct E15Outcome {
     /// The cold sweep (every job simulated, every result inserted).
     pub cold: FleetOutcome,
@@ -118,9 +118,7 @@ pub struct E15Outcome {
     pub cold_cache: CacheStats,
     /// Cumulative cache counters after the warm sweep.
     pub warm_cache: CacheStats,
-    /// The warm batch transposed into the columnar results sink.
-    pub columns: FleetColumns,
-    /// Size of the serialized columnar batch (bytes).
+    /// Size of the warm batch in the columnar format (bytes).
     pub columnar_bytes: usize,
     /// Size of the same batch as CSV (bytes), for scale.
     pub csv_bytes: usize,
@@ -139,15 +137,13 @@ pub fn e15_outcome() -> &'static E15Outcome {
         let cold_cache = cache.stats();
         let warm = grid();
         let warm_cache = cache.stats();
-        let columns = FleetColumns::from_records(&warm.records);
-        let columnar_bytes = columns.to_bytes().len();
+        let columnar_bytes = colstore::to_bytes(&warm.records).len();
         let csv_bytes = records_csv(&warm.records).len();
         E15Outcome {
             cold,
             warm,
             cold_cache,
             warm_cache,
-            columns,
             columnar_bytes,
             csv_bytes,
         }
@@ -192,20 +188,19 @@ pub fn e15_table() -> Table {
     t
 }
 
-/// E15b: the columnar results sink — per-family detection-latency
-/// percentiles answered straight from the column arrays, with the
-/// columnar-vs-CSV size in the title.
+/// E15b: per-family detection-latency percentiles of the warm batch,
+/// with its columnar-vs-CSV size in the title.
 pub fn e15b_table() -> Table {
     let out = e15_outcome();
     let mut t = Table::new(["family", "detected", "mean", "p50", "p95"]).with_title(format!(
         "E15b: columnar sink group-by — {} runs in {} B columnar ({} B as CSV)",
-        out.columns.len(),
+        out.warm.records.len(),
         out.columnar_bytes,
         out.csv_bytes
     ));
-    for (family, lat) in out.columns.latency_percentiles(GroupBy::Family) {
+    for (family, lat) in latency_by_family(&out.warm.records) {
         t.row([
-            family,
+            family.to_string(),
             lat.detected.to_string(),
             format!("{}s", fmt_f64(lat.mean_s, 1)),
             format!("{}s", fmt_f64(lat.p50_s, 1)),
@@ -271,11 +266,11 @@ mod tests {
     #[test]
     fn e15_columns_agree_with_the_record_path() {
         let out = e15_outcome();
-        // Direct-from-columns stats are bit-identical to the record path.
-        assert_eq!(out.columns.stats(), out.warm.stats);
         // The serialized batch round-trips losslessly.
-        let decoded = FleetColumns::from_bytes(&out.columns.to_bytes()).expect("decode");
-        assert_eq!(decoded.to_records(), out.warm.records);
+        let bytes = colstore::to_bytes(&out.warm.records);
+        assert_eq!(bytes.len(), out.columnar_bytes);
+        let decoded = colstore::from_bytes(&bytes).expect("decode");
+        assert_eq!(decoded, out.warm.records);
         assert!(
             out.columnar_bytes < out.csv_bytes,
             "columnar {} B >= CSV {} B",
@@ -283,7 +278,7 @@ mod tests {
             out.csv_bytes
         );
         // Every family of the grid answers a group-by row.
-        let by_family = out.columns.latency_percentiles(GroupBy::Family);
+        let by_family = latency_by_family(&out.warm.records);
         assert_eq!(by_family.len(), ScenarioFamily::ALL.len());
         assert!(!e15_table().is_empty());
         assert!(!e15b_table().is_empty());

@@ -1,11 +1,12 @@
-//! Shared binary-encoding primitives for the on-disk result cache
-//! ([`crate::cache`]) and the columnar results format
+//! Binary-encoding primitives behind the columnar fleet-batch format
 //! ([`crate::colstore`]): LEB128 varints, zigzag signed mapping, raw
-//! IEEE-754 bit transport and packed boolean bitmaps.
+//! IEEE-754 bit transport and packed boolean bitmaps, plus the FNV-1a
+//! hash that checksums a columnar buffer and folds the cache's job keys
+//! ([`crate::cache::job_key`]).
 //!
 //! Everything here is byte-order-stable (little-endian) and
-//! process-independent, so artifacts written by one run decode bit-exact
-//! in another — the property the cache and colstore round-trip tests pin.
+//! process-independent, so a buffer written by one run decodes bit-exact
+//! in another — the property the colstore round-trip tests pin.
 
 /// Appends `v` as an LEB128 varint (1 byte for values < 128, ≤ 10 bytes
 /// for the full `u64` range).
@@ -90,12 +91,14 @@ pub(crate) fn read_str(bytes: &[u8], pos: &mut usize) -> Option<String> {
 }
 
 /// Appends `bits` as a packed bitmap (LSB-first within each byte).
-pub(crate) fn write_bitmap(out: &mut Vec<u8>, bits: &[bool]) {
-    for chunk in bits.chunks(8) {
-        let mut byte = 0u8;
-        for (i, &b) in chunk.iter().enumerate() {
-            byte |= u8::from(b) << i;
-        }
+pub(crate) fn write_bitmap(out: &mut Vec<u8>, bits: impl IntoIterator<Item = bool>) {
+    let mut bits = bits.into_iter().peekable();
+    while bits.peek().is_some() {
+        let byte = bits
+            .by_ref()
+            .take(8)
+            .enumerate()
+            .fold(0u8, |byte, (i, b)| byte | u8::from(b) << i);
         out.push(byte);
     }
 }
@@ -121,8 +124,8 @@ pub(crate) fn fnv64_fold(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-/// FNV-1a 64-bit hash of a byte slice — the checksum both binary formats
-/// append so corruption is detected instead of decoded.
+/// FNV-1a 64-bit hash of a byte slice — the checksum a columnar buffer
+/// carries so corruption is detected instead of decoded.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     fnv64_fold(FNV64_OFFSET, bytes)
 }
@@ -187,7 +190,7 @@ mod tests {
         for n in [0usize, 1, 7, 8, 9, 64, 65] {
             let bits: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
             let mut buf = Vec::new();
-            write_bitmap(&mut buf, &bits);
+            write_bitmap(&mut buf, bits.iter().copied());
             let mut pos = 0;
             assert_eq!(read_bitmap(&buf, &mut pos, n), Some(bits));
             assert_eq!(pos, buf.len());

@@ -5,24 +5,20 @@
 //! everything that can influence its outcome: the full [`Scenario`]
 //! (label, events, duration, strategy, ego state, lead-vehicle profile,
 //! reconfiguration policy), the optional [`PlatoonSpec`] / [`CitySpec`]
-//! payloads, the *derived* per-job seed, and the [`ENGINE_VERSION`] salt. Two jobs with the same
-//! key are bit-identical re-runs, so a warm [`ResultCache`] serves their
+//! payloads and the *derived* per-job seed. Two jobs with the same key
+//! are bit-identical re-runs, so a warm [`ResultCache`] serves their
 //! [`Summary`] without simulating anything; any field change — a nudged
 //! fog density, one extra platoon member, a different seed — produces a
 //! new key and a fresh run.
 //!
-//! Invalidation is by salt, not by eviction: whenever a change anywhere
-//! in the engine alters simulated trajectories, [`ENGINE_VERSION`] is
-//! bumped, every old key becomes unreachable, and stale on-disk entries
-//! are simply never read again. The hash itself is a hand-rolled FNV-1a
-//! over a fixed little-endian field encoding — *not* `std`'s `Hasher`,
-//! whose output is not guaranteed stable across releases — so keys match
-//! across processes, platforms and toolchains, which is what makes the
-//! optional on-disk store ([`ResultCache::with_disk`]) valid across
-//! sessions.
+//! The cache lives in memory and never outlives the engine that filled
+//! it, so it needs no invalidation: there is no eviction and no version
+//! salt. The hash is a hand-rolled FNV-1a over a fixed little-endian
+//! field encoding — *not* `std`'s `Hasher`, whose output is not
+//! guaranteed stable across releases — so a key is a pure function of
+//! the job, on any host and toolchain.
 
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -32,23 +28,13 @@ use saav_vehicle::surrogate::IdmParams;
 use saav_vehicle::traffic::Participant;
 
 use crate::binenc;
-use crate::outcome::{CitySummary, PlatoonSummary, Summary};
+use crate::outcome::Summary;
 use crate::scenario::{
     CitySpec, PeerLie, PlatoonSpec, ReconfigSpec, ResponseStrategy, Scenario, ScenarioEvent,
 };
 
-/// Engine-version salt mixed into every job key. Bump this whenever a
-/// code change alters simulated trajectories (physics, monitors,
-/// negotiation, seeding): every previously cached result then misses and
-/// is recomputed, which is the cache's only invalidation mechanism.
-pub const ENGINE_VERSION: u64 = 2;
-
-/// Version byte of the on-disk [`Summary`] codec. Bumping it (on a codec
-/// layout change) turns old files into decode failures, i.e. misses.
-const SUMMARY_CODEC_VERSION: u8 = 1;
-
 /// A content-hashed fleet-job identity: equal keys mean bit-identical
-/// re-runs under the current [`ENGINE_VERSION`].
+/// re-runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct JobKey(pub u64);
 
@@ -56,7 +42,7 @@ pub struct JobKey(pub u64);
 ///
 /// Unlike `std::hash::Hasher` implementations, the output is a stable
 /// function of the written bytes — across processes, platforms and
-/// compiler versions — so it is safe to persist keys on disk.
+/// compiler versions.
 #[derive(Debug, Clone)]
 pub struct KeyHasher {
     state: u64,
@@ -170,7 +156,6 @@ pub fn job_key(scenario: &Scenario) -> JobKey {
             },
     } = scenario;
     let mut h = KeyHasher::new();
-    h.write_u64(ENGINE_VERSION);
     h.write_str(label);
     h.write_u64(*seed);
     h.write_u64(duration.as_nanos());
@@ -317,237 +302,25 @@ fn hash_city(h: &mut KeyHasher, c: &CitySpec) {
     h.write_f64(comfort_decel_mps2);
 }
 
-// --- on-disk Summary codec ----------------------------------------------
-
-fn write_opt_time(out: &mut Vec<u8>, t: Option<saav_sim::time::Time>) {
-    match t {
-        None => out.push(0),
-        Some(t) => {
-            out.push(1);
-            binenc::write_varint(out, t.as_nanos());
-        }
-    }
-}
-
-fn read_opt_time(bytes: &[u8], pos: &mut usize) -> Option<Option<saav_sim::time::Time>> {
-    match bytes.get(*pos)? {
-        0 => {
-            *pos += 1;
-            Some(None)
-        }
-        1 => {
-            *pos += 1;
-            let ns = binenc::read_varint(bytes, pos)?;
-            Some(Some(saav_sim::time::Time::from_nanos(ns)))
-        }
-        _ => None,
-    }
-}
-
-/// Serializes a [`Summary`] into the versioned on-disk cache format.
-pub(crate) fn encode_summary(s: &Summary, out: &mut Vec<u8>) {
-    out.push(SUMMARY_CODEC_VERSION);
-    binenc::write_str(out, &s.label);
-    out.push(u8::from(s.collision));
-    binenc::write_f64(out, s.distance_m);
-    binenc::write_f64(out, s.min_ttc_s);
-    write_opt_time(out, s.first_detection);
-    write_opt_time(out, s.first_model_deviation);
-    write_opt_time(out, s.mitigated_at);
-    match s.final_mode {
-        saav_skills::decision::DrivingMode::Normal => out.push(0),
-        saav_skills::decision::DrivingMode::Reduced { speed_cap_mps } => {
-            out.push(1);
-            binenc::write_f64(out, speed_cap_mps);
-        }
-        saav_skills::decision::DrivingMode::SafeStop => out.push(2),
-    }
-    match &s.platoon {
-        None => out.push(0),
-        Some(p) => {
-            out.push(1);
-            binenc::write_varint(out, p.members as u64);
-            binenc::write_varint(out, p.member_collisions as u64);
-            write_opt_time(out, p.converged_at);
-            write_opt_time(out, p.first_ejection);
-            binenc::write_varint(out, p.ejected.len() as u64);
-            for &m in &p.ejected {
-                binenc::write_varint(out, m as u64);
-            }
-            match p.final_agreed_mps {
-                None => out.push(0),
-                Some(v) => {
-                    out.push(1);
-                    binenc::write_f64(out, v);
-                }
-            }
-        }
-    }
-    match &s.city {
-        None => out.push(0),
-        Some(c) => {
-            out.push(1);
-            binenc::write_varint(out, c.vehicles as u64);
-            binenc::write_varint(out, c.focal as u64);
-            binenc::write_varint(out, c.promotions);
-            binenc::write_varint(out, c.demotions);
-            binenc::write_varint(out, c.focal_collisions as u64);
-            write_opt_time(out, c.first_focal_detection);
-        }
-    }
-    let checksum = binenc::fnv64(out);
-    binenc::write_u64(out, checksum);
-}
-
-/// Decodes a [`Summary`] written by [`encode_summary`]. Any corruption,
-/// truncation, version skew or trailing garbage yields `None` — the cache
-/// treats that as a miss and recomputes.
-pub(crate) fn decode_summary(bytes: &[u8]) -> Option<Summary> {
-    let payload_len = bytes.len().checked_sub(8)?;
-    let (payload, tail) = bytes.split_at(payload_len);
-    let mut tail_pos = 0;
-    if binenc::read_u64(tail, &mut tail_pos)? != binenc::fnv64(payload) {
-        return None;
-    }
-    let mut pos = 0;
-    if *payload.first()? != SUMMARY_CODEC_VERSION {
-        return None;
-    }
-    pos += 1;
-    let label = binenc::read_str(payload, &mut pos)?;
-    let collision = match payload.get(pos)? {
-        0 => false,
-        1 => true,
-        _ => return None,
-    };
-    pos += 1;
-    let distance_m = binenc::read_f64(payload, &mut pos)?;
-    let min_ttc_s = binenc::read_f64(payload, &mut pos)?;
-    let first_detection = read_opt_time(payload, &mut pos)?;
-    let first_model_deviation = read_opt_time(payload, &mut pos)?;
-    let mitigated_at = read_opt_time(payload, &mut pos)?;
-    let final_mode = match payload.get(pos)? {
-        0 => {
-            pos += 1;
-            saav_skills::decision::DrivingMode::Normal
-        }
-        1 => {
-            pos += 1;
-            let speed_cap_mps = binenc::read_f64(payload, &mut pos)?;
-            saav_skills::decision::DrivingMode::Reduced { speed_cap_mps }
-        }
-        2 => {
-            pos += 1;
-            saav_skills::decision::DrivingMode::SafeStop
-        }
-        _ => return None,
-    };
-    let platoon = match payload.get(pos)? {
-        0 => {
-            pos += 1;
-            None
-        }
-        1 => {
-            pos += 1;
-            let members = usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?;
-            let member_collisions =
-                usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?;
-            let converged_at = read_opt_time(payload, &mut pos)?;
-            let first_ejection = read_opt_time(payload, &mut pos)?;
-            let n = usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?;
-            if n > payload.len() {
-                return None;
-            }
-            let mut ejected = Vec::with_capacity(n);
-            for _ in 0..n {
-                ejected.push(usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?);
-            }
-            let final_agreed_mps = match payload.get(pos)? {
-                0 => {
-                    pos += 1;
-                    None
-                }
-                1 => {
-                    pos += 1;
-                    Some(binenc::read_f64(payload, &mut pos)?)
-                }
-                _ => return None,
-            };
-            Some(PlatoonSummary {
-                members,
-                member_collisions,
-                converged_at,
-                first_ejection,
-                ejected,
-                final_agreed_mps,
-            })
-        }
-        _ => return None,
-    };
-    let city = match payload.get(pos)? {
-        0 => {
-            pos += 1;
-            None
-        }
-        1 => {
-            pos += 1;
-            let vehicles = usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?;
-            let focal = usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?;
-            let promotions = binenc::read_varint(payload, &mut pos)?;
-            let demotions = binenc::read_varint(payload, &mut pos)?;
-            let focal_collisions = usize::try_from(binenc::read_varint(payload, &mut pos)?).ok()?;
-            let first_focal_detection = read_opt_time(payload, &mut pos)?;
-            Some(CitySummary {
-                vehicles,
-                focal,
-                promotions,
-                demotions,
-                focal_collisions,
-                first_focal_detection,
-            })
-        }
-        _ => return None,
-    };
-    if pos != payload.len() {
-        return None;
-    }
-    Some(Summary {
-        label,
-        collision,
-        distance_m,
-        min_ttc_s,
-        first_detection,
-        first_model_deviation,
-        mitigated_at,
-        final_mode,
-        platoon,
-        city,
-    })
-}
-
 // --- the cache ----------------------------------------------------------
 
 /// Counter snapshot of a [`ResultCache`]'s traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served from the cache (memory or disk).
+    /// Lookups served from the cache.
     pub hits: u64,
     /// Lookups that found nothing and forced a simulation.
     pub misses: u64,
-    /// The subset of `hits` that was loaded (and decoded) from disk.
-    pub disk_hits: u64,
     /// Summaries stored into the cache.
     pub insertions: u64,
 }
 
-/// A memoizing store of fleet-run [`Summary`]s keyed by [`JobKey`].
+/// An in-memory memoizing store of fleet-run [`Summary`]s keyed by
+/// [`JobKey`].
 ///
 /// Cloning is cheap and shares the underlying store (an `Arc`), so one
 /// cache can back many [`crate::fleet::FleetRunner`]s and outlive all of
-/// them. The in-memory map is always consulted first; with
-/// [`ResultCache::with_disk`], misses fall through to one file per key
-/// and memory is repopulated on a disk hit. Disk writes are best-effort:
-/// an unwritable directory silently degrades to memory-only caching.
+/// them.
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
     inner: Arc<CacheInner>,
@@ -556,112 +329,53 @@ pub struct ResultCache {
 #[derive(Debug, Default)]
 struct CacheInner {
     mem: Mutex<HashMap<u64, Arc<Summary>>>,
-    disk: Option<PathBuf>,
     hits: AtomicU64,
     misses: AtomicU64,
-    disk_hits: AtomicU64,
     insertions: AtomicU64,
 }
 
 impl ResultCache {
-    /// A purely in-memory cache.
+    /// An empty cache.
     pub fn in_memory() -> Self {
         ResultCache::default()
     }
 
-    /// A cache backed by one file per key under `dir` (created if
-    /// missing), so warm results survive across processes.
-    pub fn with_disk(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(ResultCache {
-            inner: Arc::new(CacheInner {
-                disk: Some(dir),
-                ..CacheInner::default()
-            }),
-        })
+    fn mem(&self) -> std::sync::MutexGuard<'_, HashMap<u64, Arc<Summary>>> {
+        self.inner.mem.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The on-disk store directory, if this cache has one.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.inner.disk.as_deref()
-    }
-
-    fn file(dir: &Path, key: JobKey) -> PathBuf {
-        dir.join(format!("{:016x}.sum", key.0))
-    }
-
-    /// Looks up a cached summary. The pure in-memory hit path performs no
-    /// heap allocation (pinned by `tests/zero_alloc.rs`).
+    /// Looks up a cached summary. A hit performs no heap allocation
+    /// (pinned by `tests/zero_alloc.rs`).
     pub fn get(&self, key: JobKey) -> Option<Arc<Summary>> {
-        let mem = self.inner.mem.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = mem.get(&key.0) {
-            let hit = Arc::clone(hit);
-            drop(mem);
-            self.inner.hits.fetch_add(1, Ordering::Relaxed);
-            return Some(hit);
-        }
-        drop(mem);
-        if let Some(dir) = &self.inner.disk {
-            if let Some(summary) = std::fs::read(Self::file(dir, key))
-                .ok()
-                .and_then(|bytes| decode_summary(&bytes))
-            {
-                let summary = Arc::new(summary);
-                self.inner
-                    .mem
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(key.0, Arc::clone(&summary));
-                self.inner.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(summary);
-            }
-        }
-        self.inner.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        let hit = self.mem().get(&key.0).map(Arc::clone);
+        let counter = if hit.is_some() {
+            &self.inner.hits
+        } else {
+            &self.inner.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
-    /// Stores a computed summary under its job key (memory, plus disk when
-    /// configured).
+    /// Stores a computed summary under its job key.
     pub fn insert(&self, key: JobKey, summary: Arc<Summary>) {
-        if let Some(dir) = &self.inner.disk {
-            let mut bytes = Vec::new();
-            encode_summary(&summary, &mut bytes);
-            // Best effort: a full or read-only disk must not fail the run.
-            let _ = std::fs::write(Self::file(dir, key), &bytes);
-        }
-        self.inner
-            .mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(key.0, summary);
+        self.mem().insert(key.0, summary);
         self.inner.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of summaries resident in memory (disk-only entries not yet
-    /// touched are not counted).
+    /// Number of cached summaries.
     pub fn len(&self) -> usize {
-        self.inner
-            .mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.mem().len()
     }
 
-    /// Whether no summaries are resident in memory.
+    /// Whether no summaries are cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Drops every in-memory entry (on-disk files are kept: they become
-    /// reloadable again on the next lookup).
+    /// Drops every cached summary; the counters keep their values.
     pub fn clear(&self) {
-        self.inner
-            .mem
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.mem().clear();
     }
 
     /// A snapshot of the hit/miss/store counters.
@@ -669,7 +383,6 @@ impl ResultCache {
         CacheStats {
             hits: self.inner.hits.load(Ordering::Relaxed),
             misses: self.inner.misses.load(Ordering::Relaxed),
-            disk_hits: self.inner.disk_hits.load(Ordering::Relaxed),
             insertions: self.inner.insertions.load(Ordering::Relaxed),
         }
     }
@@ -680,7 +393,6 @@ mod tests {
     use super::*;
     use crate::scenario::ScenarioFamily;
     use saav_sim::time::{Duration, Time};
-    use std::sync::atomic::AtomicU32;
 
     fn base_scenario() -> Scenario {
         let mut s = ScenarioFamily::Intrusion.build(ResponseStrategy::CrossLayer, 42);
@@ -699,14 +411,6 @@ mod tests {
     #[test]
     fn identical_scenarios_share_a_key() {
         assert_eq!(job_key(&base_scenario()), job_key(&base_scenario()));
-    }
-
-    #[test]
-    fn key_values_are_stable() {
-        // On-disk caches written by earlier builds keep hitting only while
-        // an unchanged scenario keeps its key under the same
-        // `ENGINE_VERSION`; a version bump is the one reason to re-pin.
-        assert_eq!(job_key(&base_scenario()), JobKey(0xee96_456d_dc22_3c6c));
     }
 
     #[test]
@@ -798,99 +502,10 @@ mod tests {
             first_detection: Some(Time::from_millis(30_010)),
             first_model_deviation: None,
             mitigated_at: Some(Time::from_millis(30_020)),
-            final_mode: saav_skills::decision::DrivingMode::Reduced {
-                speed_cap_mps: 13.5,
-            },
-            platoon: Some(PlatoonSummary {
-                members: 4,
-                member_collisions: 1,
-                converged_at: Some(Time::from_secs(3)),
-                first_ejection: None,
-                ejected: vec![2, 3],
-                final_agreed_mps: Some(21.25),
-            }),
-            city: Some(CitySummary {
-                vehicles: 32,
-                focal: 2,
-                promotions: 5,
-                demotions: 4,
-                focal_collisions: 0,
-                first_focal_detection: Some(Time::from_secs(12)),
-            }),
+            final_mode: saav_skills::decision::DrivingMode::Normal,
+            platoon: None,
+            city: None,
         }
-    }
-
-    #[test]
-    fn summary_codec_round_trips() {
-        for summary in [
-            sample_summary(),
-            Summary {
-                platoon: None,
-                city: None,
-                first_detection: None,
-                mitigated_at: None,
-                final_mode: saav_skills::decision::DrivingMode::Normal,
-                ..sample_summary()
-            },
-        ] {
-            let mut bytes = Vec::new();
-            encode_summary(&summary, &mut bytes);
-            assert_eq!(decode_summary(&bytes).as_ref(), Some(&summary));
-        }
-    }
-
-    #[test]
-    fn summary_codec_rejects_corruption() {
-        let mut bytes = Vec::new();
-        encode_summary(&sample_summary(), &mut bytes);
-        for i in 0..bytes.len() {
-            let mut bad = bytes.clone();
-            bad[i] ^= 0x40;
-            assert_eq!(decode_summary(&bad), None, "flipped byte {i} decoded");
-        }
-        assert_eq!(decode_summary(&bytes[..bytes.len() - 3]), None);
-        assert_eq!(decode_summary(&[]), None);
-    }
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU32 = AtomicU32::new(0);
-        std::env::temp_dir().join(format!(
-            "saav-cache-{tag}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ))
-    }
-
-    #[test]
-    fn disk_store_survives_a_new_cache() {
-        let dir = temp_dir("survive");
-        let key = job_key(&base_scenario());
-        {
-            let cache = ResultCache::with_disk(&dir).unwrap();
-            cache.insert(key, Arc::new(sample_summary()));
-            assert_eq!(cache.stats().insertions, 1);
-        }
-        let fresh = ResultCache::with_disk(&dir).unwrap();
-        assert!(fresh.is_empty(), "nothing resident before the first get");
-        let hit = fresh.get(key).expect("disk hit");
-        assert_eq!(*hit, sample_summary());
-        let stats = fresh.stats();
-        assert_eq!((stats.hits, stats.disk_hits, stats.misses), (1, 1, 0));
-        // Now resident: the second get is a pure memory hit.
-        assert!(fresh.get(key).is_some());
-        assert_eq!(fresh.stats().disk_hits, 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_disk_entry_is_a_miss() {
-        let dir = temp_dir("corrupt");
-        let cache = ResultCache::with_disk(&dir).unwrap();
-        let key = JobKey(0xdead_beef);
-        std::fs::write(ResultCache::file(&dir, key), b"not a summary").unwrap();
-        assert_eq!(cache.get(key), None);
-        assert_eq!(cache.stats().misses, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -73,8 +73,8 @@ pub fn default_threads() -> usize {
 
 /// One completed fleet run: the job's grid coordinates plus its summary.
 ///
-/// The summary is behind an [`Arc`] so cache hits and columnar decoding
-/// share storage instead of deep-cloning label strings per job.
+/// The summary is behind an [`Arc`] so cache hits share storage instead
+/// of deep-cloning label strings per job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetRecord {
     /// Strategy the run was executed under.
@@ -113,6 +113,14 @@ impl FleetRecord {
     fn latency_of(&self, detected: Option<Time>) -> Option<f64> {
         latency_s(detected, self.injected_at)
     }
+
+    /// The scenario family of the run: its label up to the first `/`
+    /// (the whole label when it has none). A family-grid run's family is
+    /// its [`ScenarioFamily::name`].
+    pub fn family(&self) -> &str {
+        let label = &self.summary.label;
+        label.split_once('/').map_or(label, |(family, _)| family)
+    }
 }
 
 /// Aggregate detection-latency distribution over the detected runs.
@@ -133,9 +141,8 @@ pub struct LatencyStats {
 }
 
 /// Sorts the collected latencies in place and reduces them to a
-/// [`LatencyStats`]. Shared by the record-based and columnar aggregation
-/// paths so both produce bit-identical distributions.
-pub(crate) fn latency_stats_from(latencies: &mut [f64]) -> LatencyStats {
+/// [`LatencyStats`].
+fn latency_stats_from(latencies: &mut [f64]) -> LatencyStats {
     latencies.sort_unstable_by(f64::total_cmp);
     LatencyStats {
         detected: latencies.len(),
@@ -189,142 +196,109 @@ pub struct FleetStats {
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
-/// One row's stats-relevant view. Both aggregation paths — records here,
-/// columns in [`crate::colstore`] — reduce through this, so their float
-/// operations (and therefore their results) are identical to the bit.
-pub(crate) struct StatRow {
-    pub(crate) strategy: ResponseStrategy,
-    pub(crate) collision: bool,
-    pub(crate) stopped: bool,
-    pub(crate) distance_m: f64,
-    pub(crate) detection_latency_s: Option<f64>,
-    pub(crate) model_latency_s: Option<f64>,
-    pub(crate) peer_collisions: usize,
-    pub(crate) ejections: usize,
-}
-
-/// Streaming [`FleetStats`] accumulator with preallocated buffers: the
-/// number of heap allocations it performs is a function of the strategy
-/// count only, never of the job count — which is what lets the warm-cache
-/// zero-allocation pin in `tests/zero_alloc.rs` hold.
-pub(crate) struct StatsAccumulator {
-    runs: usize,
-    collisions: usize,
-    peer_collisions: usize,
-    ejections: usize,
-    detection: Vec<f64>,
-    model_detection: Vec<f64>,
-    groups: Vec<GroupAccumulator>,
-}
-
-struct GroupAccumulator {
-    strategy: ResponseStrategy,
-    runs: usize,
-    collided: usize,
-    stopped: usize,
-    distance_sum: f64,
-}
-
-impl StatsAccumulator {
-    pub(crate) fn with_capacity(rows: usize) -> Self {
-        StatsAccumulator {
-            runs: 0,
-            collisions: 0,
-            peer_collisions: 0,
-            ejections: 0,
-            detection: Vec::with_capacity(rows),
-            model_detection: Vec::with_capacity(rows),
-            groups: Vec::with_capacity(ResponseStrategy::ALL.len()),
+impl FleetStats {
+    /// Aggregates a batch of records (in their deterministic job order).
+    ///
+    /// The buffers are sized up front, so the number of heap allocations
+    /// depends on the strategy count only, never on the job count — which
+    /// is what lets the warm-cache zero-allocation pin in
+    /// `tests/zero_alloc.rs` hold.
+    pub fn from_records(records: &[FleetRecord]) -> Self {
+        struct Tally {
+            strategy: ResponseStrategy,
+            runs: usize,
+            collided: usize,
+            stopped: usize,
+            distance_sum: f64,
         }
-    }
-
-    pub(crate) fn push(&mut self, row: StatRow) {
-        self.runs += 1;
-        self.collisions += usize::from(row.collision);
-        self.peer_collisions += row.peer_collisions;
-        self.ejections += row.ejections;
-        if let Some(l) = row.detection_latency_s {
-            self.detection.push(l);
-        }
-        if let Some(l) = row.model_latency_s {
-            self.model_detection.push(l);
-        }
-        let group = match self.groups.iter_mut().find(|g| g.strategy == row.strategy) {
-            Some(g) => g,
-            None => {
-                self.groups.push(GroupAccumulator {
-                    strategy: row.strategy,
-                    runs: 0,
-                    collided: 0,
-                    stopped: 0,
-                    distance_sum: 0.0,
-                });
-                self.groups.last_mut().expect("just pushed")
+        let (mut collisions, mut peer_collisions, mut ejections) = (0, 0, 0);
+        let mut detection = Vec::with_capacity(records.len());
+        let mut model_detection = Vec::with_capacity(records.len());
+        let mut tallies: Vec<Tally> = Vec::with_capacity(ResponseStrategy::ALL.len());
+        for rec in records {
+            let s = &rec.summary;
+            collisions += usize::from(s.collision);
+            if let Some(p) = &s.platoon {
+                peer_collisions += p.member_collisions;
+                ejections += p.ejected.len();
             }
-        };
-        group.runs += 1;
-        group.collided += usize::from(row.collision);
-        group.stopped += usize::from(row.stopped);
-        group.distance_sum += row.distance_m;
-    }
-
-    pub(crate) fn finish(mut self) -> FleetStats {
-        let detection = latency_stats_from(&mut self.detection);
-        let model_detection = latency_stats_from(&mut self.model_detection);
-        let per_strategy = self
-            .groups
-            .iter()
-            .map(|g| StrategyStats {
-                strategy: g.strategy,
-                runs: g.runs,
-                collision_rate: g.collided as f64 / g.runs as f64,
-                mean_distance_m: g.distance_sum / g.runs as f64,
-                availability: (g.runs - g.stopped) as f64 / g.runs as f64,
-            })
-            .collect();
+            if let Some(l) = rec.detection_latency_s() {
+                detection.push(l);
+            }
+            if let Some(l) = rec.model_latency_s() {
+                model_detection.push(l);
+            }
+            let tally = match tallies.iter().position(|t| t.strategy == rec.strategy) {
+                Some(i) => &mut tallies[i],
+                None => {
+                    tallies.push(Tally {
+                        strategy: rec.strategy,
+                        runs: 0,
+                        collided: 0,
+                        stopped: 0,
+                        distance_sum: 0.0,
+                    });
+                    tallies.last_mut().expect("just pushed")
+                }
+            };
+            tally.runs += 1;
+            tally.collided += usize::from(s.collision);
+            tally.stopped += usize::from(matches!(
+                s.final_mode,
+                saav_skills::decision::DrivingMode::SafeStop
+            ));
+            tally.distance_sum += s.distance_m;
+        }
+        let runs = records.len();
         FleetStats {
-            runs: self.runs,
-            collisions: self.collisions,
-            collision_rate: if self.runs == 0 {
+            runs,
+            collisions,
+            collision_rate: if runs == 0 {
                 0.0
             } else {
-                self.collisions as f64 / self.runs as f64
+                collisions as f64 / runs as f64
             },
-            detection,
-            model_detection,
-            peer_collisions: self.peer_collisions,
-            ejections: self.ejections,
-            per_strategy,
+            detection: latency_stats_from(&mut detection),
+            model_detection: latency_stats_from(&mut model_detection),
+            peer_collisions,
+            ejections,
+            per_strategy: tallies
+                .iter()
+                .map(|t| StrategyStats {
+                    strategy: t.strategy,
+                    runs: t.runs,
+                    collision_rate: t.collided as f64 / t.runs as f64,
+                    mean_distance_m: t.distance_sum / t.runs as f64,
+                    availability: (t.runs - t.stopped) as f64 / t.runs as f64,
+                })
+                .collect(),
             telemetry: None,
         }
     }
 }
 
-impl FleetStats {
-    /// Aggregates a batch of records (in their deterministic job order).
-    pub fn from_records(records: &[FleetRecord]) -> Self {
-        let mut acc = StatsAccumulator::with_capacity(records.len());
-        for rec in records {
-            acc.push(StatRow {
-                strategy: rec.strategy,
-                collision: rec.summary.collision,
-                stopped: matches!(
-                    rec.summary.final_mode,
-                    saav_skills::decision::DrivingMode::SafeStop
-                ),
-                distance_m: rec.summary.distance_m,
-                detection_latency_s: rec.detection_latency_s(),
-                model_latency_s: rec.model_latency_s(),
-                peer_collisions: rec
-                    .summary
-                    .platoon
-                    .as_ref()
-                    .map_or(0, |p| p.member_collisions),
-                ejections: rec.summary.platoon.as_ref().map_or(0, |p| p.ejected.len()),
-            });
+/// Detection-latency distribution per scenario family
+/// ([`FleetRecord::family`]), in first-appearance order. A family that
+/// detected nothing reports an all-zero distribution.
+pub fn latency_by_family(records: &[FleetRecord]) -> Vec<(&str, LatencyStats)> {
+    let mut groups: Vec<(&str, Vec<f64>)> = Vec::new();
+    for rec in records {
+        let family = rec.family();
+        let g = match groups.iter().position(|(f, _)| *f == family) {
+            Some(g) => g,
+            None => {
+                groups.push((family, Vec::new()));
+                groups.len() - 1
+            }
+        };
+        if let Some(lat) = rec.detection_latency_s() {
+            groups[g].1.push(lat);
         }
-        acc.finish()
     }
+    groups
+        .into_iter()
+        .map(|(family, mut lat)| (family, latency_stats_from(&mut lat)))
+        .collect()
 }
 
 fn mean(sorted: &[f64]) -> f64 {
@@ -686,7 +660,7 @@ impl FleetCoordinator {
                 outcome
                     .records
                     .iter()
-                    .filter(|r| r.summary.label.starts_with(f.name()))
+                    .filter(|r| r.family() == f.name())
                     .filter(|r| {
                         r.summary.first_detection.is_some()
                             || !matches!(
@@ -1027,5 +1001,81 @@ mod tests {
         );
         // Deterministic: the same inputs yield the same allocation.
         assert_eq!(shifted, c.reallocate(&families, &outcome, 4));
+    }
+
+    /// A single-vehicle record under `label`, degraded (detected a problem)
+    /// or clean, detecting `det_s` seconds after a disturbance at 10 s.
+    fn family_record(label: &str, det_s: Option<u64>) -> FleetRecord {
+        use crate::outcome::Summary;
+        use saav_skills::decision::DrivingMode;
+        FleetRecord {
+            strategy: ResponseStrategy::CrossLayer,
+            seed: 0,
+            injected_at: Some(Time::from_secs(10)),
+            summary: Arc::new(Summary {
+                label: label.into(),
+                collision: false,
+                distance_m: 1000.0,
+                min_ttc_s: 10.0,
+                first_detection: det_s.map(|s| Time::from_secs(10 + s)),
+                first_model_deviation: None,
+                mitigated_at: None,
+                final_mode: DrivingMode::Normal,
+                platoon: None,
+                city: None,
+            }),
+        }
+    }
+
+    #[test]
+    fn reallocation_matches_families_exactly() {
+        // `thermal` is a prefix of `thermal+fog`: only the thermal+fog
+        // run degraded, so only that family gains seeds.
+        let records = vec![
+            family_record("thermal/CrossLayer", None),
+            family_record("thermal+fog/CrossLayer", Some(2)),
+        ];
+        let outcome = FleetOutcome {
+            stats: FleetStats::from_records(&records),
+            records,
+        };
+        let mut c = FleetCoordinator::new().with_threshold(100.0);
+        assert_eq!(
+            c.observe(&stats_with_misses(10, 2000)),
+            FleetDirective::Degraded
+        );
+        assert_eq!(
+            c.reallocate(
+                &[ScenarioFamily::Thermal, ScenarioFamily::ThermalFog],
+                &outcome,
+                4
+            ),
+            [
+                (ScenarioFamily::Thermal, 1),
+                (ScenarioFamily::ThermalFog, 7)
+            ]
+        );
+    }
+
+    #[test]
+    fn latency_by_family_groups_runs_by_label_family() {
+        let records = vec![
+            family_record("thermal/CrossLayer", Some(4)),
+            family_record("thermal+fog/CrossLayer", Some(1)),
+            family_record("thermal/SingleLayer", Some(2)),
+            family_record("baseline/CrossLayer", None),
+            family_record("short", Some(6)),
+        ];
+        let by_family = latency_by_family(&records);
+        let families: Vec<&str> = by_family.iter().map(|(f, _)| *f).collect();
+        assert_eq!(families, ["thermal", "thermal+fog", "baseline", "short"]);
+        let thermal = &by_family[0].1;
+        assert_eq!(thermal.detected, 2);
+        assert_eq!(thermal.mean_s, 3.0);
+        assert_eq!(thermal.p95_s, 4.0);
+        assert_eq!(by_family[1].1.detected, 1);
+        // A family with no detections reports an all-zero distribution.
+        let baseline = &by_family[2].1;
+        assert_eq!((baseline.detected, baseline.p95_s), (0, 0.0));
     }
 }

@@ -38,16 +38,17 @@
 //!   [`outcome::Summary`].
 //! * [`fleet`] — the [`fleet::FleetRunner`]: N scenarios across worker
 //!   threads with deterministic seed derivation and fleet-level
-//!   statistics, plus the trace-capture hook feeding `saav_learn`
-//!   training and the option to mount a learned monitor fleet-wide.
+//!   statistics computed from the records ([`fleet::FleetStats`],
+//!   [`fleet::latency_by_family`]), plus the trace-capture hook feeding
+//!   `saav_learn` training and the option to mount a learned monitor
+//!   fleet-wide.
 //! * [`cache`] — content-hashed job identity ([`cache::job_key`]) and the
-//!   [`cache::ResultCache`] memo store (in-memory plus optional on-disk),
-//!   so repeated sweeps skip bit-identical re-runs.
+//!   in-memory [`cache::ResultCache`] memo store, so repeated sweeps skip
+//!   bit-identical re-runs.
 //! * [`executor`] — the work-stealing shard executor behind the fleet,
 //!   preserving the fixed-slot determinism contract.
-//! * [`colstore`] — the compact columnar binary results format
-//!   ([`colstore::FleetColumns`]) with direct-from-columns statistics and
-//!   group-by latency queries.
+//! * [`colstore`] — the compact columnar binary format for a batch of
+//!   fleet records ([`colstore::to_bytes`], [`colstore::from_bytes`]).
 //! * [`csv`] — machine-consumable CSV export of fleet records and
 //!   aggregates.
 //! * [`contracts`] — the canonical contract configurations: the nominal
@@ -98,8 +99,7 @@ pub mod scenario;
 pub mod telemetry;
 pub mod vehicle;
 
-pub use cache::{job_key, CacheStats, JobKey, ResultCache, ENGINE_VERSION};
-pub use colstore::{FleetColumns, GroupBy};
+pub use cache::{job_key, CacheStats, JobKey, ResultCache};
 pub use coordinator::{Attempt, Coordinator, EscalationPolicy, ResolutionTrace};
 pub use fleet::{
     FleetCoordinator, FleetDirective, FleetOutcome, FleetRecord, FleetRunner, FleetStats,

@@ -25,9 +25,11 @@ use saav_monitor::access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 use saav_monitor::anomaly::{Anomaly, AnomalyKind};
 use saav_monitor::exec::{ExecutionMonitor, JobTiming, TaskSlot};
 use saav_monitor::signal::{HeartbeatMonitor, QualityMonitor};
-use saav_rte::component::{ComponentSpec, VmId};
+use saav_rte::access::AccessEvent;
+use saav_rte::component::{ComponentSpec, ServiceName, VmId};
 use saav_rte::rte::Rte;
 use saav_rte::sched::{JobRecord, Priority, TaskRef, TaskSpec};
+use saav_sim::name::Name;
 use saav_sim::time::{Duration, Time};
 use saav_skills::ability::{AbilityGraph, AggregateOp, Thresholds};
 use saav_skills::acc::{build_acc_graph, AccNodes};
@@ -92,12 +94,19 @@ pub struct SelfAwareVehicle {
     acc_task: TaskRef,
     perception_task: TaskRef,
     brake_rear_comp: saav_rte::component::ComponentId,
-    // monitor slots resolved outside the tick + drain buffer reused by the
-    // per-tick monitor pump, keeping the nominal tick allocation-free and
-    // free of name hashing
+    // monitor slots resolved outside the tick + drain buffers reused by
+    // the per-tick monitor pump, keeping the nominal tick allocation-free
+    // and free of name hashing
     brake_rear_can_tx: ChannelSlot,
     task_slots: TaskSlots,
     job_records_buf: Vec<JobRecord>,
+    access_log_buf: Vec<AccessEvent>,
+    // the compromised component's capability probe, built once so an
+    // intrusion storm's tick stays allocation-free too
+    radar_service: ServiceName,
+    // `comp{N}` subjects of denied accesses, indexed by component id and
+    // formatted on a component's first denial
+    component_names: Vec<Name>,
     // cooperative (platoon) state, set by the co-simulation engine
     pub(crate) member_id: Option<usize>,
     pub(crate) platoon_active: bool,
@@ -277,6 +286,9 @@ impl SelfAwareVehicle {
             brake_rear_can_tx,
             task_slots,
             job_records_buf: Vec::new(),
+            access_log_buf: Vec::new(),
+            radar_service: ServiceName::new("sensor.radar"),
+            component_names: Vec::new(),
             member_id: None,
             platoon_active: false,
             now: Time::ZERO,
@@ -386,9 +398,9 @@ impl SelfAwareVehicle {
                     .observe_slot(self.brake_rear_can_tx, self.now);
             }
             // Capability probing (denied attempts show in the RTE log).
-            let _ = self
-                .rte
-                .open_session(self.brake_rear_comp, "sensor.radar", self.now);
+            let _ =
+                self.rte
+                    .open_session(self.brake_rear_comp, self.radar_service.clone(), self.now);
         } else {
             // Discarded like the flood's above (at the nominal 100/s this
             // channel never flags).
@@ -424,16 +436,17 @@ impl SelfAwareVehicle {
             };
             self.exec_mon.observe_slot(slot, job, anomalies);
         }
-        // Access monitoring from the RTE log.
-        for ev in self.rte.take_access_log() {
-            if !ev.allowed {
-                anomalies.extend(self.access_mon.observe(&AccessObservation {
-                    at: ev.at,
-                    client: format!("comp{}", ev.client.0).into(),
-                    service: ev.service.to_string().into(),
-                    allowed: false,
-                }));
-            }
+        // Access monitoring from the RTE log, drained into a reused buffer.
+        self.rte.drain_access_log_into(&mut self.access_log_buf);
+        for ev in self.access_log_buf.iter().filter(|ev| !ev.allowed) {
+            let names = &mut self.component_names;
+            names.extend((names.len()..=ev.client.0).map(|id| Name::from(format!("comp{id}"))));
+            anomalies.extend(self.access_mon.observe(&AccessObservation {
+                at: ev.at,
+                client: names[ev.client.0].clone(),
+                service: ev.service.as_name().clone(),
+                allowed: false,
+            }));
         }
         // Radar quality from the functional level. A target beyond the
         // radar's clear-weather range yields no evidence either way ("no

@@ -88,9 +88,13 @@ impl AccessControl {
         &self.log
     }
 
-    /// Drains the access log (monitors call this once per sampling period).
-    pub fn drain_log(&mut self) -> Vec<AccessEvent> {
-        std::mem::take(&mut self.log)
+    /// Drains the access log into `buf` (monitors call this once per
+    /// sampling period). `buf` is cleared and swapped with the log, so a
+    /// caller that polls with the same buffer every period ping-pongs two
+    /// allocations and the steady-state drain allocates nothing.
+    pub fn drain_log_into(&mut self, buf: &mut Vec<AccessEvent>) {
+        buf.clear();
+        std::mem::swap(&mut self.log, buf);
     }
 
     /// Number of grants currently in force.
@@ -153,8 +157,14 @@ mod tests {
         ac.grant(ComponentId(0), "s");
         ac.record_use(Time::from_secs(1), ComponentId(0), &svc("s"));
         ac.record_use(Time::from_secs(2), ComponentId(0), &svc("s"));
-        let events = ac.drain_log();
-        assert_eq!(events.len(), 2);
+        let mut events = vec![AccessEvent {
+            at: Time::ZERO,
+            client: ComponentId(9),
+            service: svc("stale"),
+            allowed: false,
+        }];
+        ac.drain_log_into(&mut events);
+        assert_eq!(events.len(), 2, "the buffer's stale entry is cleared");
         assert!(ac.log().is_empty());
     }
 }

@@ -8,6 +8,8 @@
 
 use std::fmt;
 
+use saav_sim::name::Name;
+
 /// Identifier of a component instance inside an [`Rte`].
 ///
 /// [`Rte`]: crate::rte::Rte
@@ -31,15 +33,18 @@ impl fmt::Display for VmId {
 }
 
 /// A service name, e.g. `"sensor.radar"` or `"actuator.brake.rear"`.
+///
+/// Interned: a clone — into a grant lookup, an access-log entry or an
+/// error — bumps a reference count instead of allocating.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ServiceName(String);
+pub struct ServiceName(Name);
 
 impl ServiceName {
     /// Creates a service name.
     ///
     /// # Panics
     /// Panics if `name` is empty.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Name>) -> Self {
         let name = name.into();
         assert!(!name.is_empty(), "service name must not be empty");
         ServiceName(name)
@@ -47,6 +52,11 @@ impl ServiceName {
 
     /// The name as a string slice.
     pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// The interned name (cloning it never allocates).
+    pub fn as_name(&self) -> &Name {
         &self.0
     }
 }

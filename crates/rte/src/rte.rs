@@ -391,9 +391,10 @@ impl Rte {
         self.scheduler.drain_records_into(buf);
     }
 
-    /// Drains the access log.
-    pub fn take_access_log(&mut self) -> Vec<crate::access::AccessEvent> {
-        self.access.drain_log()
+    /// Drains the access log into a caller-owned buffer, retaining both
+    /// buffers' capacity (see [`AccessControl::drain_log_into`]).
+    pub fn drain_access_log_into(&mut self, buf: &mut Vec<crate::access::AccessEvent>) {
+        self.access.drain_log_into(buf);
     }
 
     /// CPU utilization since the last call.
@@ -568,7 +569,8 @@ mod tests {
         for i in 0..5 {
             let _ = r.open_session(attacker, "svc", Time::from_millis(i));
         }
-        let log = r.take_access_log();
+        let mut log = Vec::new();
+        r.drain_access_log_into(&mut log);
         assert_eq!(log.len(), 5);
         assert!(log.iter().all(|e| !e.allowed));
     }

@@ -16,10 +16,11 @@
 //! statistics bit for bit. Besides the human-readable report, the sweep
 //! is exported as CSV (per-run records and per-strategy aggregates) and
 //! as the compact columnar binary batch so downstream tooling can
-//! consume it; `SAAV_THREADS` pins the worker count.
+//! consume it; the batch is read back and checked against the sweep.
+//! `SAAV_THREADS` pins the worker count.
 
 use saav::core::cache::ResultCache;
-use saav::core::colstore::FleetColumns;
+use saav::core::colstore;
 use saav::core::csv;
 use saav::core::fleet::FleetRunner;
 use saav::core::scenario::{ResponseStrategy, ScenarioFamily};
@@ -91,9 +92,7 @@ fn main() {
     );
 
     // Machine-consumable export: CSV per aggregation level, plus the
-    // columnar binary batch (the compact form the stats path can read
-    // back directly).
-    let columns = FleetColumns::from_records(&outcome.records);
+    // compact columnar binary batch.
     let dir = std::path::Path::new("target");
     let _ = std::fs::create_dir_all(dir);
     for (name, content) in [
@@ -105,7 +104,7 @@ fn main() {
             "fleet_sweep_strategies.csv",
             csv::strategy_csv(stats).into_bytes(),
         ),
-        ("fleet_sweep.col", columns.to_bytes()),
+        ("fleet_sweep.col", colstore::to_bytes(&outcome.records)),
     ] {
         let path = dir.join(name);
         match std::fs::write(&path, content) {
@@ -113,4 +112,17 @@ fn main() {
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
     }
+
+    // Read the columnar batch back: it must decode to the sweep's records.
+    let bytes = std::fs::read(dir.join("fleet_sweep.col")).expect("read target/fleet_sweep.col");
+    let decoded = colstore::from_bytes(&bytes).expect("decode target/fleet_sweep.col");
+    assert_eq!(
+        decoded, outcome.records,
+        "columnar round trip must be lossless"
+    );
+    println!(
+        "columnar round trip: {} records, {} B",
+        decoded.len(),
+        bytes.len()
+    );
 }

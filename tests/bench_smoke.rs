@@ -128,8 +128,8 @@ fn e12_learned_monitor_completes() {
 #[test]
 fn e15_memoized_sweep_completes() {
     use saav_core::cache::ResultCache;
-    use saav_core::colstore::FleetColumns;
-    use saav_core::fleet::FleetRunner;
+    use saav_core::colstore;
+    use saav_core::fleet::{FleetRunner, FleetStats};
     use saav_core::scenario::{ResponseStrategy, ScenarioFamily};
     let cache = ResultCache::in_memory();
     let runner = FleetRunner::new(exp_fleet::E11_MASTER_SEED).with_cache(cache.clone());
@@ -144,10 +144,10 @@ fn e15_memoized_sweep_completes() {
     let warm = grid();
     assert_eq!(warm.records, cold.records);
     assert_eq!(cache.stats().hits, 6, "e15: warm slice must be all hits");
-    let decoded = FleetColumns::from_bytes(&FleetColumns::from_records(&warm.records).to_bytes())
-        .expect("e15: columnar round trip");
-    assert_eq!(decoded.to_records(), warm.records);
-    assert_eq!(decoded.stats(), warm.stats);
+    let decoded =
+        colstore::from_bytes(&colstore::to_bytes(&warm.records)).expect("e15: columnar round trip");
+    assert_eq!(decoded, warm.records);
+    assert_eq!(FleetStats::from_records(&decoded), warm.stats);
 }
 
 /// Smoke for the E14 entry point: the density sweep renders one row per

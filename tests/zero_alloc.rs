@@ -380,18 +380,38 @@ fn escalation_storm_peak_heap_is_bounded() {
     }
 }
 
-/// A whole storm second allocates nothing: deadline misses escalate to
-/// the objective layer on every tick, and each one is counted, routed and
-/// contained without a string, a log entry or a buffer that grows. The
-/// window is the 100 ticks after t = 200 s, 1 Hz instant included: by
-/// then each 1 Hz series holds 200 samples in 256 slots, so the push at
-/// 201 s does not grow it.
+/// A whole storm second allocates nothing. Under ObjectiveStop, deadline
+/// misses escalate to the objective layer on every tick; under
+/// SingleLayer, an intrusion's compromised rear brake stays unquarantined
+/// and its capability probe is denied on every tick. Each problem is
+/// counted, routed and contained without a string, a log entry or a
+/// buffer that grows. The deadline-miss window is the 100 ticks after
+/// t = 200 s, the intrusion window the 100 after t = 60 s, 1 Hz instant
+/// included: by then each 1 Hz series holds 200 samples in 256 slots (60
+/// in 64), so the push at the end of the window does not grow it.
 fn escalation_storm_second_is_allocation_free() {
-    for family in [ScenarioFamily::Thermal, ScenarioFamily::ReconfigRollback] {
-        let scenario = family.build(ResponseStrategy::ObjectiveStop, 2017);
+    for (family, strategy, from_s) in [
+        (
+            ScenarioFamily::Thermal,
+            ResponseStrategy::ObjectiveStop,
+            200,
+        ),
+        (
+            ScenarioFamily::ReconfigRollback,
+            ResponseStrategy::ObjectiveStop,
+            200,
+        ),
+        (ScenarioFamily::Intrusion, ResponseStrategy::SingleLayer, 60),
+        (
+            ScenarioFamily::FogIntrusion,
+            ResponseStrategy::SingleLayer,
+            60,
+        ),
+    ] {
+        let scenario = family.build(strategy, 2017);
         let label = scenario.label.clone();
         let mut sim = SteppedRun::new(&scenario);
-        while sim.now_millis() < 200_000 {
+        while sim.now_millis() < from_s * 1_000 {
             sim.tick();
         }
         let allocs = count_allocs(|| {
@@ -399,7 +419,7 @@ fn escalation_storm_second_is_allocation_free() {
                 sim.tick();
             }
         });
-        assert_eq!(sim.now_millis(), 201_000, "{label}");
+        assert_eq!(sim.now_millis(), (from_s + 1) * 1_000, "{label}");
         assert_eq!(
             allocs, 0,
             "{label}: storm second allocated {allocs} times in 100 ticks"
