@@ -193,7 +193,7 @@ pub fn e15_table() -> Table {
 pub fn e15b_table() -> Table {
     let out = e15_outcome();
     let mut t = Table::new(["family", "detected", "mean", "p50", "p95"]).with_title(format!(
-        "E15b: columnar sink group-by — {} runs in {} B columnar ({} B as CSV)",
+        "E15b: per-family detection latency of the warm batch — {} runs, {} B columnar ({} B as CSV)",
         out.warm.records.len(),
         out.columnar_bytes,
         out.csv_bytes

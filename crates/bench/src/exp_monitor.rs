@@ -46,7 +46,6 @@ fn run(monitor_period: Option<Duration>, inject_overrun: bool) -> MonitoredRun {
         )
         .with_exec_fraction(0.9, 1.0),
     );
-    let _ = victim;
     if let Some(period) = monitor_period {
         // The monitor itself costs 50 us per activation at high priority —
         // the "very little interference" under test.
@@ -81,7 +80,7 @@ fn run(monitor_period: Option<Duration>, inject_overrun: bool) -> MonitoredRun {
             // coarse sampling would smear the injection backwards in time.
             sched.advance(overrun_at, 1.0);
             for rec in sched.take_records() {
-                if rec.name == "victim" {
+                if rec.task == victim {
                     victim_max = victim_max.max(rec.response);
                 }
             }
@@ -90,13 +89,13 @@ fn run(monitor_period: Option<Duration>, inject_overrun: bool) -> MonitoredRun {
         }
         sched.advance(now, 1.0);
         for rec in sched.take_records() {
-            if rec.name == "victim" {
+            if rec.task == victim {
                 victim_max = victim_max.max(rec.response);
             }
             if monitor_period.is_some() {
                 let anomalies = exec_mon.observe(&JobObservation {
                     at: now, // visible to the monitor at its sampling instant
-                    task: rec.name.clone(),
+                    task: sched.task_name(rec.task).clone(),
                     exec_nominal: rec.exec_nominal,
                     response: rec.response,
                     deadline_met: rec.deadline_met,

@@ -20,7 +20,7 @@ use saav_sim::time::{Duration, Time};
 
 use crate::bitstream::{frame_bits_exact, IFS_BITS};
 use crate::controller::{CanController, ControllerConfig, QueuedFrame};
-use crate::frame::CanFrame;
+use crate::frame::{CanFrame, FrameId};
 use crate::virt::{PfToken, VirtCanConfig, VirtualizedCanController};
 
 /// Identifier of a node (controller) attached to a bus.
@@ -105,6 +105,36 @@ struct InFlight {
     error_at: Option<Time>,
 }
 
+/// log2 of the frame-length memo's slot count.
+const FRAME_MEMO_BITS: u32 = 3;
+
+/// Exact lengths of recently transmitted frames, direct-mapped by a hash
+/// of the whole frame into 2^[`FRAME_MEMO_BITS`] slots. Cyclic traffic
+/// repeats the same frames every period, and a hit costs one frame
+/// comparison instead of a CRC and a stuffing count. Every slot holds a
+/// frame and its exact length from construction on, so a hit is exact.
+#[derive(Debug)]
+struct FrameBitsMemo([(CanFrame, u32); 1 << FRAME_MEMO_BITS]);
+
+impl FrameBitsMemo {
+    fn new() -> Self {
+        let blank = CanFrame::remote(FrameId::Standard(0), 0).expect("valid frame");
+        FrameBitsMemo([(blank, frame_bits_exact(&blank)); 1 << FRAME_MEMO_BITS])
+    }
+
+    /// [`frame_bits_exact`] of `frame`, computed only on a miss.
+    fn bits(&mut self, frame: &CanFrame) -> u32 {
+        let key =
+            frame.arbitration_key() ^ frame.data_word().rotate_left(32) ^ u64::from(frame.dlc());
+        let slot = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FRAME_MEMO_BITS);
+        let entry = &mut self.0[slot as usize];
+        if entry.0 != *frame {
+            *entry = (*frame, frame_bits_exact(frame));
+        }
+        entry.1
+    }
+}
+
 /// Aggregate bus statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BusStats {
@@ -138,6 +168,7 @@ pub struct CanBus {
     error_rate: f64,
     rng: SimRng,
     stats: BusStats,
+    frame_bits: FrameBitsMemo,
 }
 
 impl CanBus {
@@ -155,6 +186,7 @@ impl CanBus {
             error_rate: 0.0,
             rng: SimRng::seed_from(seed),
             stats: BusStats::default(),
+            frame_bits: FrameBitsMemo::new(),
         }
     }
 
@@ -340,7 +372,7 @@ impl CanBus {
             .node
             .take_frame(start)
             .expect("winner must have a ready frame");
-        let bits = frame_bits_exact(&queued.frame);
+        let bits = self.frame_bits.bits(&queued.frame);
         let frame_end = start + self.bit_time * bits as u64;
         let error_at = if self.error_rate > 0.0 && self.rng.chance(self.error_rate) {
             // Error at a uniformly random bit, followed by an error frame
@@ -562,6 +594,63 @@ mod tests {
             bus.virtualized_mut(v).vf_receive(VfId(1), t).unwrap(),
             Some(frame(0x55, &[1]))
         );
+    }
+
+    /// A random frame: standard, extended or remote, any DLC and payload.
+    /// Half reuse one of four identifiers, so frames often differ from a
+    /// remembered one only in payload, DLC or the remote flag.
+    fn random_frame(rng: &mut SimRng) -> CanFrame {
+        const SHARED: [FrameId; 4] = [
+            FrameId::Standard(0x110),
+            FrameId::Standard(0x120),
+            FrameId::Extended(0x18DA_F110),
+            FrameId::Extended(0x0000_0120),
+        ];
+        let id = match rng.index(4) {
+            0 | 1 => SHARED[rng.index(SHARED.len())],
+            2 => FrameId::Standard(rng.uniform_u64(0, 0x7FF) as u16),
+            _ => FrameId::Extended(rng.uniform_u64(0, 0x1FFF_FFFF) as u32),
+        };
+        let dlc = rng.uniform_u64(0, 8) as usize;
+        if rng.chance(0.2) {
+            return CanFrame::remote(id, dlc as u8).unwrap();
+        }
+        // Sparse payloads, so equal-looking frames of different DLC occur.
+        let payload: Vec<u8> = (0..dlc)
+            .map(|_| rng.uniform_u64(0, 3) as u8 * 0x55)
+            .collect();
+        CanFrame::data(id, &payload).unwrap()
+    }
+
+    /// The memo returns `frame_bits_exact` for every frame of a stream that
+    /// mixes repeats of a few cyclic frames with new ones, and so does the
+    /// bus: its busy time is the exact length of every frame it carried.
+    #[test]
+    fn memoized_frame_bits_match_the_exact_count() {
+        let mut rng = SimRng::seed_from(2017);
+        let cyclic: Vec<CanFrame> = (0..6).map(|_| random_frame(&mut rng)).collect();
+        let mut stream = Vec::new();
+        for _ in 0..5_000 {
+            stream.push(if rng.chance(0.6) {
+                cyclic[rng.index(cyclic.len())]
+            } else {
+                random_frame(&mut rng)
+            });
+        }
+        let mut memo = FrameBitsMemo::new();
+        for f in &stream {
+            assert_eq!(memo.bits(f), frame_bits_exact(f), "{f}");
+        }
+        let (mut bus, a, _b) = two_node_bus();
+        let mut busy = Duration::ZERO;
+        for (i, f) in stream.iter().take(500).enumerate() {
+            let at = Time::from_millis(i as u64);
+            assert!(bus.standard_mut(a).send(*f, at));
+            bus.advance(at + Duration::from_micros(999));
+            busy += bus.bit_time() * frame_bits_exact(f) as u64;
+        }
+        assert_eq!(bus.stats().frames_ok, 500);
+        assert_eq!(bus.stats().busy_time, busy);
     }
 
     #[test]

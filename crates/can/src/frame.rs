@@ -167,6 +167,12 @@ impl CanFrame {
         }
     }
 
+    /// The payload buffer as one little-endian word (zero past the DLC and
+    /// for remote frames), for hashing.
+    pub(crate) fn data_word(&self) -> u64 {
+        u64::from_le_bytes(self.data)
+    }
+
     /// Bus-priority key: **lower key wins arbitration**.
     ///
     /// Layout (33 bits in a `u64`), following the order bits appear on the

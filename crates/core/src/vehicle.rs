@@ -423,7 +423,7 @@ impl SelfAwareVehicle {
                 // A task renegotiation added mid-run, resolved once on its
                 // first job.
                 None => {
-                    let slot = self.exec_mon.slot(&rec.name);
+                    let slot = self.exec_mon.slot(self.rte.scheduler().task_name(rec.task));
                     self.task_slots.bind(rec.task, slot);
                     slot
                 }

@@ -10,7 +10,10 @@
 //! resistance and `C_th` the thermal capacitance. The steady-state
 //! temperature for constant power is `T_amb + P·R_th`; the time constant is
 //! `τ = R_th·C_th`. Integration uses the exact exponential solution per step,
-//! so the model is unconditionally stable for any step size.
+//! so the model is unconditionally stable for any step size. `τ` is fixed
+//! at construction and the platform steps at one period, so the model keeps
+//! the decay factor of the last step size and recomputes it only when the
+//! size changes.
 
 use saav_sim::time::Duration;
 
@@ -23,6 +26,10 @@ pub struct ThermalModel {
     c_th_j_per_k: f64,
     /// Current die temperature in °C.
     temp_c: f64,
+    /// The step size `decay` belongs to.
+    decay_dt: Duration,
+    /// `exp(−decay_dt/τ)`.
+    decay: f64,
 }
 
 impl ThermalModel {
@@ -37,6 +44,8 @@ impl ThermalModel {
             r_th_k_per_w,
             c_th_j_per_k,
             temp_c: initial_temp_c,
+            decay_dt: Duration::ZERO,
+            decay: decay_factor(r_th_k_per_w * c_th_j_per_k, Duration::ZERO),
         }
     }
 
@@ -71,11 +80,18 @@ impl ThermalModel {
     /// `T(t+dt) = T_ss + (T(t) − T_ss)·exp(−dt/τ)`.
     pub fn step(&mut self, power_w: f64, ambient_c: f64, dt: Duration) -> f64 {
         let t_ss = self.steady_state_c(power_w, ambient_c);
-        let tau = self.r_th_k_per_w * self.c_th_j_per_k;
-        let alpha = (-dt.as_secs_f64() / tau).exp();
-        self.temp_c = t_ss + (self.temp_c - t_ss) * alpha;
+        if dt != self.decay_dt {
+            self.decay_dt = dt;
+            self.decay = decay_factor(self.r_th_k_per_w * self.c_th_j_per_k, dt);
+        }
+        self.temp_c = t_ss + (self.temp_c - t_ss) * self.decay;
         self.temp_c
     }
+}
+
+/// The exact solution's decay factor over `dt`: `exp(−dt/τ)`.
+fn decay_factor(tau_s: f64, dt: Duration) -> f64 {
+    (-dt.as_secs_f64() / tau_s).exp()
 }
 
 #[cfg(test)]
@@ -121,6 +137,23 @@ mod tests {
         m.step(5.0, 25.0, tau);
         let progress = (m.temperature_c() - 25.0) / 40.0;
         assert!((progress - (1.0 - (-1.0f64).exp())).abs() < 1e-9);
+    }
+
+    /// The stored decay factor gives the temperature a fresh
+    /// `exp(−dt/τ)` gives, bit for bit, at every step — including after
+    /// the step size changes mid-run and changes back.
+    #[test]
+    fn stored_decay_matches_a_fresh_exponential() {
+        let mut m = ThermalModel::new(8.0, 2.5, 25.0);
+        let mut temp = 25.0f64;
+        let dts = [10, 10, 10, 7, 7, 10, 250, 10, 10, 0, 10].map(Duration::from_millis);
+        for (i, &dt) in dts.iter().cycle().take(200).enumerate() {
+            let (power, ambient) = (1.0 + (i % 5) as f64, 25.0 + (i % 3) as f64);
+            let t_ss = ambient + power * 8.0;
+            temp = t_ss + (temp - t_ss) * (-dt.as_secs_f64() / (8.0 * 2.5)).exp();
+            let got = m.step(power, ambient, dt);
+            assert_eq!(got.to_bits(), temp.to_bits(), "step {i} ({dt:?})");
+        }
     }
 
     #[test]

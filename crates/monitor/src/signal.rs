@@ -227,6 +227,8 @@ pub struct QualityMonitor {
     max_noise: f64,
     threshold: f64,
     below: bool,
+    /// The window's fold, recomputed only when `observe` moves the window.
+    quality: f64,
 }
 
 impl QualityMonitor {
@@ -251,6 +253,7 @@ impl QualityMonitor {
             max_noise,
             threshold,
             below: false,
+            quality: 1.0,
         }
     }
 
@@ -262,7 +265,8 @@ impl QualityMonitor {
         while self.window.len() > self.window_len {
             self.window.pop_front();
         }
-        let q = self.quality();
+        self.quality = self.fold();
+        let q = self.quality;
         if q < self.threshold && !self.below {
             self.below = true;
             return Some(Anomaly::new(
@@ -278,11 +282,14 @@ impl QualityMonitor {
     }
 
     /// Current quality estimate in `[0, 1]`:
-    /// `valid fraction × noise margin`.
+    /// `valid fraction × noise margin` over the sample window (1 before the
+    /// first sample).
     pub fn quality(&self) -> f64 {
-        if self.window.is_empty() {
-            return 1.0;
-        }
+        self.quality
+    }
+
+    /// Folds the (non-empty) sample window into its quality estimate.
+    fn fold(&self) -> f64 {
         let n = self.window.len() as f64;
         let (valid_n, sum_sq) = self
             .window
@@ -410,5 +417,57 @@ mod tests {
             m.observe(Time::from_millis(i * 10), true, r);
         }
         assert!(m.quality() < 0.3, "quality {}", m.quality());
+    }
+
+    /// `quality()` returns the fold `observe` stored; it must equal the
+    /// window folded from scratch after every sample: at start-up, while
+    /// the window fills, across the 50-sample boundary and while it
+    /// slides, through clean, noisy and dropout phases (all-dropout
+    /// stretches included).
+    #[test]
+    fn stored_quality_matches_a_fresh_fold_of_the_window() {
+        let (nominal, max) = (0.5, 5.0);
+        let refold = |window: &VecDeque<(bool, f64)>| {
+            if window.is_empty() {
+                return 1.0;
+            }
+            let valid: Vec<f64> = window.iter().filter(|s| s.0).map(|s| s.1).collect();
+            let noise = if valid.len() < 2 {
+                nominal
+            } else {
+                (valid.iter().fold(0.0, |acc, r| acc + r * r) / valid.len() as f64).sqrt()
+            };
+            let margin = 1.0 - ((noise - nominal) / (max - nominal)).clamp(0.0, 1.0);
+            (valid.len() as f64 / window.len() as f64 * margin).clamp(0.0, 1.0)
+        };
+        let mut rng = saav_sim::rng::SimRng::seed_from(2017);
+        let mut m = QualityMonitor::new("radar", nominal, max, 0.7);
+        let mut window = VecDeque::new();
+        assert_eq!(m.quality().to_bits(), refold(&window).to_bits());
+        for i in 0..400u64 {
+            // 0–59 clean, 60–139 noisy, 140–219 mostly dropouts, then mixed.
+            let (drop_p, noise) = match i {
+                0..=59 => (0.0, 0.1),
+                60..=139 => (0.1, 6.0),
+                140..=219 => (0.97, 1.0),
+                _ => (0.4, 2.0),
+            };
+            let valid = !rng.chance(drop_p);
+            let residual = if valid {
+                rng.uniform(-noise, noise)
+            } else {
+                0.0
+            };
+            m.observe(Time::from_millis(i * 10), valid, residual);
+            window.push_back((valid, residual));
+            if window.len() > 50 {
+                window.pop_front();
+            }
+            assert_eq!(
+                m.quality().to_bits(),
+                refold(&window).to_bits(),
+                "sample {i}"
+            );
+        }
     }
 }

@@ -40,8 +40,9 @@ pub enum BudgetEnforcement {
 /// Static description of a periodic task.
 #[derive(Debug, Clone)]
 pub struct TaskSpec {
-    /// Task name used in records and reports. Interned so every job record
-    /// can carry it without allocating.
+    /// Task name used in reports ([`Scheduler::task_name`] reads it for a
+    /// job record's task). Interned so monitors can key on it without
+    /// allocating.
     pub name: Name,
     /// Component this task belongs to.
     pub component: ComponentId,
@@ -123,12 +124,14 @@ impl TaskSpec {
 }
 
 /// Outcome of one completed (or truncated) job.
+///
+/// A record names its task only by [`TaskRef`], so a record is plain data
+/// that costs no reference count to make or drop; readers that need the
+/// name look it up once with [`Scheduler::task_name`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// The task this job belonged to.
     pub task: TaskRef,
-    /// Task name (shared with the spec; cloning is a refcount bump).
-    pub name: Name,
     /// Component owning the task.
     pub component: ComponentId,
     /// Release instant.
@@ -306,6 +309,14 @@ impl Scheduler {
         self.now
     }
 
+    /// The name of a registered task.
+    ///
+    /// # Panics
+    /// Panics on a reference this scheduler did not hand out.
+    pub fn task_name(&self, task: TaskRef) -> &Name {
+        &self.tasks[task.0].spec.name
+    }
+
     /// Drains completed job records.
     pub fn take_records(&mut self) -> Vec<JobRecord> {
         std::mem::take(&mut self.records)
@@ -424,7 +435,6 @@ impl Scheduler {
         }
         self.records.push(JobRecord {
             task: TaskRef(idx),
-            name: t.spec.name.clone(),
             component: t.spec.component,
             release: job.release,
             finish: self.now,
@@ -556,7 +566,7 @@ mod tests {
         let recs = s.take_records();
         let first = |n: &str| {
             recs.iter()
-                .find(|r| r.name == n && r.release == Time::ZERO)
+                .find(|r| s.task_name(r.task) == n && r.release == Time::ZERO)
                 .unwrap()
                 .response
         };

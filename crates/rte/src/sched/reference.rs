@@ -223,7 +223,6 @@ impl VecScheduler {
         }
         self.records.push(JobRecord {
             task: TaskRef(job.task),
-            name: t.spec.name.clone(),
             component: t.spec.component,
             release: job.release,
             finish: self.now,

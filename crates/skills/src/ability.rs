@@ -8,6 +8,12 @@
 //! *local health* factor (degraded or compromised implementations pull it
 //! below 1). Levels propagate leaf-to-root in topological order.
 //!
+//! Propagation is a pure function of the measured inputs, the local
+//! healths and the fixed graph, so [`AbilityGraph::propagate`] recomputes
+//! only after an input changed: the vehicle calls it every control period,
+//! while its inputs move only when radar quality does or a containment
+//! sets one.
+//!
 //! The paper leaves the aggregation metric open ("the development of
 //! appropriate metrics … is subject to ongoing research"); three operators
 //! are provided and compared in ablation A1.
@@ -118,6 +124,10 @@ pub struct AbilityGraph {
     status: Vec<AbilityStatus>,
     /// Leaf-to-root evaluation order (reverse topological).
     eval_order: Vec<NodeId>,
+    /// The main skill, as proven unique by [`SkillGraph::validate`].
+    root: NodeId,
+    /// Whether an input changed bits since the last propagation.
+    dirty: bool,
 }
 
 impl AbilityGraph {
@@ -130,7 +140,7 @@ impl AbilityGraph {
         op: AggregateOp,
         thresholds: Thresholds,
     ) -> Result<Self, crate::graph::GraphError> {
-        graph.validate()?;
+        let root = graph.validate()?;
         let n = graph.len();
         let mut eval_order = graph
             .topological_order()
@@ -145,6 +155,10 @@ impl AbilityGraph {
             level: vec![1.0; n],
             status: vec![AbilityStatus::Available; n],
             eval_order,
+            root,
+            // The initial levels are not derived from the thresholds, so
+            // the first propagation always runs.
+            dirty: true,
         })
     }
 
@@ -159,7 +173,7 @@ impl AbilityGraph {
     /// # Panics
     /// Panics on an invalid id.
     pub fn set_measured(&mut self, node: NodeId, value: f64) {
-        self.measured[node.0] = value.clamp(0.0, 1.0);
+        Self::store(&mut self.measured[node.0], value, &mut self.dirty);
     }
 
     /// Sets a node's local implementation health (1 = nominal, 0 = failed or
@@ -168,7 +182,17 @@ impl AbilityGraph {
     /// # Panics
     /// Panics on an invalid id.
     pub fn set_local_health(&mut self, node: NodeId, value: f64) {
-        self.local_health[node.0] = value.clamp(0.0, 1.0);
+        Self::store(&mut self.local_health[node.0], value, &mut self.dirty);
+    }
+
+    /// Stores a clamped input, marking the graph dirty only when the stored
+    /// bits change.
+    fn store(slot: &mut f64, value: f64, dirty: &mut bool) {
+        let value = value.clamp(0.0, 1.0);
+        if slot.to_bits() != value.to_bits() {
+            *slot = value;
+            *dirty = true;
+        }
     }
 
     /// Current performance level of a node.
@@ -188,9 +212,13 @@ impl AbilityGraph {
     }
 
     /// Re-propagates performance levels leaf-to-root and returns all status
-    /// changes (in evaluation order).
+    /// changes (in evaluation order). Without an input change since the
+    /// last call the levels cannot move, so it returns at once with none.
     pub fn propagate(&mut self) -> Vec<StatusChange> {
         let mut changes = Vec::new();
+        if !std::mem::take(&mut self.dirty) {
+            return changes;
+        }
         for &node in &self.eval_order {
             let children = self.graph.children(node);
             let new_level = if children.is_empty() {
@@ -218,12 +246,7 @@ impl AbilityGraph {
 
     /// Convenience: performance level of the main skill (root).
     pub fn root_level(&self) -> f64 {
-        let root = self
-            .graph
-            .ids()
-            .find(|&id| self.graph.parents(id).is_empty())
-            .expect("validated graph has a root");
-        self.level[root.0]
+        self.level[self.root.0]
     }
 
     /// Snapshot of all levels by node name (for reports).
@@ -337,6 +360,23 @@ mod tests {
         assert!(changes
             .iter()
             .any(|c| c.node == n.acc_driving && c.to == AbilityStatus::Available));
+    }
+
+    /// The root is the main skill that validation proved unique, even when
+    /// a data source nothing depends on (legal) comes first in the graph.
+    #[test]
+    fn root_level_reads_the_main_skill_past_a_parentless_source() {
+        let mut g = SkillGraph::new();
+        let spare = g.add_source("spare_sensor").unwrap();
+        let drive = g.add_skill("drive").unwrap();
+        let radar = g.add_source("radar").unwrap();
+        g.depend(drive, radar).unwrap();
+        let mut a = AbilityGraph::instantiate(g, AggregateOp::Min, Thresholds::default()).unwrap();
+        a.set_measured(radar, 0.4);
+        a.set_measured(spare, 0.9);
+        a.propagate();
+        assert_eq!(a.level(drive), 0.4);
+        assert_eq!(a.root_level(), 0.4);
     }
 
     #[test]

@@ -10,10 +10,18 @@
 use saav_sim::time::Duration;
 
 /// First-order lag applied to actuator commands.
+///
+/// `τ` is fixed at construction and the plant steps at one period, so the
+/// lag keeps the blend factor of the last step size and recomputes it only
+/// when the size changes.
 #[derive(Debug, Clone)]
 struct Lag {
     tau_s: f64,
     current: f64,
+    /// The step size `alpha` belongs to.
+    alpha_dt: Duration,
+    /// `1 − exp(−alpha_dt/τ)`.
+    alpha: f64,
 }
 
 impl Lag {
@@ -21,13 +29,21 @@ impl Lag {
         Lag {
             tau_s,
             current: 0.0,
+            alpha_dt: Duration::ZERO,
+            alpha: Self::blend(tau_s, Duration::ZERO),
         }
     }
 
+    fn blend(tau_s: f64, dt: Duration) -> f64 {
+        1.0 - (-dt.as_secs_f64() / tau_s).exp()
+    }
+
     fn step(&mut self, target: f64, dt: Duration) -> f64 {
-        let dt_s = dt.as_secs_f64();
-        let alpha = 1.0 - (-dt_s / self.tau_s).exp();
-        self.current += (target - self.current) * alpha;
+        if dt != self.alpha_dt {
+            self.alpha_dt = dt;
+            self.alpha = Self::blend(self.tau_s, dt);
+        }
+        self.current += (target - self.current) * self.alpha;
         self.current
     }
 }
@@ -225,6 +241,22 @@ mod tests {
             last = f();
         }
         last
+    }
+
+    /// The stored blend factor gives the output a fresh
+    /// `1 − exp(−dt/τ)` gives, bit for bit, at every step — including
+    /// after the step size changes mid-run and changes back.
+    #[test]
+    fn stored_lag_factor_matches_a_fresh_exponential() {
+        let mut lag = Lag::new(0.08);
+        let mut current = 0.0f64;
+        let dts = [10, 10, 10, 4, 4, 10, 100, 10, 0, 10].map(Duration::from_millis);
+        for (i, &dt) in dts.iter().cycle().take(200).enumerate() {
+            let target = [0.0, 2_500.0, 7_000.0, 1_000.0][i % 4];
+            current += (target - current) * (1.0 - (-dt.as_secs_f64() / 0.08).exp());
+            let got = lag.step(target, dt);
+            assert_eq!(got.to_bits(), current.to_bits(), "step {i} ({dt:?})");
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn cpu_analysis_bounds_simulated_responses() {
             std::collections::HashMap::new();
         for rec in sched.take_records() {
             let e = max_response
-                .entry(rec.name.clone())
+                .entry(sched.task_name(rec.task).clone())
                 .or_insert(Duration::ZERO);
             *e = (*e).max(rec.response);
         }
@@ -99,8 +99,9 @@ fn cpu_analysis_is_tight_at_critical_instant() {
     sched.advance(Time::from_millis(12), 1.0);
     for rec in sched.take_records() {
         if rec.release == Time::ZERO {
-            let bound = result.response(&rec.name).unwrap().wcrt;
-            assert_eq!(rec.response, bound, "{}", rec.name);
+            let name = sched.task_name(rec.task);
+            let bound = result.response(name).unwrap().wcrt;
+            assert_eq!(rec.response, bound, "{name}");
         }
     }
 }

@@ -24,6 +24,7 @@ use saav::sim::series::Series;
 use saav::sim::time::{Duration, Time};
 use saav::skills::ability::{AbilityGraph, AggregateOp, Thresholds};
 use saav::skills::acc::build_acc_graph;
+use saav::skills::graph::NodeId;
 use saav::timing::event_model::EventModel;
 use saav::timing::task::{Priority, Task};
 use saav::timing::CpuAnalysis;
@@ -274,6 +275,63 @@ proptest! {
         prop_assert!(build(sensors, hmi, (brakes + bump).min(1.0)) >= base - 1e-12);
         // Root never exceeds the weakest measured leaf under Min.
         prop_assert!(base <= sensors.min(hmi).min(brakes) + 1e-12);
+    }
+
+    /// Change-driven propagation equals propagation from scratch. Random
+    /// `set_measured`/`set_local_health`/`propagate` sequences run on the
+    /// ACC graph, with values from a small palette so equal writes (and
+    /// writes equal after clamping) are common. After every `propagate`,
+    /// each level and status equals, bit for bit, that of a freshly
+    /// instantiated graph given the same inputs and propagated once. A
+    /// `propagate` with no input change since the last one reports no
+    /// status change.
+    #[test]
+    fn change_driven_propagation_matches_a_fresh_graph(
+        op in 0usize..3,
+        steps in proptest::collection::vec(((0u8..4, 0usize..13), 0usize..8), 1..80),
+    ) {
+        const VALUES: [f64; 8] = [1.0, 0.0, 0.55, 0.8, 0.3, 0.79, 1.7, -0.2];
+        let op = [AggregateOp::Min, AggregateOp::Product, AggregateOp::Mean][op];
+        let fresh = || {
+            let (graph, _) = build_acc_graph().unwrap();
+            AbilityGraph::instantiate(graph, op, Thresholds::default()).unwrap()
+        };
+        let mut a = fresh();
+        let ids: Vec<NodeId> = a.graph().ids().collect();
+        let (mut measured, mut health) = (vec![1.0f64; ids.len()], vec![1.0f64; ids.len()]);
+        let mut changed = false;
+        for ((kind, node), v) in steps {
+            let (id, value) = (ids[node], VALUES[v]);
+            let stored = value.clamp(0.0, 1.0);
+            match kind {
+                0 | 1 => {
+                    let input = if kind == 0 { &mut measured } else { &mut health };
+                    changed |= input[id.0].to_bits() != stored.to_bits();
+                    input[id.0] = stored;
+                    if kind == 0 {
+                        a.set_measured(id, value);
+                    } else {
+                        a.set_local_health(id, value);
+                    }
+                }
+                _ => {
+                    let changes = a.propagate();
+                    prop_assert!(changed || changes.is_empty(), "{changes:?}");
+                    changed = false;
+                    let mut b = fresh();
+                    for &id in &ids {
+                        b.set_measured(id, measured[id.0]);
+                        b.set_local_health(id, health[id.0]);
+                    }
+                    b.propagate();
+                    for &id in &ids {
+                        prop_assert_eq!(a.level(id).to_bits(), b.level(id).to_bits());
+                        prop_assert_eq!(a.status(id), b.status(id));
+                    }
+                    prop_assert_eq!(a.root_level().to_bits(), b.root_level().to_bits());
+                }
+            }
+        }
     }
 
     /// Trimmed-mean agreement validity: with n > 3f the agreed value stays
