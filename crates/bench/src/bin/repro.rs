@@ -9,20 +9,33 @@
 //! `--threads N` pins the fleet worker count of the sweep experiments
 //! (E11/E12/E13); without it the `SAAV_THREADS` environment variable applies,
 //! and failing that all available cores are used.
+//!
+//! Every argument is checked before any table is printed. An unknown
+//! experiment id, or a `--threads` value that is missing or not a positive
+//! integer, prints the usage to stderr and exits with status 2. A failed
+//! `trace.json` write exits with status 1 once the other tables are printed.
+
+use std::process::ExitCode;
 
 use saav_bench::*;
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let threads = extract_threads(&mut args);
-    let wanted: Vec<&str> = if args.is_empty() || args.iter().any(|a| a == "all") {
-        vec![
-            "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13",
-            "e14", "e15", "e16", "e17", "a1", "a2", "a3",
-        ]
-    } else {
-        args.iter().map(String::as_str).collect()
+const USAGE: &str = "usage: repro [--threads N] [e1 … e17 a1 a2 a3 | all]";
+
+/// Every experiment id, in the order `all` runs them.
+const ALL: [&str; 20] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
+    "e16", "e17", "a1", "a2", "a3",
+];
+
+fn main() -> ExitCode {
+    let (threads, wanted) = match parse_args(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(problem) => {
+            eprintln!("{problem}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
+    let mut status = ExitCode::SUCCESS;
     for id in wanted {
         match id {
             "e1" => {
@@ -70,7 +83,10 @@ fn main() {
                 // The combined chrome trace, for Perfetto / the CI artifact.
                 match std::fs::write("trace.json", exp_obs::e16_trace_json()) {
                     Ok(()) => println!("wrote trace.json (open at ui.perfetto.dev)"),
-                    Err(e) => eprintln!("could not write trace.json: {e}"),
+                    Err(e) => {
+                        eprintln!("could not write trace.json: {e}");
+                        status = ExitCode::FAILURE;
+                    }
                 }
             }
             "e17" => {
@@ -80,47 +96,54 @@ fn main() {
             "a1" => println!("{}", exp_skills::a1_table().render()),
             "a2" => println!("{}", exp_propagation::a2_table().render()),
             "a3" => println!("{}", exp_monitor::a3_table().render()),
-            other => eprintln!("unknown experiment `{other}`"),
+            other => unreachable!("`{other}` passed the id check"),
         }
     }
+    status
 }
 
-/// Removes `--threads N` / `--threads=N` from the argument list and
-/// returns the parsed count, if present and valid.
-fn extract_threads(args: &mut Vec<String>) -> Option<usize> {
+/// Splits the arguments into the fleet worker count (`--threads N` or
+/// `--threads=N`) and the experiments to run, in argument order; `all` or
+/// no id at all selects every experiment.
+///
+/// # Errors
+/// A message naming the first argument that is neither a known id, `all`
+/// nor a valid `--threads` setting.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Option<usize>, Vec<&'static str>), String> {
     let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--threads=") {
-            threads = parse_threads(v);
-            args.remove(i);
-        } else if args[i] == "--threads" {
-            // Consume the value only when it parses; otherwise leave it in
-            // place so `--threads e11` still runs e11 (with a warning)
-            // instead of silently falling back to the full suite.
-            let parsed = args.get(i + 1).and_then(|v| parse_threads(v));
-            if parsed.is_some() {
-                threads = parsed;
-                args.drain(i..i + 2);
-            } else {
-                if args.get(i + 1).is_none() {
-                    eprintln!("--threads requires a value");
-                }
-                args.remove(i);
-            }
+    let mut ids = Vec::new();
+    let mut all = false;
+    while let Some(arg) = args.next() {
+        let value = match arg.strip_prefix("--threads=") {
+            Some(v) => Some(v.to_owned()),
+            None if arg == "--threads" => Some(args.next().ok_or("--threads requires a value")?),
+            None => None,
+        };
+        if let Some(v) = value {
+            threads = Some(parse_threads(&v)?);
+        } else if arg == "all" {
+            all = true;
         } else {
-            i += 1;
+            let id = ALL
+                .into_iter()
+                .find(|id| *id == arg)
+                .ok_or_else(|| format!("unknown experiment `{arg}`"))?;
+            ids.push(id);
         }
     }
-    threads
+    if all || ids.is_empty() {
+        ids = ALL.to_vec();
+    }
+    Ok((threads, ids))
 }
 
-fn parse_threads(v: &str) -> Option<usize> {
+fn parse_threads(v: &str) -> Result<usize, String> {
     match v.parse::<usize>() {
-        Ok(n) if n >= 1 => Some(n),
-        _ => {
-            eprintln!("ignoring invalid --threads value `{v}`");
-            None
-        }
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "invalid --threads value `{v}`: need a positive integer"
+        )),
     }
 }

@@ -18,7 +18,7 @@ use saav_sim::time::{Duration, Time};
 
 /// Round-trip through a *native* controller pair: A sends, B echoes.
 fn native_round_trip(payload: &[u8]) -> Duration {
-    let mut bus = CanBus::automotive_500k(1);
+    let mut bus = CanBus::automotive_500k();
     let a = bus.attach_standard(ControllerConfig::default());
     let b = bus.attach_standard(ControllerConfig::default());
     let request = CanFrame::data(FrameId::Standard(0x100), payload).expect("valid");
@@ -47,7 +47,7 @@ fn native_round_trip(payload: &[u8]) -> Duration {
 
 /// Round-trip where A is VF0 of a virtualized controller with `vfs` VFs.
 fn virtualized_round_trip(payload: &[u8], vfs: usize) -> Duration {
-    let mut bus = CanBus::automotive_500k(1);
+    let mut bus = CanBus::automotive_500k();
     let (v, _pf) = bus.attach_virtualized(VirtCanConfig::calibrated(vfs));
     let b = bus.attach_standard(ControllerConfig::default());
     let request = CanFrame::data(FrameId::Standard(0x100), payload).expect("valid");
@@ -166,7 +166,7 @@ pub fn e1_added_range_us() -> (f64, f64) {
 /// delivered over a busy second, native vs virtualized sender.
 pub fn e1_throughput_table() -> Table {
     let run = |virtualized: bool| -> u64 {
-        let mut bus = CanBus::automotive_500k(2);
+        let mut bus = CanBus::automotive_500k();
         let deep = ControllerConfig {
             tx_capacity: 4_096,
             rx_capacity: 8_192,

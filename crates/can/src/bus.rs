@@ -1,5 +1,4 @@
-//! The shared CAN bus: arbitration, transmission timing, error injection and
-//! error confinement.
+//! The shared CAN bus: arbitration and transmission timing.
 //!
 //! The bus owns all attached controllers (standard or virtualized) and is
 //! advanced with [`CanBus::advance`], which processes transmissions up to a
@@ -7,15 +6,8 @@
 //! idle, all frames that are ready at that instant compete and the lowest
 //! [`arbitration key`](crate::frame::CanFrame::arbitration_key) wins (ties
 //! broken by node index, modelling layout-determined bit timing skew).
-//!
-//! Error confinement implements the TEC/REC counter rules in simplified
-//! form: +8 on transmit error, −1 on success; a node whose TEC exceeds 127
-//! becomes *error passive* and must wait an 8-bit suspend time after its own
-//! transmissions; beyond 255 it goes *bus off* and stops participating until
-//! explicitly reset (real controllers additionally wait for 128×11 recessive
-//! bits — the reset here models the host-driven recovery).
+//! Every transmission succeeds: the bus models no bit errors.
 
-use saav_sim::rng::SimRng;
 use saav_sim::time::{Duration, Time};
 
 use crate::bitstream::{frame_bits_exact, IFS_BITS};
@@ -64,13 +56,6 @@ impl CanNode {
         }
     }
 
-    fn requeue(&mut self, q: QueuedFrame) {
-        match self {
-            CanNode::Standard(c) => c.bus_requeue(q),
-            CanNode::Virtualized(c) => c.bus_requeue(q),
-        }
-    }
-
     fn tx_success(&mut self, q: &QueuedFrame) {
         match self {
             CanNode::Standard(c) => c.bus_tx_success(),
@@ -87,22 +72,11 @@ impl CanNode {
 }
 
 #[derive(Debug)]
-struct NodeState {
-    node: CanNode,
-    tec: u32,
-    rec: u32,
-    bus_off: bool,
-    suspend_until: Time,
-}
-
-#[derive(Debug)]
 struct InFlight {
     sender: usize,
     queued: QueuedFrame,
     /// End of frame (EOF); receivers see the frame here.
     frame_end: Time,
-    /// If set, the transmission fails at this instant instead.
-    error_at: Option<Time>,
 }
 
 /// log2 of the frame-length memo's slot count.
@@ -140,8 +114,6 @@ impl FrameBitsMemo {
 pub struct BusStats {
     /// Successfully transmitted frames.
     pub frames_ok: u64,
-    /// Transmissions aborted by an injected error.
-    pub frames_error: u64,
     /// Accumulated bus-busy time.
     pub busy_time: Duration,
 }
@@ -163,41 +135,31 @@ pub struct CanBus {
     bit_time: Duration,
     now: Time,
     in_flight: Option<InFlight>,
-    nodes: Vec<NodeState>,
-    /// Per-frame probability of a transmission error.
-    error_rate: f64,
-    rng: SimRng,
+    nodes: Vec<CanNode>,
     stats: BusStats,
     frame_bits: FrameBitsMemo,
 }
 
 impl CanBus {
-    /// Creates a bus at the given bitrate with a deterministic RNG seed.
+    /// Creates a bus at the given bitrate.
     ///
     /// # Panics
     /// Panics if `bitrate_bps` is zero.
-    pub fn new(bitrate_bps: u32, seed: u64) -> Self {
+    pub fn new(bitrate_bps: u32) -> Self {
         assert!(bitrate_bps > 0, "bitrate must be positive");
         CanBus {
             bit_time: Duration::from_nanos(1_000_000_000 / bitrate_bps as u64),
             now: Time::ZERO,
             in_flight: None,
             nodes: Vec::new(),
-            error_rate: 0.0,
-            rng: SimRng::seed_from(seed),
             stats: BusStats::default(),
             frame_bits: FrameBitsMemo::new(),
         }
     }
 
     /// A 500 kbit/s bus, the classic automotive high-speed CAN rate.
-    pub fn automotive_500k(seed: u64) -> Self {
-        CanBus::new(500_000, seed)
-    }
-
-    /// Sets the per-frame error probability (0 disables error injection).
-    pub fn set_error_rate(&mut self, rate: f64) {
-        self.error_rate = rate.clamp(0.0, 1.0);
+    pub fn automotive_500k() -> Self {
+        CanBus::new(500_000)
     }
 
     /// The nominal bit time.
@@ -218,13 +180,7 @@ impl CanBus {
     }
 
     fn attach(&mut self, node: CanNode) -> NodeId {
-        self.nodes.push(NodeState {
-            node,
-            tec: 0,
-            rec: 0,
-            bus_off: false,
-            suspend_until: Time::ZERO,
-        });
+        self.nodes.push(node);
         NodeId(self.nodes.len() - 1)
     }
 
@@ -243,7 +199,7 @@ impl CanBus {
     /// # Panics
     /// Panics if the node does not exist or is not a standard controller.
     pub fn standard(&self, id: NodeId) -> &CanController {
-        match &self.nodes[id.0].node {
+        match &self.nodes[id.0] {
             CanNode::Standard(c) => c,
             CanNode::Virtualized(_) => panic!("{id} is a virtualized controller"),
         }
@@ -254,7 +210,7 @@ impl CanBus {
     /// # Panics
     /// Panics if the node does not exist or is not a standard controller.
     pub fn standard_mut(&mut self, id: NodeId) -> &mut CanController {
-        match &mut self.nodes[id.0].node {
+        match &mut self.nodes[id.0] {
             CanNode::Standard(c) => c,
             CanNode::Virtualized(_) => panic!("{id} is a virtualized controller"),
         }
@@ -265,7 +221,7 @@ impl CanBus {
     /// # Panics
     /// Panics if the node does not exist or is not virtualized.
     pub fn virtualized(&self, id: NodeId) -> &VirtualizedCanController {
-        match &self.nodes[id.0].node {
+        match &self.nodes[id.0] {
             CanNode::Virtualized(c) => c,
             CanNode::Standard(_) => panic!("{id} is a standard controller"),
         }
@@ -276,39 +232,10 @@ impl CanBus {
     /// # Panics
     /// Panics if the node does not exist or is not virtualized.
     pub fn virtualized_mut(&mut self, id: NodeId) -> &mut VirtualizedCanController {
-        match &mut self.nodes[id.0].node {
+        match &mut self.nodes[id.0] {
             CanNode::Virtualized(c) => c,
             CanNode::Standard(_) => panic!("{id} is a standard controller"),
         }
-    }
-
-    /// Transmit error counter of a node.
-    pub fn tec(&self, id: NodeId) -> u32 {
-        self.nodes[id.0].tec
-    }
-
-    /// Receive error counter of a node.
-    pub fn rec(&self, id: NodeId) -> u32 {
-        self.nodes[id.0].rec
-    }
-
-    /// Whether a node is error passive (TEC or REC above 127).
-    pub fn is_error_passive(&self, id: NodeId) -> bool {
-        let n = &self.nodes[id.0];
-        n.tec > 127 || n.rec > 127
-    }
-
-    /// Whether a node is bus off.
-    pub fn is_bus_off(&self, id: NodeId) -> bool {
-        self.nodes[id.0].bus_off
-    }
-
-    /// Resets a node's error state (host-driven bus-off recovery).
-    pub fn reset_node(&mut self, id: NodeId) {
-        let n = &mut self.nodes[id.0];
-        n.tec = 0;
-        n.rec = 0;
-        n.bus_off = false;
     }
 
     /// Aggregate statistics.
@@ -325,32 +252,23 @@ impl CanBus {
     pub fn advance(&mut self, to: Time) {
         loop {
             if let Some(fl) = &self.in_flight {
-                let finish = fl.error_at.unwrap_or(fl.frame_end);
-                if finish > to {
+                if fl.frame_end > to {
                     return;
                 }
                 self.complete_in_flight();
                 continue;
             }
             // Bus idle: find the next arbitration instant.
-            let mut earliest: Option<Time> = None;
-            for n in &self.nodes {
-                if n.bus_off {
-                    continue;
-                }
-                if let Some(t) = n.node.earliest_ready() {
-                    let t = t.max(n.suspend_until);
-                    earliest = Some(earliest.map_or(t, |e: Time| e.min(t)));
-                }
-            }
-            let Some(t_ready) = earliest else { return };
+            let Some(t_ready) = self.nodes.iter().filter_map(CanNode::earliest_ready).min() else {
+                return;
+            };
             let start = t_ready.max(self.now);
             if start > to {
                 return;
             }
             self.start_transmission(start);
             if self.in_flight.is_none() {
-                // Nothing actually ready (e.g. suspended); avoid spinning.
+                // Nothing actually ready; avoid spinning.
                 return;
             }
         }
@@ -362,78 +280,35 @@ impl CanBus {
             .nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| !n.bus_off && n.suspend_until <= start)
-            .filter_map(|(i, n)| n.node.best_key(start).map(|k| (k, i)))
+            .filter_map(|(i, n)| n.best_key(start).map(|k| (k, i)))
             .min();
         let Some((_key, sender)) = winner else {
             return;
         };
         let queued = self.nodes[sender]
-            .node
             .take_frame(start)
             .expect("winner must have a ready frame");
         let bits = self.frame_bits.bits(&queued.frame);
         let frame_end = start + self.bit_time * bits as u64;
-        let error_at = if self.error_rate > 0.0 && self.rng.chance(self.error_rate) {
-            // Error at a uniformly random bit, followed by an error frame
-            // (~20 bits: flag + delimiter + intermission).
-            let pos = self.rng.uniform_u64(1, bits as u64);
-            Some(start + self.bit_time * (pos + 20))
-        } else {
-            None
-        };
         self.now = start;
         self.in_flight = Some(InFlight {
             sender,
             queued,
             frame_end,
-            error_at,
         });
     }
 
     fn complete_in_flight(&mut self) {
         let fl = self.in_flight.take().expect("in-flight frame");
-        if let Some(err_t) = fl.error_at {
-            // Failed transmission: bump error counters, requeue for retry.
-            self.stats.frames_error += 1;
-            self.stats.busy_time += err_t.saturating_since(self.now);
-            self.now = err_t;
-            let tec = {
-                let s = &mut self.nodes[fl.sender];
-                s.tec += 8;
-                s.tec
-            };
-            for (i, n) in self.nodes.iter_mut().enumerate() {
-                if i != fl.sender {
-                    n.rec += 1;
-                }
-            }
-            if tec > 255 {
-                self.nodes[fl.sender].bus_off = true;
-                // The unsendable frame is dropped with the node.
-            } else {
-                let mut q = fl.queued;
-                q.ready_at = err_t;
-                self.nodes[fl.sender].node.requeue(q);
-            }
-            return;
-        }
-        // Successful transmission.
         self.stats.frames_ok += 1;
         self.stats.busy_time += fl.frame_end.saturating_since(self.now);
         self.now = fl.frame_end;
         let frame = fl.queued.frame;
         for (i, n) in self.nodes.iter_mut().enumerate() {
             if i == fl.sender {
-                n.node.tx_success(&fl.queued);
-                n.tec = n.tec.saturating_sub(1);
-                if n.tec > 127 {
-                    // Error passive: suspend transmission for 8 bit times.
-                    n.suspend_until = fl.frame_end + self.bit_time * 8;
-                }
-            } else if !n.bus_off {
-                n.node.deliver(frame, fl.frame_end);
-                n.rec = n.rec.saturating_sub(1);
+                n.tx_success(&fl.queued);
+            } else {
+                n.deliver(frame, fl.frame_end);
             }
         }
         // Interframe space: the next arbitration may start 3 bit times later.
@@ -445,14 +320,14 @@ impl CanBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameId;
+    use saav_sim::rng::SimRng;
 
     fn frame(id: u16, payload: &[u8]) -> CanFrame {
         CanFrame::data(FrameId::standard(id).unwrap(), payload).unwrap()
     }
 
     fn two_node_bus() -> (CanBus, NodeId, NodeId) {
-        let mut bus = CanBus::automotive_500k(1);
+        let mut bus = CanBus::automotive_500k();
         let a = bus.attach_standard(ControllerConfig::default());
         let b = bus.attach_standard(ControllerConfig::default());
         (bus, a, b)
@@ -525,53 +400,8 @@ mod tests {
     }
 
     #[test]
-    fn error_injection_retries_and_counts() {
-        let mut bus = CanBus::automotive_500k(1);
-        let deep = ControllerConfig {
-            tx_capacity: 128,
-            rx_capacity: 128,
-            ..ControllerConfig::default()
-        };
-        let a = bus.attach_standard(deep.clone());
-        let b = bus.attach_standard(deep);
-        // 10% frame errors: TEC drift per transmission is 0.1·8 − 0.9·1 < 0,
-        // so the sender never reaches bus-off and every frame gets through.
-        bus.set_error_rate(0.1);
-        for i in 0..50u16 {
-            assert!(bus.standard_mut(a).send(frame(0x100 + i, &[0]), Time::ZERO));
-        }
-        bus.advance(Time::from_secs(1));
-        let t = Time::from_secs(1);
-        let mut got = 0;
-        while bus.standard_mut(b).receive(t).is_some() {
-            got += 1;
-        }
-        // Every frame eventually arrives despite errors.
-        assert_eq!(got, 50);
-        assert!(bus.stats().frames_error > 0);
-    }
-
-    #[test]
-    fn persistent_errors_drive_node_to_bus_off() {
-        let (mut bus, a, _b) = two_node_bus();
-        bus.set_error_rate(1.0); // every transmission fails
-        bus.standard_mut(a).send(frame(0x100, &[0]), Time::ZERO);
-        bus.advance(Time::from_secs(1));
-        assert!(bus.is_bus_off(a), "TEC {}", bus.tec(a));
-        assert!(bus.tec(a) > 255);
-        // Recovery by host reset.
-        bus.reset_node(a);
-        assert!(!bus.is_bus_off(a));
-        bus.set_error_rate(0.0);
-        bus.standard_mut(a)
-            .send(frame(0x101, &[0]), Time::from_secs(2));
-        bus.advance(Time::from_secs(3));
-        assert_eq!(bus.stats().frames_ok, 1);
-    }
-
-    #[test]
     fn virtualized_and_standard_interoperate() {
-        let mut bus = CanBus::automotive_500k(7);
+        let mut bus = CanBus::automotive_500k();
         let (v, _pf) = bus.attach_virtualized(VirtCanConfig::calibrated(2));
         let s = bus.attach_standard(ControllerConfig::default());
         use crate::virt::VfId;
@@ -655,7 +485,7 @@ mod tests {
 
     #[test]
     fn bus_utilization_accumulates() {
-        let mut bus = CanBus::automotive_500k(1);
+        let mut bus = CanBus::automotive_500k();
         let a = bus.attach_standard(ControllerConfig {
             tx_capacity: 128,
             ..ControllerConfig::default()

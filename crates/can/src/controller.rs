@@ -123,7 +123,7 @@ impl TxQueue {
     }
 
     /// [`TxQueue::push`] on behalf of virtual function `owner`: the frame
-    /// carries its owner through arbitration, retries and completion.
+    /// carries its owner through arbitration and completion.
     pub(crate) fn push_owned(
         &mut self,
         frame: CanFrame,
@@ -144,12 +144,6 @@ impl TxQueue {
             owner,
         });
         Some(seq)
-    }
-
-    /// Re-inserts a frame at unchanged priority (after a lost arbitration or
-    /// bus error); keeps its original sequence number.
-    pub fn requeue(&mut self, q: QueuedFrame) {
-        self.frames.push(q);
     }
 
     /// Earliest readiness time over all queued frames.
@@ -329,11 +323,6 @@ impl CanController {
         self.rx.pop(now)
     }
 
-    /// Replaces the acceptance filters.
-    pub fn set_filters(&mut self, filters: Vec<AcceptanceFilter>) {
-        self.config.filters = filters;
-    }
-
     /// Controller statistics.
     pub fn stats(&self) -> ControllerStats {
         self.stats
@@ -356,10 +345,6 @@ impl CanController {
 
     pub(crate) fn bus_take_frame(&mut self, at: Time) -> Option<QueuedFrame> {
         self.tx.pop_best_ready(at)
-    }
-
-    pub(crate) fn bus_requeue(&mut self, q: QueuedFrame) {
-        self.tx.requeue(q);
     }
 
     pub(crate) fn bus_tx_success(&mut self) {

@@ -11,10 +11,9 @@
 //! * [`controller`] — acceptance filters, TX queues, RX FIFOs, the standard
 //!   controller.
 //! * [`virt`] — the virtualized controller: per-VM VFs (data path only),
-//!   privileged PF operations gated by a capability token, per-VF quotas and
-//!   the calibrated wrapper latency model (≈7–11 µs added round trip).
-//! * [`bus`] — arbitration, transmission timing, error injection and
-//!   TEC/REC error confinement with bus-off.
+//!   per-VF transmit quotas set through the PF behind a capability token,
+//!   and the calibrated wrapper latency model (≈7–11 µs added round trip).
+//! * [`bus`] — arbitration and bit-accurate transmission timing.
 //! * [`resources`] — the FPGA cost model showing break-even with stand-alone
 //!   controllers at four VMs (experiment E2).
 //! * [`v2v`] — the vehicle-to-vehicle broadcast channel platoons negotiate
@@ -28,7 +27,7 @@
 //! use saav_sim::time::Time;
 //!
 //! # fn main() -> Result<(), saav_can::frame::FrameError> {
-//! let mut bus = CanBus::automotive_500k(42);
+//! let mut bus = CanBus::automotive_500k();
 //! let tx = bus.attach_standard(ControllerConfig::default());
 //! let rx = bus.attach_standard(ControllerConfig::default());
 //! let frame = CanFrame::data(FrameId::standard(0x123)?, &[1, 2, 3])?;

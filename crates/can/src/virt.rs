@@ -3,11 +3,12 @@
 //! A traditional CAN controller (the *protocol layer*) is extended by a
 //! hardware *virtualization layer* that multiplexes several **virtual
 //! functions** (VFs, one per VM) onto one protocol engine. VFs provide
-//! data-path functionality only; privileged operations (bus speed, VF
-//! management) are reserved to the **physical function** (PF), which only
-//! privileged software — the hypervisor running an MCC — may access. The PF
-//! privilege is expressed in the type system: privileged methods require a
-//! [`PfToken`], handed out exactly once per controller.
+//! data-path functionality only; the privileged operation, setting a VF's
+//! transmit quota, is reserved to the **physical function** (PF), which
+//! only privileged software — the hypervisor running an MCC — may access.
+//! The PF privilege is expressed in the type system:
+//! [`VirtualizedCanController::pf_set_vf_quota`] requires a [`PfToken`],
+//! handed out exactly once per controller. Every VF receives every frame.
 //!
 //! # Latency model
 //!
@@ -20,14 +21,14 @@
 //!
 //! | path | added latency |
 //! |---|---|
-//! | TX | doorbell 1.4 µs + mux 2.6 µs + 0.3 µs per extra enabled VF |
-//! | RX | demux 2.2 µs + 0.2 µs per extra enabled VF + virtual IRQ 0.8 µs |
+//! | TX | doorbell 1.4 µs + mux 2.6 µs + 0.3 µs per extra VF |
+//! | RX | demux 2.2 µs + 0.2 µs per extra VF + virtual IRQ 0.8 µs |
 
 use std::fmt;
 
 use saav_sim::time::{Duration, Time};
 
-use crate::controller::{AcceptanceFilter, ControllerConfig, QueuedFrame, RxFifo, TxQueue};
+use crate::controller::{ControllerConfig, QueuedFrame, RxFifo, TxQueue};
 use crate::frame::CanFrame;
 
 /// Identifier of a virtual function within one virtualized controller.
@@ -54,8 +55,6 @@ pub struct PfToken {
 pub enum VirtError {
     /// The VF index does not exist.
     InvalidVf,
-    /// The VF exists but is disabled by the PF.
-    VfDisabled,
     /// The VF exceeded its transmit quota (token bucket empty).
     QuotaExceeded,
     /// The VF TX queue is full.
@@ -66,7 +65,6 @@ impl fmt::Display for VirtError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
             VirtError::InvalidVf => "invalid virtual function",
-            VirtError::VfDisabled => "virtual function disabled",
             VirtError::QuotaExceeded => "transmit quota exceeded",
             VirtError::QueueFull => "transmit queue full",
         };
@@ -83,8 +81,6 @@ pub struct VfStats {
     pub tx_frames: u64,
     /// Frames delivered to this VF's RX FIFO.
     pub rx_frames: u64,
-    /// Frames rejected by this VF's filters.
-    pub rx_filtered: u64,
     /// Frames rejected due to quota or a full queue.
     pub tx_rejected: u64,
 }
@@ -135,8 +131,6 @@ impl TxQuota {
 
 #[derive(Debug)]
 struct VirtualFunction {
-    enabled: bool,
-    filters: Vec<AcceptanceFilter>,
     rx: RxFifo,
     quota: TxQuota,
     stats: VfStats,
@@ -153,11 +147,11 @@ pub struct VirtCanConfig {
     pub doorbell_latency: Duration,
     /// Fixed TX multiplexer latency of the wrapper.
     pub wrapper_tx_base: Duration,
-    /// Additional TX latency per extra *enabled* VF (mux scan).
+    /// Additional TX latency per extra VF (mux scan).
     pub wrapper_tx_per_vf: Duration,
     /// Fixed RX demultiplexer latency of the wrapper.
     pub wrapper_rx_base: Duration,
-    /// Additional RX latency per extra enabled VF.
+    /// Additional RX latency per extra VF.
     pub wrapper_rx_per_vf: Duration,
     /// Virtual interrupt injection latency.
     pub virq_latency: Duration,
@@ -187,13 +181,12 @@ pub struct VirtualizedCanController {
     /// Merged, priority-ordered staging queue of the wrapper; each staged
     /// frame carries the index of its originating VF.
     tx: TxQueue,
-    bitrate_bps: u32,
 }
 
 impl VirtualizedCanController {
     /// Creates a controller and hands out its unique [`PfToken`].
     ///
-    /// All VFs start enabled with accept-all filters and unlimited quota.
+    /// All VFs start with unlimited quota.
     ///
     /// # Panics
     /// Panics if `num_vfs` is zero.
@@ -201,11 +194,6 @@ impl VirtualizedCanController {
         assert!(config.num_vfs > 0, "need at least one VF");
         let vfs = (0..config.num_vfs)
             .map(|_| VirtualFunction {
-                enabled: true,
-                filters: vec![
-                    AcceptanceFilter::accept_all_standard(),
-                    AcceptanceFilter::accept_all_extended(),
-                ],
                 rx: RxFifo::new(config.base.rx_capacity),
                 quota: TxQuota::unlimited(),
                 stats: VfStats::default(),
@@ -214,7 +202,6 @@ impl VirtualizedCanController {
         let ctrl = VirtualizedCanController {
             vfs,
             tx: TxQueue::bounded(config.base.tx_capacity * config.num_vfs),
-            bitrate_bps: 500_000,
             config,
         };
         (ctrl, PfToken { _private: () })
@@ -223,11 +210,6 @@ impl VirtualizedCanController {
     /// Number of provisioned VFs.
     pub fn num_vfs(&self) -> usize {
         self.vfs.len()
-    }
-
-    /// Number of currently enabled VFs.
-    pub fn enabled_vfs(&self) -> usize {
-        self.vfs.iter().filter(|v| v.enabled).count()
     }
 
     fn vf(&self, vf: VfId) -> Result<&VirtualFunction, VirtError> {
@@ -240,7 +222,7 @@ impl VirtualizedCanController {
 
     /// Total added TX-path latency of the virtualization layer.
     pub fn tx_overhead(&self) -> Duration {
-        let extra = self.enabled_vfs().saturating_sub(1) as u64;
+        let extra = self.num_vfs().saturating_sub(1) as u64;
         self.config.doorbell_latency
             + self.config.wrapper_tx_base
             + self.config.wrapper_tx_per_vf * extra
@@ -248,7 +230,7 @@ impl VirtualizedCanController {
 
     /// Total added RX-path latency of the virtualization layer.
     pub fn rx_overhead(&self) -> Duration {
-        let extra = self.enabled_vfs().saturating_sub(1) as u64;
+        let extra = self.num_vfs().saturating_sub(1) as u64;
         self.config.wrapper_rx_base
             + self.config.wrapper_rx_per_vf * extra
             + self.config.virq_latency
@@ -259,15 +241,12 @@ impl VirtualizedCanController {
     /// Queues `frame` for transmission on behalf of `vf` at time `now`.
     ///
     /// # Errors
-    /// [`VirtError::InvalidVf`], [`VirtError::VfDisabled`],
-    /// [`VirtError::QuotaExceeded`] or [`VirtError::QueueFull`].
+    /// [`VirtError::InvalidVf`], [`VirtError::QuotaExceeded`] or
+    /// [`VirtError::QueueFull`].
     pub fn vf_send(&mut self, vf: VfId, frame: CanFrame, now: Time) -> Result<(), VirtError> {
         let tx_overhead = self.tx_overhead();
         let tx_latency = self.config.base.tx_latency;
         let v = self.vf_mut(vf)?;
-        if !v.enabled {
-            return Err(VirtError::VfDisabled);
-        }
         if !v.quota.try_take(now) {
             v.stats.tx_rejected += 1;
             return Err(VirtError::QuotaExceeded);
@@ -285,13 +264,9 @@ impl VirtualizedCanController {
     /// Retrieves the oldest frame visible to `vf` at `now`.
     ///
     /// # Errors
-    /// [`VirtError::InvalidVf`] or [`VirtError::VfDisabled`].
+    /// [`VirtError::InvalidVf`].
     pub fn vf_receive(&mut self, vf: VfId, now: Time) -> Result<Option<CanFrame>, VirtError> {
-        let v = self.vf_mut(vf)?;
-        if !v.enabled {
-            return Err(VirtError::VfDisabled);
-        }
-        Ok(v.rx.pop(now))
+        Ok(self.vf_mut(vf)?.rx.pop(now))
     }
 
     /// Per-VF statistics.
@@ -303,49 +278,6 @@ impl VirtualizedCanController {
     }
 
     // ---- PF (privileged) interface ----
-
-    /// Sets the bus bitrate. Privileged.
-    pub fn pf_set_bitrate(&mut self, _token: &PfToken, bitrate_bps: u32) {
-        self.bitrate_bps = bitrate_bps;
-    }
-
-    /// The configured bitrate.
-    pub fn bitrate_bps(&self) -> u32 {
-        self.bitrate_bps
-    }
-
-    /// Enables a VF. Privileged.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn pf_enable_vf(&mut self, _token: &PfToken, vf: VfId) -> Result<(), VirtError> {
-        self.vf_mut(vf)?.enabled = true;
-        Ok(())
-    }
-
-    /// Disables a VF; its queued frames remain staged but new traffic is
-    /// rejected. Privileged.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn pf_disable_vf(&mut self, _token: &PfToken, vf: VfId) -> Result<(), VirtError> {
-        self.vf_mut(vf)?.enabled = false;
-        Ok(())
-    }
-
-    /// Replaces a VF's acceptance filters. Privileged.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn pf_set_vf_filters(
-        &mut self,
-        _token: &PfToken,
-        vf: VfId,
-        filters: Vec<AcceptanceFilter>,
-    ) -> Result<(), VirtError> {
-        self.vf_mut(vf)?.filters = filters;
-        Ok(())
-    }
 
     /// Sets a VF transmit quota (token bucket). Privileged.
     ///
@@ -376,10 +308,6 @@ impl VirtualizedCanController {
         self.tx.pop_best_ready(at)
     }
 
-    pub(crate) fn bus_requeue(&mut self, q: QueuedFrame) {
-        self.tx.requeue(q);
-    }
-
     pub(crate) fn bus_tx_success(&mut self, q: &QueuedFrame) {
         if let Some(v) = self.vfs.get_mut(q.owner) {
             v.stats.tx_frames += 1;
@@ -390,15 +318,8 @@ impl VirtualizedCanController {
         let rx_overhead = self.rx_overhead();
         let rx_latency = self.config.base.rx_latency;
         for v in &mut self.vfs {
-            if !v.enabled {
-                continue;
-            }
-            if v.filters.iter().any(|f| f.matches(frame.id())) {
-                v.rx.push(frame, completed_at + rx_latency + rx_overhead);
-                v.stats.rx_frames += 1;
-            } else {
-                v.stats.rx_filtered += 1;
-            }
+            v.rx.push(frame, completed_at + rx_latency + rx_overhead);
+            v.stats.rx_frames += 1;
         }
     }
 }
@@ -431,45 +352,12 @@ mod tests {
     }
 
     #[test]
-    fn disabled_vf_rejects_traffic() {
-        let (mut c, pf) = controller(2);
-        c.pf_disable_vf(&pf, VfId(1)).unwrap();
-        assert_eq!(
-            c.vf_send(VfId(1), frame(1), Time::ZERO),
-            Err(VirtError::VfDisabled)
-        );
-        assert_eq!(
-            c.vf_receive(VfId(1), Time::ZERO),
-            Err(VirtError::VfDisabled)
-        );
-        assert_eq!(c.enabled_vfs(), 1);
-        c.pf_enable_vf(&pf, VfId(1)).unwrap();
-        assert!(c.vf_send(VfId(1), frame(1), Time::ZERO).is_ok());
-    }
-
-    #[test]
     fn invalid_vf_is_an_error() {
         let (mut c, _pf) = controller(1);
         assert_eq!(
             c.vf_send(VfId(5), frame(1), Time::ZERO),
             Err(VirtError::InvalidVf)
         );
-    }
-
-    #[test]
-    fn rx_demux_respects_per_vf_filters() {
-        let (mut c, pf) = controller(2);
-        c.pf_set_vf_filters(&pf, VfId(0), vec![AcceptanceFilter::standard(0x100, 0x700)])
-            .unwrap();
-        c.pf_set_vf_filters(&pf, VfId(1), vec![AcceptanceFilter::standard(0x200, 0x700)])
-            .unwrap();
-        c.bus_deliver(frame(0x123), Time::ZERO);
-        c.bus_deliver(frame(0x234), Time::ZERO);
-        let late = Time::from_millis(1);
-        assert_eq!(c.vf_receive(VfId(0), late).unwrap(), Some(frame(0x123)));
-        assert_eq!(c.vf_receive(VfId(0), late).unwrap(), None);
-        assert_eq!(c.vf_receive(VfId(1), late).unwrap(), Some(frame(0x234)));
-        assert_eq!(c.vf_stats(VfId(0)).unwrap().rx_filtered, 1);
     }
 
     #[test]
@@ -516,12 +404,5 @@ mod tests {
             rt8.as_micros_f64() >= 9.5 && rt8.as_micros_f64() <= 11.0,
             "{rt8}"
         );
-    }
-
-    #[test]
-    fn pf_bitrate_setting() {
-        let (mut c, pf) = controller(1);
-        c.pf_set_bitrate(&pf, 250_000);
-        assert_eq!(c.bitrate_bps(), 250_000);
     }
 }

@@ -137,6 +137,13 @@ fn sensor_fault_code(f: SensorFault) -> u8 {
 /// destructured without `..`, here and in `hash_platoon` / `hash_city`: a
 /// new field fails to compile until it is hashed, instead of silently
 /// aliasing cache entries.
+///
+/// The label is part of the identity although it never changes the run:
+/// a cache hit returns the stored [`Summary`], whose `label` is the one of
+/// the job that filled the entry, and [`crate::fleet::FleetRecord::family`]
+/// reads that label. A key without it would file one job's record under
+/// another job's family in E15b and in
+/// [`FleetCoordinator::reallocate`](crate::fleet::FleetCoordinator::reallocate).
 pub fn job_key(scenario: &Scenario) -> JobKey {
     let Scenario {
         label,

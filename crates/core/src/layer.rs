@@ -24,7 +24,7 @@ pub enum Layer {
     Communication,
     /// Safety mechanisms (redundancy, restart, quarantine).
     Safety,
-    /// Functional abilities (skill/ability graph, degradation tactics).
+    /// Functional abilities (skill/ability graph, graceful degradation).
     Ability,
     /// Driving objective (mission, safe stop).
     Objective,

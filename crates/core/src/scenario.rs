@@ -176,12 +176,6 @@ impl PlatoonSpec {
         self
     }
 
-    /// Overrides the tolerated fault count.
-    pub fn with_max_faults(mut self, f: usize) -> Self {
-        self.max_faults = f;
-        self
-    }
-
     /// The safe-speed offset of `member` (0 beyond the configured vector).
     pub fn delta(&self, member: usize) -> f64 {
         self.safe_speed_delta_mps
@@ -249,24 +243,6 @@ impl CitySpec {
     /// benchmark in `saavbench/` still calls it; the next benchmark change
     /// drops those calls and this method with them.
     pub fn with_threads(self, _threads: usize) -> Self {
-        self
-    }
-
-    /// Sets the initial inter-vehicle gap.
-    pub fn with_gap(mut self, gap_m: f64) -> Self {
-        self.initial_gap_m = gap_m;
-        self
-    }
-
-    /// Sets the promotion radius.
-    pub fn with_radius(mut self, radius_m: f64) -> Self {
-        self.promotion_radius_m = radius_m;
-        self
-    }
-
-    /// Sets the nominal cruise speed.
-    pub fn with_cruise(mut self, mps: f64) -> Self {
-        self.cruise_mps = mps;
         self
     }
 
@@ -474,13 +450,6 @@ impl ScenarioBuilder {
     /// Sets the runtime contract-reconfiguration policy wholesale.
     pub fn reconfig(mut self, spec: ReconfigSpec) -> Self {
         self.reconfig = spec;
-        self
-    }
-
-    /// Disables live renegotiation: contracts stay as assembled and
-    /// degradation problems are only mitigated (E17's static arm).
-    pub fn static_contracts(mut self) -> Self {
-        self.reconfig.live = false;
         self
     }
 
@@ -1125,9 +1094,6 @@ mod tests {
             .filter(|(_, e)| matches!(e, ScenarioEvent::AmbientRamp { to_c, .. } if *to_c < 30.0))
             .count();
         assert_eq!(down_ramps, 1);
-
-        let s = Scenario::builder("static").static_contracts().build();
-        assert!(!s.reconfig.live);
     }
 
     #[test]

@@ -133,7 +133,7 @@ impl SelfAwareVehicle {
         ego_speed_mps: f64,
         lead: saav_vehicle::traffic::LeadVehicle,
     ) -> Self {
-        let platform = Platform::with_embedded_pes(2, seed);
+        let platform = Platform::with_embedded_pes(2);
         // --- execution domain -------------------------------------------
         let mut rte = Rte::new(seed, 8_192);
         let control_vm = rte.add_vm(4_096);
@@ -231,7 +231,7 @@ impl SelfAwareVehicle {
         }
 
         // --- communication ------------------------------------------------
-        let mut bus = CanBus::automotive_500k(seed);
+        let mut bus = CanBus::automotive_500k();
         let (virt_node, pf) = bus.attach_virtualized(VirtCanConfig::calibrated(2));
         let actuator_node = bus.attach_standard(ControllerConfig::default());
 
@@ -494,10 +494,9 @@ impl SelfAwareVehicle {
                 (Layer::Communication, ProblemKind::SecurityBreach)
             }
             AnomalyKind::HeartbeatLoss => (Layer::Safety, ProblemKind::ComponentFailure),
-            AnomalyKind::QualityDegraded
-            | AnomalyKind::OutOfRange
-            | AnomalyKind::ImplausibleRate
-            | AnomalyKind::StuckSignal => (Layer::Ability, ProblemKind::SensorDegradation),
+            AnomalyKind::QualityDegraded | AnomalyKind::OutOfRange => {
+                (Layer::Ability, ProblemKind::SensorDegradation)
+            }
             // The learned monitor watches functional-level behaviour, so
             // its deviations surface at the ability layer (speed cap /
             // degraded-mode responses) and escalate from there.

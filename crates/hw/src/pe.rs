@@ -1,20 +1,36 @@
 //! Processing elements: the computing resources of the platform.
 //!
-//! A [`ProcessingElement`] combines a DVFS table, a power model, a thermal
-//! node and a fault injector. Each simulation step it computes power from
-//! utilization, integrates temperature, lets the throttle governor adjust the
-//! operating point, and updates health. The resulting
+//! A [`ProcessingElement`] combines a DVFS table, a power model and a
+//! thermal node. Each simulation step it computes power from utilization,
+//! integrates temperature and lets the throttle governor adjust the
+//! operating point or shut the element down. The resulting
 //! [`speed_factor`](ProcessingElement::speed_factor) scales task execution
 //! times in the RTE — the mechanism by which thermal stress becomes a timing
 //! problem, as discussed in Sec. V of the paper.
 
-use saav_sim::rng::SimRng;
 use saav_sim::time::{Duration, Time};
 
 use crate::dvfs::{DvfsTable, GovernorDecision, ThrottleGovernor};
-use crate::fault::{FaultInjector, FaultKind, Health};
 use crate::power::PowerModel;
 use crate::thermal::ThermalModel;
+
+/// Health of a platform element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Health {
+    /// Fully operational.
+    Ok,
+    /// Operational with reduced capability (e.g. throttled).
+    Degraded,
+    /// Not operational.
+    Failed,
+}
+
+impl Health {
+    /// Whether the element can still provide (possibly degraded) service.
+    pub fn is_operational(self) -> bool {
+        !matches!(self, Health::Failed)
+    }
+}
 
 /// Identifier of a processing element within a [`Platform`].
 ///
@@ -38,7 +54,6 @@ pub struct ProcessingElement {
     governor: ThrottleGovernor,
     power: PowerModel,
     thermal: ThermalModel,
-    faults: FaultInjector,
     utilization: f64,
     /// Set when the governor demanded shutdown.
     thermally_shutdown: bool,
@@ -74,7 +89,6 @@ impl ProcessingElement {
             governor,
             power,
             thermal,
-            faults: FaultInjector::new(),
             utilization: 0.0,
             thermally_shutdown: false,
             throttle_events: 0,
@@ -116,12 +130,13 @@ impl ProcessingElement {
         self.thermal.temperature_c()
     }
 
-    /// Current health.
+    /// Current health: [`Health::Failed`] once the governor shut the
+    /// element down, else [`Health::Ok`].
     pub fn health(&self) -> Health {
         if self.thermally_shutdown {
             Health::Failed
         } else {
-            self.faults.health()
+            Health::Ok
         }
     }
 
@@ -142,17 +157,6 @@ impl ProcessingElement {
         self.throttle_events
     }
 
-    /// Mutable access to the fault injector for scenario scripting.
-    pub fn faults_mut(&mut self) -> &mut FaultInjector {
-        &mut self.faults
-    }
-
-    /// Injects a fault right away (scripting convenience).
-    pub fn inject_fault(&mut self, now: Time, kind: FaultKind, rng: &mut SimRng) {
-        self.faults.script(now, kind);
-        self.faults.step(now, rng);
-    }
-
     /// Sets the utilization (activity factor) used for the next power step.
     pub fn set_utilization(&mut self, utilization: f64) {
         self.utilization = utilization.clamp(0.0, 1.0);
@@ -163,30 +167,9 @@ impl ProcessingElement {
         self.utilization
     }
 
-    /// Pins the DVFS level (e.g. a self-aware countermeasure forcing
-    /// low-power mode).
-    ///
-    /// # Panics
-    /// Panics if `level` is out of range.
-    pub fn set_level(&mut self, level: usize) {
-        assert!(level < self.dvfs.len(), "DVFS level out of range");
-        self.level = level;
-    }
-
-    /// Clears a thermal shutdown once the die has cooled below the recover
-    /// threshold; returns whether the element is operational again.
-    pub fn try_thermal_restart(&mut self) -> bool {
-        if self.thermally_shutdown && self.temperature_c() <= self.governor.recover_c() {
-            self.thermally_shutdown = false;
-            self.level = 0; // restart at the slowest OPP
-        }
-        !self.thermally_shutdown
-    }
-
-    /// Advances the PE by `dt`: power → temperature → governor → health.
-    pub fn step(&mut self, now: Time, dt: Duration, ambient_c: f64, rng: &mut SimRng) {
-        let health = self.faults.step(now, rng);
-        let active = health.is_operational() && !self.thermally_shutdown;
+    /// Advances the PE by `dt`: power → temperature → governor.
+    pub fn step(&mut self, now: Time, dt: Duration, ambient_c: f64) {
+        let active = !self.thermally_shutdown;
         let util = if active { self.utilization } else { 0.0 };
         let p = self.power.power_w(
             self.dvfs.point(self.level),
@@ -228,12 +211,12 @@ impl ProcessingElement {
 mod tests {
     use super::*;
 
-    fn step_for(pe: &mut ProcessingElement, secs: u64, ambient: f64, rng: &mut SimRng) {
+    fn step_for(pe: &mut ProcessingElement, secs: u64, ambient: f64) {
         let dt = Duration::from_millis(100);
         let mut t = Time::ZERO;
         for _ in 0..secs * 10 {
             t += dt;
-            pe.step(t, dt, ambient, rng);
+            pe.step(t, dt, ambient);
         }
     }
 
@@ -241,8 +224,7 @@ mod tests {
     fn cool_ambient_keeps_top_frequency() {
         let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
         pe.set_utilization(0.6);
-        let mut rng = SimRng::seed_from(2);
-        step_for(&mut pe, 300, 25.0, &mut rng);
+        step_for(&mut pe, 300, 25.0);
         assert_eq!(pe.level(), 3);
         assert_eq!(pe.speed_factor(), 1.0);
         assert_eq!(pe.throttle_events(), 0);
@@ -252,8 +234,7 @@ mod tests {
     fn hot_ambient_causes_throttling_and_slowdown() {
         let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
         pe.set_utilization(1.0);
-        let mut rng = SimRng::seed_from(3);
-        step_for(&mut pe, 600, 75.0, &mut rng);
+        step_for(&mut pe, 600, 75.0);
         assert!(
             pe.level() < 3,
             "should have throttled, level={}",
@@ -265,26 +246,16 @@ mod tests {
     }
 
     #[test]
-    fn failed_pe_has_infinite_speed_factor() {
-        let mut pe = ProcessingElement::embedded_soc(PeId(1), "ecu1");
-        let mut rng = SimRng::seed_from(4);
-        pe.inject_fault(Time::from_secs(1), FaultKind::Permanent, &mut rng);
-        assert_eq!(pe.health(), Health::Failed);
-        assert_eq!(pe.speed_factor(), f64::INFINITY);
-    }
-
-    #[test]
-    fn extreme_ambient_forces_shutdown_then_restart_after_cooling() {
+    fn extreme_ambient_forces_shutdown_and_infinite_speed_factor() {
         let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
         pe.set_utilization(1.0);
-        let mut rng = SimRng::seed_from(5);
-        step_for(&mut pe, 600, 108.0, &mut rng);
+        step_for(&mut pe, 600, 108.0);
         assert_eq!(pe.health(), Health::Failed, "temp {}", pe.temperature_c());
-        // Cool down with zero power draw (shutdown) at mild ambient.
-        step_for(&mut pe, 600, 25.0, &mut rng);
-        assert!(pe.try_thermal_restart());
-        assert!(pe.health().is_operational());
-        assert_eq!(pe.level(), 0, "restarts at slowest OPP");
+        assert_eq!(pe.speed_factor(), f64::INFINITY);
+        // A shut-down element stays down, drawing no power, as it cools.
+        step_for(&mut pe, 600, 25.0);
+        assert_eq!(pe.health(), Health::Failed);
+        assert!(pe.temperature_c() < 30.0, "temp {}", pe.temperature_c());
     }
 
     #[test]
@@ -293,16 +264,8 @@ mod tests {
         let mut idle = ProcessingElement::embedded_soc(PeId(1), "idle");
         busy.set_utilization(1.0);
         idle.set_utilization(0.05);
-        let mut rng = SimRng::seed_from(6);
-        step_for(&mut busy, 120, 25.0, &mut rng);
-        step_for(&mut idle, 120, 25.0, &mut rng);
+        step_for(&mut busy, 120, 25.0);
+        step_for(&mut idle, 120, 25.0);
         assert!(busy.temperature_c() > idle.temperature_c() + 5.0);
-    }
-
-    #[test]
-    fn set_level_pins_operating_point() {
-        let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
-        pe.set_level(0);
-        assert_eq!(pe.speed_factor(), 4.0);
     }
 }

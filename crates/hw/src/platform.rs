@@ -1,60 +1,28 @@
 //! The hardware platform: a set of processing elements plus environment
-//! coupling and the temperature sensors the platform monitor reads.
+//! coupling.
 
-use saav_sim::rng::SimRng;
 use saav_sim::time::{Duration, Time};
 
-use crate::fault::Health;
-use crate::pe::{PeId, ProcessingElement};
-
-/// A noisy temperature sensor attached to a PE.
-#[derive(Debug, Clone)]
-pub struct TempSensor {
-    /// Gaussian noise standard deviation in kelvin.
-    pub noise_std_k: f64,
-    /// Constant offset (calibration error) in kelvin.
-    pub bias_k: f64,
-}
-
-impl Default for TempSensor {
-    fn default() -> Self {
-        TempSensor {
-            noise_std_k: 0.5,
-            bias_k: 0.0,
-        }
-    }
-}
-
-impl TempSensor {
-    /// Reads the sensor given a true temperature.
-    pub fn read(&self, true_temp_c: f64, rng: &mut SimRng) -> f64 {
-        true_temp_c + self.bias_k + rng.normal(0.0, self.noise_std_k)
-    }
-}
+use crate::pe::{Health, PeId, ProcessingElement};
 
 /// The full hardware platform.
 #[derive(Debug)]
 pub struct Platform {
     pes: Vec<ProcessingElement>,
-    sensors: Vec<TempSensor>,
     ambient_c: f64,
-    rng: SimRng,
     now: Time,
 }
 
 impl Platform {
     /// Creates a platform with `n` identical embedded-SoC PEs at 25 °C
     /// ambient.
-    pub fn with_embedded_pes(n: usize, seed: u64) -> Self {
+    pub fn with_embedded_pes(n: usize) -> Self {
         let pes: Vec<ProcessingElement> = (0..n)
             .map(|i| ProcessingElement::embedded_soc(PeId(i), format!("ecu{i}")))
             .collect();
-        let sensors = vec![TempSensor::default(); n];
         Platform {
             pes,
-            sensors,
             ambient_c: 25.0,
-            rng: SimRng::seed_from(seed),
             now: Time::ZERO,
         }
     }
@@ -114,15 +82,6 @@ impl Platform {
             .collect()
     }
 
-    /// Reads the (noisy) temperature sensor of a PE.
-    ///
-    /// # Panics
-    /// Panics if the id is out of range.
-    pub fn read_temperature(&mut self, id: PeId) -> f64 {
-        let true_t = self.pes[id.0].temperature_c();
-        self.sensors[id.0].read(true_t, &mut self.rng)
-    }
-
     /// Worst (slowest) speed factor among operational PEs, or `None` when no
     /// PE is operational.
     pub fn worst_speed_factor(&self) -> Option<f64> {
@@ -139,7 +98,7 @@ impl Platform {
         let now = self.now;
         let ambient = self.ambient_c;
         for pe in &mut self.pes {
-            pe.step(now, dt, ambient, &mut self.rng);
+            pe.step(now, dt, ambient);
         }
     }
 
@@ -168,60 +127,55 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultKind;
+
+    fn step_secs(p: &mut Platform, secs: u64) {
+        for _ in 0..secs * 10 {
+            p.step(Duration::from_millis(100));
+        }
+    }
 
     #[test]
     fn platform_steps_all_pes() {
-        let mut p = Platform::with_embedded_pes(3, 42);
+        let mut p = Platform::with_embedded_pes(3);
         for i in 0..3 {
             p.pe_mut(PeId(i)).set_utilization(0.9);
         }
-        for _ in 0..600 {
-            p.step(Duration::from_millis(100));
-        }
+        step_secs(&mut p, 60);
         assert!(p.pe(PeId(0)).temperature_c() > 30.0);
         assert_eq!(p.health(), Health::Ok);
         assert_eq!(p.now(), Time::from_secs(60));
     }
 
-    #[test]
-    fn sensor_noise_is_bounded_and_unbiased() {
-        let mut p = Platform::with_embedded_pes(1, 7);
-        let true_t = p.pe(PeId(0)).temperature_c();
-        let n = 2_000;
-        let mean: f64 = (0..n).map(|_| p.read_temperature(PeId(0))).sum::<f64>() / n as f64;
-        assert!((mean - true_t).abs() < 0.1, "mean {mean} vs {true_t}");
-    }
-
+    /// At 100 °C ambient the busy PE shuts down; the idle one stays below
+    /// its critical temperature and keeps running, throttled.
     #[test]
     fn failed_pe_degrades_platform() {
-        let mut p = Platform::with_embedded_pes(2, 9);
-        let mut rng = SimRng::seed_from(1);
-        p.pe_mut(PeId(0))
-            .inject_fault(Time::from_secs(1), FaultKind::Permanent, &mut rng);
+        let mut p = Platform::with_embedded_pes(2);
+        p.pe_mut(PeId(0)).set_utilization(1.0);
+        p.set_ambient_c(100.0);
+        step_secs(&mut p, 600);
+        assert_eq!(p.pe(PeId(0)).health(), Health::Failed);
         assert_eq!(p.health(), Health::Degraded);
         assert_eq!(p.operational_pes(), vec![PeId(1)]);
-        assert_eq!(p.worst_speed_factor(), Some(1.0));
+        assert_eq!(p.worst_speed_factor(), Some(p.pe(PeId(1)).speed_factor()));
     }
 
     #[test]
     fn all_failed_means_platform_failed() {
-        let mut p = Platform::with_embedded_pes(1, 9);
-        let mut rng = SimRng::seed_from(1);
-        p.pe_mut(PeId(0))
-            .inject_fault(Time::from_secs(1), FaultKind::Permanent, &mut rng);
+        let mut p = Platform::with_embedded_pes(1);
+        p.pe_mut(PeId(0)).set_utilization(1.0);
+        p.set_ambient_c(108.0);
+        step_secs(&mut p, 600);
         assert_eq!(p.health(), Health::Failed);
         assert_eq!(p.worst_speed_factor(), None);
     }
 
     #[test]
     fn hot_ambient_degrades_via_throttling() {
-        let mut p = Platform::with_embedded_pes(1, 11);
+        let mut p = Platform::with_embedded_pes(1);
         p.pe_mut(PeId(0)).set_utilization(1.0);
         p.set_ambient_c(80.0);
-        for _ in 0..6_000 {
-            p.step(Duration::from_millis(100));
-        }
+        step_secs(&mut p, 600);
         assert_eq!(p.health(), Health::Degraded);
         assert!(p.worst_speed_factor().unwrap() > 1.0);
     }

@@ -60,11 +60,6 @@ impl ThermalModel {
         self.temp_c
     }
 
-    /// Overrides the die temperature (e.g. for scenario setup).
-    pub fn set_temperature_c(&mut self, temp_c: f64) {
-        self.temp_c = temp_c;
-    }
-
     /// Thermal time constant τ = R·C.
     pub fn time_constant(&self) -> Duration {
         Duration::from_secs_f64(self.r_th_k_per_w * self.c_th_j_per_k)

@@ -140,11 +140,6 @@ impl Mcc {
         }
     }
 
-    /// Replaces the viewpoint battery (for ablations).
-    pub fn set_viewpoints(&mut self, viewpoints: Vec<Box<dyn Viewpoint>>) {
-        self.viewpoints = viewpoints;
-    }
-
     /// The currently accepted configuration.
     pub fn current(&self) -> &CandidateConfig {
         &self.current

@@ -134,12 +134,6 @@ impl Renegotiator {
         &self.mcc
     }
 
-    /// Mutable access to the wrapped controller (baseline installation,
-    /// ablation of the viewpoint battery).
-    pub fn mcc_mut(&mut self) -> &mut Mcc {
-        &mut self.mcc
-    }
-
     /// Renegotiation attempts so far (each may run one or two updates).
     pub fn attempts(&self) -> u64 {
         self.attempts

@@ -16,10 +16,6 @@ pub enum AnomalyKind {
     HeartbeatLoss,
     /// A value left its static boundary range.
     OutOfRange,
-    /// A value changed faster than physically plausible.
-    ImplausibleRate,
-    /// A signal is frozen (stuck-at) while it should vary.
-    StuckSignal,
     /// Signal quality dropped below its requirement.
     QualityDegraded,
     /// A capability check was violated (denied access attempt).
@@ -42,8 +38,6 @@ impl fmt::Display for AnomalyKind {
             AnomalyKind::DeadlineMiss => "deadline miss",
             AnomalyKind::HeartbeatLoss => "heartbeat loss",
             AnomalyKind::OutOfRange => "value out of range",
-            AnomalyKind::ImplausibleRate => "implausible rate of change",
-            AnomalyKind::StuckSignal => "stuck signal",
             AnomalyKind::QualityDegraded => "quality degraded",
             AnomalyKind::AccessViolation => "access violation",
             AnomalyKind::RateAnomaly => "message rate anomaly",

@@ -8,7 +8,7 @@
 //! * [`anomaly`] — the common deviation type all monitors emit.
 //! * [`exec`] — execution-time/deadline supervision and WCET refinement.
 //! * [`signal`] — heartbeat (SAFER baseline), boundary checks (RACE
-//!   baseline), plausibility and signal-quality estimation.
+//!   baseline) and signal-quality estimation.
 //! * [`access_mon`] — capability-violation and message-rate intrusion
 //!   detection over the RTE access log.
 //!
@@ -32,4 +32,4 @@ pub mod signal;
 pub use access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 pub use anomaly::{Anomaly, AnomalyKind};
 pub use exec::{ExecProfile, ExecutionMonitor, JobObservation, JobTiming, TaskSlot};
-pub use signal::{BoundaryMonitor, HeartbeatMonitor, PlausibilityMonitor, QualityMonitor};
+pub use signal::{BoundaryMonitor, HeartbeatMonitor, QualityMonitor};

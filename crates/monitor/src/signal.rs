@@ -1,12 +1,11 @@
 //! Signal monitors: heartbeat (SAFER baseline), boundary checks (RACE
-//! baseline), plausibility and quality estimation.
+//! baseline) and quality estimation.
 //!
 //! The paper contrasts richer self-awareness with two prior systems: SAFER
 //! activates degradation only "if the heartbeat of a sensor goes missing"
 //! and RACE limits failure detection to "a set of boundary checks". Both are
-//! implemented here as baselines; [`PlausibilityMonitor`] and
-//! [`QualityMonitor`] provide the finer-grained data-quality assessment the
-//! paper calls for (Sec. IV).
+//! implemented here as baselines; [`QualityMonitor`] provides the
+//! finer-grained data-quality assessment the paper calls for (Sec. IV).
 
 use std::collections::VecDeque;
 
@@ -107,110 +106,6 @@ impl BoundaryMonitor {
         } else {
             None
         }
-    }
-}
-
-/// Plausibility supervision: range, rate-of-change and stuck-at detection
-/// over a sliding window.
-#[derive(Debug, Clone)]
-pub struct PlausibilityMonitor {
-    subject: Name,
-    min: f64,
-    max: f64,
-    /// Maximum plausible |dv/dt| in units per second.
-    max_rate: f64,
-    /// Samples for stuck-at detection.
-    window: VecDeque<(Time, f64)>,
-    window_len: usize,
-    /// A signal is stuck when it stays within this band over a full window
-    /// while `expect_variation` is set.
-    stuck_band: f64,
-    expect_variation: bool,
-    last: Option<(Time, f64)>,
-}
-
-impl PlausibilityMonitor {
-    /// Creates a plausibility monitor.
-    ///
-    /// # Panics
-    /// Panics if `min > max` or `max_rate <= 0`.
-    pub fn new(subject: impl Into<Name>, min: f64, max: f64, max_rate: f64) -> Self {
-        assert!(min <= max);
-        assert!(max_rate > 0.0);
-        PlausibilityMonitor {
-            subject: subject.into(),
-            min,
-            max,
-            max_rate,
-            window: VecDeque::new(),
-            window_len: 50,
-            stuck_band: 1e-9,
-            expect_variation: false,
-            last: None,
-        }
-    }
-
-    /// Enables stuck-at detection: the signal is expected to vary by more
-    /// than `band` over any `window_len` consecutive samples.
-    pub fn expect_variation(mut self, band: f64, window_len: usize) -> Self {
-        assert!(window_len >= 2);
-        self.expect_variation = true;
-        self.stuck_band = band.abs();
-        self.window_len = window_len;
-        self
-    }
-
-    /// Feeds one sample; returns all anomalies it triggers.
-    pub fn observe(&mut self, at: Time, value: f64) -> Vec<Anomaly> {
-        let mut out = Vec::new();
-        if value < self.min || value > self.max {
-            out.push(Anomaly::new(
-                at,
-                self.subject.clone(),
-                AnomalyKind::OutOfRange,
-            ));
-        }
-        if let Some((t0, v0)) = self.last {
-            let dt = at.saturating_since(t0).as_secs_f64();
-            if dt > 0.0 {
-                let rate = (value - v0).abs() / dt;
-                if rate > self.max_rate {
-                    out.push(Anomaly::new(
-                        at,
-                        self.subject.clone(),
-                        AnomalyKind::ImplausibleRate,
-                    ));
-                }
-            }
-        }
-        self.last = Some((at, value));
-        if self.expect_variation {
-            self.window.push_back((at, value));
-            while self.window.len() > self.window_len {
-                self.window.pop_front();
-            }
-            if self.window.len() == self.window_len {
-                let lo = self
-                    .window
-                    .iter()
-                    .map(|&(_, v)| v)
-                    .fold(f64::INFINITY, f64::min);
-                let hi = self
-                    .window
-                    .iter()
-                    .map(|&(_, v)| v)
-                    .fold(f64::NEG_INFINITY, f64::max);
-                if hi - lo <= self.stuck_band {
-                    out.push(Anomaly::new(
-                        at,
-                        self.subject.clone(),
-                        AnomalyKind::StuckSignal,
-                    ));
-                    self.window.clear(); // re-arm
-                }
-            }
-        }
-        out
     }
 }
 
@@ -351,40 +246,6 @@ mod tests {
         // Boundary check cannot see a plausible-but-wrong value — that is
         // exactly the RACE baseline's blind spot.
         assert!(m.observe(s(1), 59.9).is_none());
-    }
-
-    #[test]
-    fn plausibility_detects_jump() {
-        let mut m = PlausibilityMonitor::new("range", 0.0, 250.0, 50.0);
-        assert!(m.observe(s(1), 100.0).is_empty());
-        // 100 -> 90 over 1 s = 10/s: fine.
-        assert!(m.observe(s(2), 90.0).is_empty());
-        // 90 -> 20 over 1 s = 70/s: implausible.
-        let a = m.observe(s(3), 20.0);
-        assert_eq!(a.len(), 1);
-        assert_eq!(a[0].kind, AnomalyKind::ImplausibleRate);
-    }
-
-    #[test]
-    fn plausibility_detects_stuck_signal() {
-        let mut m =
-            PlausibilityMonitor::new("wheel", 0.0, 100.0, 1000.0).expect_variation(0.001, 10);
-        let mut anomalies = Vec::new();
-        for i in 0..10 {
-            anomalies.extend(m.observe(Time::from_millis(i * 10), 42.0));
-        }
-        assert_eq!(anomalies.len(), 1);
-        assert_eq!(anomalies[0].kind, AnomalyKind::StuckSignal);
-    }
-
-    #[test]
-    fn varying_signal_not_stuck() {
-        let mut m =
-            PlausibilityMonitor::new("wheel", 0.0, 100.0, 1000.0).expect_variation(0.001, 10);
-        for i in 0..50 {
-            let v = 42.0 + (i as f64 * 0.1);
-            assert!(m.observe(Time::from_millis(i * 10), v).is_empty());
-        }
     }
 
     #[test]

@@ -114,15 +114,6 @@ impl RoadGraph {
         });
     }
 
-    /// Updates the forecast on all segments between `a` and `b`.
-    pub fn set_forecast(&mut self, a: RoadNode, b: RoadNode, p_bad: f64) {
-        for e in &mut self.edges {
-            if (e.from == a && e.to == b) || (e.from == b && e.to == a) {
-                e.p_bad = p_bad.clamp(0.0, 1.0);
-            }
-        }
-    }
-
     /// Shortest path from `start` to `goal` under the cost model, or `None`
     /// when unreachable.
     pub fn plan(&self, start: RoadNode, goal: RoadNode, model: CostModel) -> Option<Route> {
@@ -266,14 +257,5 @@ mod tests {
     fn unreachable_goal_yields_none() {
         let g = RoadGraph::new(2);
         assert!(g.plan(RoadNode(0), RoadNode(1), CostModel::Naive).is_none());
-    }
-
-    #[test]
-    fn forecast_update_changes_plan() {
-        let (mut g, s, t) = alpine_scenario(0.0);
-        assert!(g.plan(s, t, risk()).unwrap().nodes.contains(&RoadNode(1)));
-        g.set_forecast(s, RoadNode(1), 0.9);
-        g.set_forecast(RoadNode(1), t, 0.9);
-        assert!(g.plan(s, t, risk()).unwrap().nodes.contains(&RoadNode(2)));
     }
 }

@@ -10,7 +10,7 @@
 //! * [`access`] — capability grant table plus the audited access log the
 //!   intrusion-detection monitor consumes.
 //! * [`sched`] — preemptive fixed-priority scheduler with per-job budgets,
-//!   speed-factor coupling to the hardware layer and fault injection.
+//!   speed-factor coupling to the hardware layer and overrun injection.
 //! * [`rte`] — the facade: installation, sessions, quarantine, atomic
 //!   reconfiguration with validation-before-mutation semantics.
 //!
@@ -42,4 +42,4 @@ pub mod sched;
 pub use access::{AccessControl, AccessEvent};
 pub use component::{ComponentId, ComponentSpec, ComponentState, ServiceName, VmId};
 pub use rte::{Configuration, Rte, RteError, SessionId};
-pub use sched::{BudgetEnforcement, JobRecord, Priority, Scheduler, TaskRef, TaskSpec};
+pub use sched::{JobRecord, Priority, Scheduler, TaskRef, TaskSpec};

@@ -3,10 +3,10 @@
 //! The execution-domain counterpart of the timing viewpoint's analysis
 //! model: periodic tasks belonging to components run under static-priority
 //! preemption. Execution times scale with the hosting PE's speed factor
-//! (thermal throttling hook), and per-job *budgets* can be enforced — the
-//! run-time mechanism the paper's execution domain uses to make model
-//! assumptions hold ("enforce … real-time behavior where necessary",
-//! Sec. II-B).
+//! (thermal throttling hook), and a job that exhausts its *budget* is
+//! truncated — the run-time mechanism the paper's execution domain uses to
+//! make model assumptions hold ("enforce … real-time behavior where
+//! necessary", Sec. II-B).
 //!
 //! The scheduler is advanced incrementally ([`Scheduler::advance`]) so the
 //! surrounding co-simulation can change the speed factor between segments.
@@ -26,16 +26,6 @@ pub struct Priority(pub u32);
 /// Reference to a task registered with a [`Scheduler`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TaskRef(pub usize);
-
-/// What to do when a job exhausts its execution budget.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BudgetEnforcement {
-    /// Abort the job at the budget boundary (hard enforcement).
-    #[default]
-    Truncate,
-    /// Let the job continue but mark the record (detection only).
-    ReportOnly,
-}
 
 /// Static description of a periodic task.
 #[derive(Debug, Clone)]
@@ -219,30 +209,23 @@ pub struct Scheduler {
     now: Time,
     rng: SimRng,
     records: Vec<JobRecord>,
-    enforcement: BudgetEnforcement,
     next_seq: u64,
     busy_ns: f64,
     window_start: Time,
 }
 
 impl Scheduler {
-    /// Creates a scheduler with hard budget enforcement.
+    /// Creates a scheduler.
     pub fn new(seed: u64) -> Self {
         Scheduler {
             tasks: Vec::new(),
             now: Time::ZERO,
             rng: SimRng::seed_from(seed),
             records: Vec::new(),
-            enforcement: BudgetEnforcement::Truncate,
             next_seq: 0,
             busy_ns: 0.0,
             window_start: Time::ZERO,
         }
-    }
-
-    /// Selects the budget enforcement mode.
-    pub fn set_enforcement(&mut self, mode: BudgetEnforcement) {
-        self.enforcement = mode;
     }
 
     /// Registers a task; it becomes active immediately. When added mid-run,
@@ -484,9 +467,9 @@ impl Scheduler {
             }
             let job = self.tasks[run].head.as_mut().expect("runnable task");
             // Wall time until the running job completes or hits its budget.
-            let work_ns = match (self.enforcement, job.budget_ns) {
-                (BudgetEnforcement::Truncate, Some(b)) => job.remaining_ns.min(b),
-                _ => job.remaining_ns,
+            let work_ns = match job.budget_ns {
+                Some(b) => job.remaining_ns.min(b),
+                None => job.remaining_ns,
             };
             let wall_ns = (work_ns * speed_factor).ceil().max(1.0);
             let event_at = self.now + Duration::from_nanos(wall_ns as u64);
@@ -500,8 +483,7 @@ impl Scheduler {
             }
             job.exec_wall_ns += dt_ns;
             let completed = job.remaining_ns < 0.5;
-            let exhausted = matches!(self.enforcement, BudgetEnforcement::Truncate)
-                && job.budget_ns.is_some_and(|b| b < 0.5);
+            let exhausted = job.budget_ns.is_some_and(|b| b < 0.5);
             self.busy_ns += dt_ns;
             self.now = t_next;
             if completed {
@@ -598,18 +580,6 @@ mod tests {
         // fits in each 10 ms period.
         assert_eq!(s.misses(victim), 0, "victim protected by enforcement");
         assert_eq!(s.truncations(hog), 5);
-    }
-
-    #[test]
-    fn report_only_lets_overrun_harm_victim() {
-        let mut s = Scheduler::new(1);
-        s.set_enforcement(BudgetEnforcement::ReportOnly);
-        let hog = s.add_task(spec("hog", 10, 2, 0).with_budget(ms(3)));
-        let victim = s.add_task(spec("victim", 10, 5, 1));
-        s.inject_overrun(hog, 5.0, 5);
-        s.advance(Time::from_millis(100), 1.0);
-        assert!(s.misses(victim) > 0, "no enforcement, victim suffers");
-        assert_eq!(s.truncations(hog), 0);
     }
 
     #[test]
@@ -746,10 +716,6 @@ mod tests {
             let seed = gen.uniform_u64(0, u64::MAX);
             let mut fast = Scheduler::new(seed);
             let mut oracle = reference::VecScheduler::new(seed);
-            if gen.chance(0.5) {
-                fast.set_enforcement(BudgetEnforcement::ReportOnly);
-                oracle.set_enforcement(BudgetEnforcement::ReportOnly);
-            }
             for i in 0..1 + gen.index(6) {
                 let spec = random_spec(&mut gen, i);
                 fast.add_task(spec.clone());

@@ -10,7 +10,7 @@
 use saav_sim::rng::SimRng;
 use saav_sim::time::{Duration, Time};
 
-use super::{BudgetEnforcement, JobRecord, TaskRef, TaskSpec};
+use super::{JobRecord, TaskRef, TaskSpec};
 use crate::component::ComponentId;
 
 #[derive(Debug, Clone)]
@@ -45,7 +45,6 @@ pub(super) struct VecScheduler {
     now: Time,
     rng: SimRng,
     records: Vec<JobRecord>,
-    enforcement: BudgetEnforcement,
     next_seq: u64,
     busy_ns: f64,
     window_start: Time,
@@ -59,15 +58,10 @@ impl VecScheduler {
             now: Time::ZERO,
             rng: SimRng::seed_from(seed),
             records: Vec::new(),
-            enforcement: BudgetEnforcement::Truncate,
             next_seq: 0,
             busy_ns: 0.0,
             window_start: Time::ZERO,
         }
-    }
-
-    pub(super) fn set_enforcement(&mut self, mode: BudgetEnforcement) {
-        self.enforcement = mode;
     }
 
     pub(super) fn add_task(&mut self, spec: TaskSpec) -> TaskRef {
@@ -264,9 +258,9 @@ impl VecScheduler {
                 continue;
             }
             let job = &self.jobs[run_idx];
-            let work_ns = match (self.enforcement, job.budget_ns) {
-                (BudgetEnforcement::Truncate, Some(b)) => job.remaining_ns.min(b),
-                _ => job.remaining_ns,
+            let work_ns = match job.budget_ns {
+                Some(b) => job.remaining_ns.min(b),
+                None => job.remaining_ns,
             };
             let wall_ns = (work_ns * speed_factor).ceil().max(1.0);
             let event_at = self.now + Duration::from_nanos(wall_ns as u64);
@@ -286,9 +280,7 @@ impl VecScheduler {
             let job = &self.jobs[run_idx];
             if job.remaining_ns < 0.5 {
                 self.finish_job(run_idx, false);
-            } else if matches!(self.enforcement, BudgetEnforcement::Truncate)
-                && job.budget_ns.is_some_and(|b| b < 0.5)
-            {
+            } else if job.budget_ns.is_some_and(|b| b < 0.5) {
                 self.finish_job(run_idx, true);
             }
             if self.now >= to {

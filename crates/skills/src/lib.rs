@@ -12,7 +12,6 @@
 //! * [`ability`] — ability graphs: instantiated skill graphs carrying
 //!   run-time performance levels with leaf-to-root propagation and three
 //!   aggregation operators (ablation A1).
-//! * [`tactics`] — graceful-degradation rules triggered by status drops.
 //! * [`decision`] — hysteretic mapping from the root ability level to a
 //!   driving mode (normal / reduced / safe stop).
 //!
@@ -38,10 +37,8 @@ pub mod ability;
 pub mod acc;
 pub mod decision;
 pub mod graph;
-pub mod tactics;
 
 pub use ability::{AbilityGraph, AbilityStatus, AggregateOp, StatusChange, Thresholds};
 pub use acc::{build_acc_graph, AccNodes};
 pub use decision::{DrivingMode, ModePolicy};
 pub use graph::{GraphError, NodeId, NodeKind, SkillGraph};
-pub use tactics::{Tactic, TacticAction, TacticEngine};

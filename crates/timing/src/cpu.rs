@@ -23,18 +23,12 @@ const MAX_ITERATIONS: usize = 10_000;
 #[derive(Debug, Clone, Default)]
 pub struct CpuAnalysis {
     tasks: Vec<Task>,
-    /// Execution-time multiplier applied to all WCETs (thermal throttling
-    /// couples in here; 1.0 = nominal speed).
-    speed_factor: f64,
 }
 
 impl CpuAnalysis {
-    /// Creates an empty analysis at nominal speed.
+    /// Creates an empty analysis.
     pub fn new() -> Self {
-        CpuAnalysis {
-            tasks: Vec::new(),
-            speed_factor: 1.0,
-        }
+        CpuAnalysis::default()
     }
 
     /// Adds a task.
@@ -43,31 +37,14 @@ impl CpuAnalysis {
         self
     }
 
-    /// Sets the execution-time multiplier (≥ 1 models a slowed-down PE).
-    ///
-    /// # Panics
-    /// Panics unless `factor` is finite and positive.
-    pub fn set_speed_factor(&mut self, factor: f64) -> &mut Self {
-        assert!(factor.is_finite() && factor > 0.0, "bad speed factor");
-        self.speed_factor = factor;
-        self
-    }
-
     /// The configured tasks.
     pub fn tasks(&self) -> &[Task] {
         &self.tasks
     }
 
-    fn scaled_wcet(&self, t: &Task) -> Duration {
-        t.wcet.mul_f64(self.speed_factor)
-    }
-
-    /// Total utilization with the current speed factor.
+    /// Total utilization of the task set.
     pub fn utilization(&self) -> f64 {
-        self.tasks
-            .iter()
-            .map(|t| self.scaled_wcet(t).as_secs_f64() * t.events.rate_hz())
-            .sum()
+        self.tasks.iter().map(Task::utilization).sum()
     }
 
     /// Runs the analysis for all tasks.
@@ -104,14 +81,14 @@ impl CpuAnalysis {
             .iter()
             .filter(|t| t.priority < task.priority)
             .collect();
-        let c_i = self.scaled_wcet(task);
+        let c_i = task.wcet;
 
         // Level-i busy window length.
         let mut busy = c_i;
         for _ in 0..MAX_ITERATIONS {
             let mut total = c_i * task.events.eta_plus(busy).max(1);
             for j in &hp {
-                total += self.scaled_wcet(j) * j.events.eta_plus(busy);
+                total += j.wcet * j.events.eta_plus(busy);
             }
             if total == busy {
                 break;
@@ -127,7 +104,7 @@ impl CpuAnalysis {
             for _ in 0..MAX_ITERATIONS {
                 let mut next = c_i * q;
                 for j in &hp {
-                    next += self.scaled_wcet(j) * j.events.eta_plus(w);
+                    next += j.wcet * j.events.eta_plus(w);
                 }
                 if next == w {
                     converged = true;
@@ -195,45 +172,20 @@ mod tests {
         assert_eq!(res.response("hi").unwrap().wcrt, ms(3));
     }
 
+    /// Two 6 ms / 10 ms tasks overload the CPU, whichever constructor
+    /// built the analysis: `default()` analyses the same CPU as `new()`.
     #[test]
     fn overload_is_detected() {
-        let mut cpu = CpuAnalysis::new();
-        cpu.add_task(task("a", 6, 10, 0));
-        cpu.add_task(task("b", 6, 10, 1));
-        match cpu.analyze() {
-            Err(AnalysisError::Overload { utilization_pct }) => {
-                assert_eq!(utilization_pct, 120)
+        for mut cpu in [CpuAnalysis::new(), CpuAnalysis::default()] {
+            cpu.add_task(task("a", 6, 10, 0));
+            cpu.add_task(task("b", 6, 10, 1));
+            assert!((cpu.utilization() - 1.2).abs() < 1e-12);
+            match cpu.analyze() {
+                Err(AnalysisError::Overload { utilization_pct }) => {
+                    assert_eq!(utilization_pct, 120)
+                }
+                other => panic!("expected overload, got {other:?}"),
             }
-            other => panic!("expected overload, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn speed_factor_scales_response_times() {
-        let mut cpu = CpuAnalysis::new();
-        cpu.add_task(task("a", 1, 4, 0));
-        cpu.add_task(task("b", 2, 12, 1));
-        let nominal = cpu.analyze().unwrap().response("b").unwrap().wcrt;
-        cpu.set_speed_factor(2.0);
-        let slowed = cpu.analyze().unwrap().response("b").unwrap().wcrt;
-        assert!(slowed > nominal);
-        // b at 2x: C_b=4, C_a=2: w=4+2=6 -> eta_a(6)=2 -> 4+4=8 -> eta_a(8)=2 -> 8.
-        assert_eq!(slowed, ms(8));
-    }
-
-    #[test]
-    fn throttling_induces_deadline_miss() {
-        // Schedulable at nominal speed, unschedulable at 2x slowdown —
-        // exactly the paper's thermal scenario expressed in analysis terms.
-        let mut cpu = CpuAnalysis::new();
-        cpu.add_task(task("ctl", 3, 10, 0));
-        cpu.add_task(task("plan", 4, 20, 1));
-        assert!(cpu.analyze().unwrap().schedulable());
-        cpu.set_speed_factor(2.0);
-        match cpu.analyze() {
-            Ok(res) => assert!(!res.schedulable()),
-            Err(AnalysisError::Overload { .. }) => {}
-            Err(e) => panic!("unexpected {e:?}"),
         }
     }
 

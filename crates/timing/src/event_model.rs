@@ -63,17 +63,6 @@ impl EventModel {
         self.d_min
     }
 
-    /// Returns this model with additional jitter (output event model of a
-    /// task with response-time variation — the jitter-propagation rule of
-    /// CPA).
-    pub fn with_added_jitter(&self, extra: Duration) -> EventModel {
-        EventModel {
-            period: self.period,
-            jitter: self.jitter + extra,
-            d_min: self.d_min,
-        }
-    }
-
     /// Maximum number of events in any half-open window of length `dt`
     /// (`η⁺`).
     pub fn eta_plus(&self, dt: Duration) -> u64 {
@@ -170,14 +159,6 @@ mod tests {
         // Jitter larger than the spread saturates at d_min spacing.
         let b = EventModel::new(ms(10), ms(50), ms(1));
         assert_eq!(b.delta_min(3), ms(2));
-    }
-
-    #[test]
-    fn jitter_propagation_adds() {
-        let m = EventModel::with_jitter(ms(10), ms(1));
-        let out = m.with_added_jitter(ms(2));
-        assert_eq!(out.jitter(), ms(3));
-        assert_eq!(out.period(), ms(10));
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //! * [`task`] — tasks/frame streams, priorities, analysis results.
 //! * [`cpu`] — busy-window WCRT for static-priority preemptive CPUs.
 //! * [`can_rt`] — non-preemptive CAN WCRT with blocking (Davis et al. 2007).
-//! * [`system`] — multi-resource fixpoint with output-jitter propagation
-//!   along task chains and end-to-end path latencies.
+//!
+//! Each resource is analysed on its own: the MCC's timing viewpoint runs
+//! one [`CpuAnalysis`] per processing element and one [`CanAnalysis`] per
+//! bus.
 //!
 //! ```
 //! use saav_sim::time::Duration;
@@ -32,11 +34,9 @@
 pub mod can_rt;
 pub mod cpu;
 pub mod event_model;
-pub mod system;
 pub mod task;
 
 pub use can_rt::CanAnalysis;
 pub use cpu::CpuAnalysis;
 pub use event_model::EventModel;
-pub use system::{Activation, ResourceId, SystemAnalysis, SystemModel, TaskId};
 pub use task::{AnalysisError, Priority, ResourceAnalysis, Task, TaskResponse};

@@ -19,8 +19,6 @@ pub struct Task {
     pub name: String,
     /// Worst-case execution (or transmission) time at nominal speed.
     pub wcet: Duration,
-    /// Best-case execution time; used for output-jitter propagation.
-    pub bcet: Duration,
     /// Static priority (lower value = higher priority).
     pub priority: Priority,
     /// Activation event model.
@@ -30,7 +28,7 @@ pub struct Task {
 }
 
 impl Task {
-    /// Creates a task with `bcet == wcet`.
+    /// Creates a task.
     ///
     /// # Panics
     /// Panics if `wcet` or `deadline` is zero.
@@ -46,21 +44,10 @@ impl Task {
         Task {
             name: name.into(),
             wcet,
-            bcet: wcet,
             priority,
             events,
             deadline,
         }
-    }
-
-    /// Sets a best-case execution time.
-    ///
-    /// # Panics
-    /// Panics if `bcet > wcet`.
-    pub fn with_bcet(mut self, bcet: Duration) -> Self {
-        assert!(bcet <= self.wcet, "BCET must not exceed WCET");
-        self.bcet = bcet;
-        self
     }
 
     /// Long-run utilization contribution (WCET × rate).
@@ -82,8 +69,6 @@ pub enum AnalysisError {
         /// Task that failed to converge.
         task: String,
     },
-    /// The task set references an unknown entity.
-    UnknownTask(String),
 }
 
 impl fmt::Display for AnalysisError {
@@ -95,7 +80,6 @@ impl fmt::Display for AnalysisError {
             AnalysisError::Diverged { task } => {
                 write!(f, "response-time iteration diverged for task `{task}`")
             }
-            AnalysisError::UnknownTask(name) => write!(f, "unknown task `{name}`"),
         }
     }
 }
@@ -171,32 +155,6 @@ mod tests {
             ms(10),
         );
         assert!((t.utilization() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bcet_validation() {
-        let t = Task::new(
-            "t",
-            ms(2),
-            Priority(1),
-            EventModel::periodic(ms(10)),
-            ms(10),
-        )
-        .with_bcet(ms(1));
-        assert_eq!(t.bcet, ms(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "BCET")]
-    fn bcet_above_wcet_rejected() {
-        let _ = Task::new(
-            "t",
-            ms(2),
-            Priority(1),
-            EventModel::periodic(ms(10)),
-            ms(10),
-        )
-        .with_bcet(ms(3));
     }
 
     #[test]

@@ -7,14 +7,14 @@
 //! | crate | role |
 //! |---|---|
 //! | [`sim`] | discrete-event kernel: virtual time, queues, RNG, traces |
-//! | [`hw`] | platform: PEs, DVFS, thermal/power models, fault injection |
+//! | [`hw`] | platform: PEs, DVFS, thermal/power models, thermal shutdown |
 //! | [`can`] | CAN bus + the virtualized (PF/VF) CAN controller of Fig. 2 |
 //! | [`rte`] | microkernel-style execution domain with budgets and capabilities |
 //! | [`timing`] | compositional WCRT analysis (CPU + CAN) |
 //! | [`mcc`] | model domain: contracts, viewpoints, integration, FMEA |
-//! | [`monitor`] | execution/heartbeat/plausibility/access monitors |
+//! | [`monitor`] | execution/heartbeat/boundary/quality/access monitors |
 //! | [`learn`] | learned self-awareness: quantizers, state vocabulary, DBN transitions, online abnormality scoring |
-//! | [`skills`] | skill & ability graphs (Sec. IV), degradation tactics |
+//! | [`skills`] | skill & ability graphs (Sec. IV), driving-mode policy |
 //! | [`vehicle`] | longitudinal plant, degradable sensors, ACC function |
 //! | [`platoon`] | Byzantine agreement, trust, risk-aware routing |
 //! | [`core`] | cross-layer coordination, scenario engine, vehicle + fleet runner (Sec. V) |

@@ -128,7 +128,7 @@ fn can_analysis_bounds_simulated_latency() {
     }
     let bounds = analysis.analyze().expect("schedulable");
 
-    let mut bus = CanBus::automotive_500k(5);
+    let mut bus = CanBus::automotive_500k();
     let tx = bus.attach_standard(ControllerConfig {
         tx_capacity: 256,
         tx_latency: Duration::ZERO,
