@@ -12,63 +12,36 @@ use saav_can::bus::CanBus;
 use saav_can::controller::ControllerConfig;
 use saav_can::frame::{CanFrame, FrameId};
 use saav_can::resources;
-use saav_can::virt::{VfId, VirtCanConfig};
+use saav_can::virt::VfId;
 use saav_sim::report::{fmt_f64, Table};
 use saav_sim::time::{Duration, Time};
 
-/// Round-trip through a *native* controller pair: A sends, B echoes.
-fn native_round_trip(payload: &[u8]) -> Duration {
+/// Round-trip from VF0 of controller A, configured as `sender`, to a
+/// native controller B, which echoes the frame back.
+fn round_trip(payload: &[u8], sender: ControllerConfig) -> Duration {
     let mut bus = CanBus::automotive_500k();
-    let a = bus.attach_standard(ControllerConfig::default());
-    let b = bus.attach_standard(ControllerConfig::default());
+    let (a, _) = bus.attach(sender);
+    let (b, _) = bus.attach(ControllerConfig::default());
     let request = CanFrame::data(FrameId::Standard(0x100), payload).expect("valid");
     let reply = CanFrame::data(FrameId::Standard(0x200), payload).expect("valid");
     let t0 = Time::from_millis(1);
-    bus.standard_mut(a).send(request, t0);
+    bus.node_mut(a)
+        .vf_send(VfId(0), request, t0)
+        .expect("vf send");
     // Walk time forward in 1 µs steps until the echo is back.
     let mut now = t0;
     let mut echoed = false;
     loop {
         now += Duration::from_micros(1);
         bus.advance(now);
-        if !echoed && bus.standard_mut(b).receive(now).is_some() {
-            bus.standard_mut(b).send(reply, now);
+        if !echoed && matches!(bus.node_mut(b).vf_receive(VfId(0), now), Ok(Some(_))) {
+            bus.node_mut(b)
+                .vf_send(VfId(0), reply, now)
+                .expect("echo send");
             echoed = true;
         }
-        if echoed && bus.standard_mut(a).receive(now).is_some() {
+        if echoed && matches!(bus.node_mut(a).vf_receive(VfId(0), now), Ok(Some(_))) {
             return now - t0;
-        }
-        assert!(
-            now < t0 + Duration::from_millis(100),
-            "round trip never completed"
-        );
-    }
-}
-
-/// Round-trip where A is VF0 of a virtualized controller with `vfs` VFs.
-fn virtualized_round_trip(payload: &[u8], vfs: usize) -> Duration {
-    let mut bus = CanBus::automotive_500k();
-    let (v, _pf) = bus.attach_virtualized(VirtCanConfig::calibrated(vfs));
-    let b = bus.attach_standard(ControllerConfig::default());
-    let request = CanFrame::data(FrameId::Standard(0x100), payload).expect("valid");
-    let reply = CanFrame::data(FrameId::Standard(0x200), payload).expect("valid");
-    let t0 = Time::from_millis(1);
-    bus.virtualized_mut(v)
-        .vf_send(VfId(0), request, t0)
-        .expect("vf send");
-    let mut now = t0;
-    let mut echoed = false;
-    loop {
-        now += Duration::from_micros(1);
-        bus.advance(now);
-        if !echoed && bus.standard_mut(b).receive(now).is_some() {
-            bus.standard_mut(b).send(reply, now);
-            echoed = true;
-        }
-        if echoed {
-            if let Ok(Some(_)) = bus.virtualized_mut(v).vf_receive(VfId(0), now) {
-                return now - t0;
-            }
         }
         assert!(
             now < t0 + Duration::from_millis(100),
@@ -80,7 +53,7 @@ fn virtualized_round_trip(payload: &[u8], vfs: usize) -> Duration {
 /// E1 data point.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundTripPoint {
-    /// Enabled VFs on the virtualized side.
+    /// Provisioned VFs on the virtualized side.
     pub vfs: usize,
     /// Payload bytes.
     pub payload: usize,
@@ -106,8 +79,8 @@ pub fn e1_points() -> Vec<RoundTripPoint> {
             points.push(RoundTripPoint {
                 vfs,
                 payload,
-                native: native_round_trip(&data),
-                virtualized: virtualized_round_trip(&data, vfs),
+                native: round_trip(&data, ControllerConfig::default()),
+                virtualized: round_trip(&data, ControllerConfig::virtualized(vfs)),
             });
         }
     }
@@ -165,51 +138,30 @@ pub fn e1_added_range_us() -> (f64, f64) {
 /// Throughput check backing the "near-native performance" claim: frames
 /// delivered over a busy second, native vs virtualized sender.
 pub fn e1_throughput_table() -> Table {
-    let run = |virtualized: bool| -> u64 {
-        let mut bus = CanBus::automotive_500k();
-        let deep = ControllerConfig {
+    let run = |sender: ControllerConfig| -> u64 {
+        let deep = |config| ControllerConfig {
             tx_capacity: 4_096,
             rx_capacity: 8_192,
-            ..ControllerConfig::default()
+            ..config
         };
-        let (v, s) = if virtualized {
-            let (v, _pf) = bus.attach_virtualized(VirtCanConfig {
-                base: deep.clone(),
-                ..VirtCanConfig::calibrated(2)
-            });
-            (Some(v), bus.attach_standard(deep.clone()))
-        } else {
-            let a = bus.attach_standard(deep.clone());
-            (None, {
-                let b = bus.attach_standard(deep);
-                let _ = a;
-                b
-            })
-        };
+        let mut bus = CanBus::automotive_500k();
+        let (a, _) = bus.attach(deep(sender));
+        let (b, _) = bus.attach(deep(ControllerConfig::default()));
         // Saturate: enqueue 4000 frames at t=0 (bus fits ~4400 x 114-bit
         // frames per second at 500 kbit/s).
         let f = CanFrame::data(FrameId::Standard(0x123), &[0u8; 8]).expect("valid");
         for _ in 0..4_000 {
-            match v {
-                Some(node) => {
-                    let _ = bus.virtualized_mut(node).vf_send(VfId(0), f, Time::ZERO);
-                }
-                None => {
-                    // need a sender distinct from receiver s
-                    bus.standard_mut(saav_can::bus::NodeId(0))
-                        .send(f, Time::ZERO);
-                }
-            }
+            let _ = bus.node_mut(a).vf_send(VfId(0), f, Time::ZERO);
         }
         bus.advance(Time::from_secs(1));
         let mut count = 0;
-        while bus.standard_mut(s).receive(Time::from_secs(1)).is_some() {
+        while let Ok(Some(_)) = bus.node_mut(b).vf_receive(VfId(0), Time::from_secs(1)) {
             count += 1;
         }
         count
     };
-    let native = run(false);
-    let virt = run(true);
+    let native = run(ControllerConfig::default());
+    let virt = run(ControllerConfig::virtualized(2));
     let mut t = Table::new(["path", "frames/s", "relative"])
         .with_title("E1b: saturated throughput (paper: near-native)");
     t.row(["native", &native.to_string(), "1.000"]);

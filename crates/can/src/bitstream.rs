@@ -248,15 +248,6 @@ pub fn frame_bits_with_ifs(frame: &CanFrame) -> u32 {
     frame_bits_exact(frame) + IFS_BITS
 }
 
-/// Worst-case bits for a frame with `dlc` payload bytes (classic bound
-/// including maximum stuffing and IFS): standard `8n + 47 + ⌊(34+8n−1)/4⌋`.
-pub fn frame_bits_worst_case(dlc: u8, extended: bool) -> u32 {
-    let n = dlc as u32;
-    let stuffable = if extended { 54 + 8 * n } else { 34 + 8 * n };
-    let fixed = stuffable + TAIL_BITS + IFS_BITS;
-    fixed + (stuffable - 1) / 4
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,27 +320,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn exact_bits_within_canonical_bounds() {
-        for len in 0..=8usize {
-            let payload = vec![0u8; len];
-            let f = data_frame(0x100, &payload);
-            let exact = frame_bits_with_ifs(&f);
-            let min = 34 + 8 * len as u32 + TAIL_BITS + IFS_BITS; // no stuffing
-            let max = frame_bits_worst_case(len as u8, false);
-            assert!(exact >= min, "len {len}: {exact} < {min}");
-            assert!(exact <= max, "len {len}: {exact} > {max}");
-        }
-    }
-
-    #[test]
-    fn worst_case_formula_matches_known_value() {
-        // Classic result: standard frame, 8 data bytes => 135 bits with IFS.
-        assert_eq!(frame_bits_worst_case(8, false), 135);
-        // And 0 data bytes => 55 bits.
-        assert_eq!(frame_bits_worst_case(0, false), 55);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The shared CAN bus: arbitration and transmission timing.
 //!
-//! The bus owns all attached controllers (standard or virtualized) and is
-//! advanced with [`CanBus::advance`], which processes transmissions up to a
-//! target instant. Arbitration follows CAN semantics: when the bus goes
+//! The bus owns all attached controllers, one [`CanController`] type
+//! whether a node is native or virtualized, and is advanced with
+//! [`CanBus::advance`], which processes transmissions up to a target
+//! instant. Arbitration follows CAN semantics: when the bus goes
 //! idle, all frames that are ready at that instant compete and the lowest
 //! [`arbitration key`](crate::frame::CanFrame::arbitration_key) wins (ties
 //! broken by node index, modelling layout-determined bit timing skew).
@@ -13,63 +14,11 @@ use saav_sim::time::{Duration, Time};
 use crate::bitstream::{frame_bits_exact, IFS_BITS};
 use crate::controller::{CanController, ControllerConfig, QueuedFrame};
 use crate::frame::{CanFrame, FrameId};
-use crate::virt::{PfToken, VirtCanConfig, VirtualizedCanController};
+use crate::virt::PfToken;
 
 /// Identifier of a node (controller) attached to a bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub usize);
-
-impl std::fmt::Display for NodeId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node{}", self.0)
-    }
-}
-
-/// A controller attached to the bus.
-#[derive(Debug)]
-pub enum CanNode {
-    /// A standard controller.
-    Standard(CanController),
-    /// A virtualized (PF/VF) controller.
-    Virtualized(VirtualizedCanController),
-}
-
-impl CanNode {
-    fn earliest_ready(&self) -> Option<Time> {
-        match self {
-            CanNode::Standard(c) => c.bus_earliest_ready(),
-            CanNode::Virtualized(c) => c.bus_earliest_ready(),
-        }
-    }
-
-    fn best_key(&self, at: Time) -> Option<u64> {
-        match self {
-            CanNode::Standard(c) => c.bus_best_key(at),
-            CanNode::Virtualized(c) => c.bus_best_key(at),
-        }
-    }
-
-    fn take_frame(&mut self, at: Time) -> Option<QueuedFrame> {
-        match self {
-            CanNode::Standard(c) => c.bus_take_frame(at),
-            CanNode::Virtualized(c) => c.bus_take_frame(at),
-        }
-    }
-
-    fn tx_success(&mut self, q: &QueuedFrame) {
-        match self {
-            CanNode::Standard(c) => c.bus_tx_success(),
-            CanNode::Virtualized(c) => c.bus_tx_success(q),
-        }
-    }
-
-    fn deliver(&mut self, frame: CanFrame, at: Time) {
-        match self {
-            CanNode::Standard(c) => c.bus_deliver(frame, at),
-            CanNode::Virtualized(c) => c.bus_deliver(frame, at),
-        }
-    }
-}
 
 #[derive(Debug)]
 struct InFlight {
@@ -135,7 +84,7 @@ pub struct CanBus {
     bit_time: Duration,
     now: Time,
     in_flight: Option<InFlight>,
-    nodes: Vec<CanNode>,
+    nodes: Vec<CanController>,
     stats: BusStats,
     frame_bits: FrameBitsMemo,
 }
@@ -167,21 +116,12 @@ impl CanBus {
         self.bit_time
     }
 
-    /// Attaches a standard controller, returning its node id.
-    pub fn attach_standard(&mut self, config: ControllerConfig) -> NodeId {
-        self.attach(CanNode::Standard(CanController::new(config)))
-    }
-
-    /// Attaches a virtualized controller, returning its node id and the PF
-    /// privilege token.
-    pub fn attach_virtualized(&mut self, config: VirtCanConfig) -> (NodeId, PfToken) {
-        let (ctrl, token) = VirtualizedCanController::new(config);
-        (self.attach(CanNode::Virtualized(ctrl)), token)
-    }
-
-    fn attach(&mut self, node: CanNode) -> NodeId {
-        self.nodes.push(node);
-        NodeId(self.nodes.len() - 1)
+    /// Attaches a controller, returning its node id and the PF privilege
+    /// token.
+    pub fn attach(&mut self, config: ControllerConfig) -> (NodeId, PfToken) {
+        let (ctrl, token) = CanController::new(config);
+        self.nodes.push(ctrl);
+        (NodeId(self.nodes.len() - 1), token)
     }
 
     /// Number of attached nodes.
@@ -194,48 +134,20 @@ impl CanBus {
         self.nodes.is_empty()
     }
 
-    /// Immutable access to a standard controller.
+    /// The controller of node `id`.
     ///
     /// # Panics
-    /// Panics if the node does not exist or is not a standard controller.
-    pub fn standard(&self, id: NodeId) -> &CanController {
-        match &self.nodes[id.0] {
-            CanNode::Standard(c) => c,
-            CanNode::Virtualized(_) => panic!("{id} is a virtualized controller"),
-        }
+    /// Panics if the node does not exist.
+    pub fn node(&self, id: NodeId) -> &CanController {
+        &self.nodes[id.0]
     }
 
-    /// Mutable access to a standard controller.
+    /// Mutable access to the controller of node `id`.
     ///
     /// # Panics
-    /// Panics if the node does not exist or is not a standard controller.
-    pub fn standard_mut(&mut self, id: NodeId) -> &mut CanController {
-        match &mut self.nodes[id.0] {
-            CanNode::Standard(c) => c,
-            CanNode::Virtualized(_) => panic!("{id} is a virtualized controller"),
-        }
-    }
-
-    /// Immutable access to a virtualized controller.
-    ///
-    /// # Panics
-    /// Panics if the node does not exist or is not virtualized.
-    pub fn virtualized(&self, id: NodeId) -> &VirtualizedCanController {
-        match &self.nodes[id.0] {
-            CanNode::Virtualized(c) => c,
-            CanNode::Standard(_) => panic!("{id} is a standard controller"),
-        }
-    }
-
-    /// Mutable access to a virtualized controller.
-    ///
-    /// # Panics
-    /// Panics if the node does not exist or is not virtualized.
-    pub fn virtualized_mut(&mut self, id: NodeId) -> &mut VirtualizedCanController {
-        match &mut self.nodes[id.0] {
-            CanNode::Virtualized(c) => c,
-            CanNode::Standard(_) => panic!("{id} is a standard controller"),
-        }
+    /// Panics if the node does not exist.
+    pub fn node_mut(&mut self, id: NodeId) -> &mut CanController {
+        &mut self.nodes[id.0]
     }
 
     /// Aggregate statistics.
@@ -259,7 +171,12 @@ impl CanBus {
                 continue;
             }
             // Bus idle: find the next arbitration instant.
-            let Some(t_ready) = self.nodes.iter().filter_map(CanNode::earliest_ready).min() else {
+            let Some(t_ready) = self
+                .nodes
+                .iter()
+                .filter_map(CanController::bus_earliest_ready)
+                .min()
+            else {
                 return;
             };
             let start = t_ready.max(self.now);
@@ -280,13 +197,13 @@ impl CanBus {
             .nodes
             .iter()
             .enumerate()
-            .filter_map(|(i, n)| n.best_key(start).map(|k| (k, i)))
+            .filter_map(|(i, n)| n.bus_best_key(start).map(|k| (k, i)))
             .min();
         let Some((_key, sender)) = winner else {
             return;
         };
         let queued = self.nodes[sender]
-            .take_frame(start)
+            .bus_take_frame(start)
             .expect("winner must have a ready frame");
         let bits = self.frame_bits.bits(&queued.frame);
         let frame_end = start + self.bit_time * bits as u64;
@@ -306,9 +223,9 @@ impl CanBus {
         let frame = fl.queued.frame;
         for (i, n) in self.nodes.iter_mut().enumerate() {
             if i == fl.sender {
-                n.tx_success(&fl.queued);
+                n.bus_tx_success(&fl.queued);
             } else {
-                n.deliver(frame, fl.frame_end);
+                n.bus_deliver(frame, fl.frame_end);
             }
         }
         // Interframe space: the next arbitration may start 3 bit times later.
@@ -320,30 +237,47 @@ impl CanBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::virt::VfId;
     use saav_sim::rng::SimRng;
 
     fn frame(id: u16, payload: &[u8]) -> CanFrame {
         CanFrame::data(FrameId::standard(id).unwrap(), payload).unwrap()
     }
 
+    fn native(bus: &mut CanBus) -> NodeId {
+        bus.attach(ControllerConfig::default()).0
+    }
+
     fn two_node_bus() -> (CanBus, NodeId, NodeId) {
         let mut bus = CanBus::automotive_500k();
-        let a = bus.attach_standard(ControllerConfig::default());
-        let b = bus.attach_standard(ControllerConfig::default());
+        let a = native(&mut bus);
+        let b = native(&mut bus);
         (bus, a, b)
+    }
+
+    /// Queues `frame` on VF0 of `node`, returning whether it was accepted.
+    fn send(bus: &mut CanBus, node: NodeId, frame: CanFrame, at: Time) -> bool {
+        bus.node_mut(node).vf_send(VfId(0), frame, at).is_ok()
+    }
+
+    /// The oldest frame VF0 of `node` sees at `at`.
+    fn receive(bus: &mut CanBus, node: NodeId, at: Time) -> Option<CanFrame> {
+        bus.node_mut(node).vf_receive(VfId(0), at).unwrap()
     }
 
     #[test]
     fn frame_travels_from_a_to_b() {
         let (mut bus, a, b) = two_node_bus();
         let f = frame(0x123, &[1, 2, 3]);
-        assert!(bus.standard_mut(a).send(f, Time::ZERO));
+        assert!(send(&mut bus, a, f, Time::ZERO));
         bus.advance(Time::from_millis(1));
-        let got = bus.standard_mut(b).receive(Time::from_millis(1));
+        let got = receive(&mut bus, b, Time::from_millis(1));
         assert_eq!(got, Some(f));
         // Sender does not receive its own frame.
-        assert_eq!(bus.standard_mut(a).receive(Time::from_millis(1)), None);
+        assert_eq!(receive(&mut bus, a, Time::from_millis(1)), None);
         assert_eq!(bus.stats().frames_ok, 1);
+        assert_eq!(bus.node(a).vf_stats(VfId(0)).unwrap().tx_frames, 1);
+        assert_eq!(bus.node(b).vf_stats(VfId(0)).unwrap().rx_frames, 1);
     }
 
     #[test]
@@ -351,14 +285,14 @@ mod tests {
         let (mut bus, a, b) = two_node_bus();
         let f = frame(0x123, &[0xAA; 8]);
         let bits = frame_bits_exact(&f) as u64;
-        bus.standard_mut(a).send(f, Time::ZERO);
+        send(&mut bus, a, f, Time::ZERO);
         bus.advance(Time::from_millis(1));
         // Earliest visibility: tx_latency (2us) + bits * 2us + rx_latency (2us).
         let expect = Duration::from_micros(2) + bus.bit_time() * bits + Duration::from_micros(2);
         let just_before = Time::ZERO + expect - Duration::from_nanos(1);
-        assert_eq!(bus.standard_mut(b).receive(just_before), None);
+        assert_eq!(receive(&mut bus, b, just_before), None);
         let at = Time::ZERO + expect;
-        assert_eq!(bus.standard_mut(b).receive(at), Some(f));
+        assert_eq!(receive(&mut bus, b, at), Some(f));
     }
 
     #[test]
@@ -367,13 +301,13 @@ mod tests {
         let hi = frame(0x050, &[1]);
         let lo = frame(0x700, &[2]);
         // Both ready at the same instant.
-        bus.standard_mut(a).send(lo, Time::ZERO);
-        bus.standard_mut(b).send(hi, Time::ZERO);
-        let c = bus.attach_standard(ControllerConfig::default());
+        send(&mut bus, a, lo, Time::ZERO);
+        send(&mut bus, b, hi, Time::ZERO);
+        let c = native(&mut bus);
         bus.advance(Time::from_millis(5));
         let t = Time::from_millis(5);
-        let first = bus.standard_mut(c).receive(t).unwrap();
-        let second = bus.standard_mut(c).receive(t).unwrap();
+        let first = receive(&mut bus, c, t).unwrap();
+        let second = receive(&mut bus, c, t).unwrap();
         assert_eq!(first, hi, "high-priority frame must win arbitration");
         assert_eq!(second, lo);
     }
@@ -382,13 +316,12 @@ mod tests {
     fn back_to_back_frames_serialize_on_the_bus() {
         let (mut bus, a, b) = two_node_bus();
         for i in 0..10u16 {
-            bus.standard_mut(a)
-                .send(frame(0x100 + i, &[i as u8]), Time::ZERO);
+            send(&mut bus, a, frame(0x100 + i, &[i as u8]), Time::ZERO);
         }
         bus.advance(Time::from_millis(10));
         let t = Time::from_millis(10);
         let mut got = Vec::new();
-        while let Some(f) = bus.standard_mut(b).receive(t) {
+        while let Some(f) = receive(&mut bus, b, t) {
             got.push(f.id().raw());
         }
         assert_eq!(got.len(), 10);
@@ -400,30 +333,26 @@ mod tests {
     }
 
     #[test]
-    fn virtualized_and_standard_interoperate() {
+    fn virtualized_and_native_interoperate() {
         let mut bus = CanBus::automotive_500k();
-        let (v, _pf) = bus.attach_virtualized(VirtCanConfig::calibrated(2));
-        let s = bus.attach_standard(ControllerConfig::default());
-        use crate::virt::VfId;
-        bus.virtualized_mut(v)
+        let (v, _pf) = bus.attach(ControllerConfig::virtualized(2));
+        let s = native(&mut bus);
+        bus.node_mut(v)
             .vf_send(VfId(0), frame(0x321, &[9]), Time::ZERO)
             .unwrap();
         bus.advance(Time::from_millis(1));
-        let got = bus.standard_mut(s).receive(Time::from_millis(1));
+        let got = receive(&mut bus, s, Time::from_millis(1));
         assert_eq!(got, Some(frame(0x321, &[9])));
         // And the reverse direction reaches both VFs.
-        bus.standard_mut(s)
-            .send(frame(0x55, &[1]), Time::from_millis(1));
+        send(&mut bus, s, frame(0x55, &[1]), Time::from_millis(1));
         bus.advance(Time::from_millis(2));
         let t = Time::from_millis(2);
-        assert_eq!(
-            bus.virtualized_mut(v).vf_receive(VfId(0), t).unwrap(),
-            Some(frame(0x55, &[1]))
-        );
-        assert_eq!(
-            bus.virtualized_mut(v).vf_receive(VfId(1), t).unwrap(),
-            Some(frame(0x55, &[1]))
-        );
+        for vf in [VfId(0), VfId(1)] {
+            assert_eq!(
+                bus.node_mut(v).vf_receive(vf, t).unwrap(),
+                Some(frame(0x55, &[1]))
+            );
+        }
     }
 
     /// A random frame: standard, extended or remote, any DLC and payload.
@@ -475,7 +404,7 @@ mod tests {
         let mut busy = Duration::ZERO;
         for (i, f) in stream.iter().take(500).enumerate() {
             let at = Time::from_millis(i as u64);
-            assert!(bus.standard_mut(a).send(*f, at));
+            assert!(send(&mut bus, a, *f, at));
             bus.advance(at + Duration::from_micros(999));
             busy += bus.bit_time() * frame_bits_exact(f) as u64;
         }
@@ -486,15 +415,13 @@ mod tests {
     #[test]
     fn bus_utilization_accumulates() {
         let mut bus = CanBus::automotive_500k();
-        let a = bus.attach_standard(ControllerConfig {
+        let (a, _) = bus.attach(ControllerConfig {
             tx_capacity: 128,
             ..ControllerConfig::default()
         });
-        let _b = bus.attach_standard(ControllerConfig::default());
+        let _b = native(&mut bus);
         for _ in 0..100 {
-            assert!(bus
-                .standard_mut(a)
-                .send(frame(0x100, &[0xFF; 8]), Time::ZERO));
+            assert!(send(&mut bus, a, frame(0x100, &[0xFF; 8]), Time::ZERO));
         }
         bus.advance(Time::from_millis(50));
         let u = bus.stats().utilization(Time::from_millis(50));

@@ -2,15 +2,18 @@
 //!
 //! Communication substrate of the SAAV workspace, reproducing Sec. III and
 //! Fig. 2 of Schlatow et al. (DATE 2017): a classic CAN bus with bit-accurate
-//! frame timing, standard controllers, and the **virtualized CAN controller**
-//! with its physical-function / virtual-function (PF/VF) split.
+//! frame timing and the **virtualized CAN controller** with its
+//! physical-function / virtual-function (PF/VF) split. Every node is that
+//! one controller type; a native controller is its configuration with one
+//! VF and no wrapper latency.
 //!
 //! * [`frame`] — CAN 2.0 frames with arbitration-faithful priority keys.
 //! * [`bitstream`] — bit-level encoding: CRC-15, bit stuffing, exact frame
 //!   lengths used for transmission timing.
-//! * [`controller`] — acceptance filters, TX queues, RX FIFOs, the standard
-//!   controller.
-//! * [`virt`] — the virtualized controller: per-VM VFs (data path only),
+//! * [`controller`] — the one controller type: TX queue, RX FIFOs and its
+//!   configuration, native ([`ControllerConfig::default`]) or virtualized
+//!   ([`ControllerConfig::virtualized`]).
+//! * [`virt`] — the virtualization layer: per-VM VFs (data path only),
 //!   per-VF transmit quotas set through the PF behind a capability token,
 //!   and the calibrated wrapper latency model (≈7–11 µs added round trip).
 //! * [`bus`] — arbitration and bit-accurate transmission timing.
@@ -24,16 +27,19 @@
 //! use saav_can::bus::CanBus;
 //! use saav_can::controller::ControllerConfig;
 //! use saav_can::frame::{CanFrame, FrameId};
+//! use saav_can::virt::VfId;
 //! use saav_sim::time::Time;
 //!
-//! # fn main() -> Result<(), saav_can::frame::FrameError> {
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let mut bus = CanBus::automotive_500k();
-//! let tx = bus.attach_standard(ControllerConfig::default());
-//! let rx = bus.attach_standard(ControllerConfig::default());
+//! let (tx, _) = bus.attach(ControllerConfig::default()); // native
+//! let (rx, _pf) = bus.attach(ControllerConfig::virtualized(2));
 //! let frame = CanFrame::data(FrameId::standard(0x123)?, &[1, 2, 3])?;
-//! bus.standard_mut(tx).send(frame, Time::ZERO);
+//! bus.node_mut(tx).vf_send(VfId(0), frame, Time::ZERO)?;
 //! bus.advance(Time::from_millis(1));
-//! assert_eq!(bus.standard_mut(rx).receive(Time::from_millis(1)), Some(frame));
+//! // Every VF of the receiving controller sees the frame.
+//! let at = Time::from_millis(1);
+//! assert_eq!(bus.node_mut(rx).vf_receive(VfId(1), at)?, Some(frame));
 //! # Ok(())
 //! # }
 //! ```
@@ -50,7 +56,7 @@ pub mod v2v;
 pub mod virt;
 
 pub use bus::{BusStats, CanBus, NodeId};
-pub use controller::{AcceptanceFilter, CanController, ControllerConfig};
+pub use controller::{CanController, ControllerConfig};
 pub use frame::{CanFrame, FrameError, FrameId};
 pub use v2v::{LinkFault, PeerId, V2vChannel, V2vMessage};
-pub use virt::{PfToken, VfId, VirtCanConfig, VirtError, VirtualizedCanController};
+pub use virt::{PfToken, VfId, VirtError};

@@ -1,4 +1,5 @@
-//! The virtualized CAN controller of Fig. 2 (Herber et al. \[8\]).
+//! The virtualization layer of the CAN controller of Fig. 2 (Herber et
+//! al. \[8\]).
 //!
 //! A traditional CAN controller (the *protocol layer*) is extended by a
 //! hardware *virtualization layer* that multiplexes several **virtual
@@ -7,31 +8,40 @@
 //! transmit quota, is reserved to the **physical function** (PF), which
 //! only privileged software — the hypervisor running an MCC — may access.
 //! The PF privilege is expressed in the type system:
-//! [`VirtualizedCanController::pf_set_vf_quota`] requires a [`PfToken`],
-//! handed out exactly once per controller. Every VF receives every frame.
+//! [`CanController::pf_set_vf_quota`] requires a [`PfToken`], handed out
+//! exactly once per controller. Every VF receives every frame.
+//!
+//! This module holds the layer's vocabulary (VF ids, the PF token, errors,
+//! per-VF statistics and quotas); [`CanController`] is the one controller
+//! type. A native controller is the same design with one VF and no wrapper
+//! latency ([`ControllerConfig::default`]).
 //!
 //! # Latency model
 //!
 //! The wrapper adds store-and-forward and multiplexing delays to the native
-//! controller path. Constants are calibrated so that a round-trip (TX through
-//! the virtualization layer, echo by a remote node, RX through the
-//! virtualization layer) adds **≈7 µs with 1 VF, growing to ≈11 µs with 8
-//! VFs** over the native controller, reproducing the 7–11 µs figure the
-//! paper reports from the FPGA prototype:
+//! controller path. [`ControllerConfig::virtualized`] calibrates them so
+//! that a round-trip (TX through the virtualization layer, echo by a remote
+//! node, RX through the virtualization layer) adds **≈7 µs with 1 VF,
+//! growing to ≈11 µs with 8 VFs** over the native controller, reproducing
+//! the 7–11 µs figure the paper reports from the FPGA prototype:
 //!
 //! | path | added latency |
 //! |---|---|
 //! | TX | doorbell 1.4 µs + mux 2.6 µs + 0.3 µs per extra VF |
 //! | RX | demux 2.2 µs + 0.2 µs per extra VF + virtual IRQ 0.8 µs |
+//!
+//! [`CanController`]: crate::controller::CanController
+//! [`CanController::pf_set_vf_quota`]: crate::controller::CanController::pf_set_vf_quota
+//! [`ControllerConfig::default`]: crate::controller::ControllerConfig
+//! [`ControllerConfig::virtualized`]: crate::controller::ControllerConfig::virtualized
 
 use std::fmt;
 
-use saav_sim::time::{Duration, Time};
+use saav_sim::time::Time;
 
-use crate::controller::{ControllerConfig, QueuedFrame, RxFifo, TxQueue};
-use crate::frame::CanFrame;
+use crate::controller::RxFifo;
 
-/// Identifier of a virtual function within one virtualized controller.
+/// Identifier of a virtual function within one controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VfId(pub usize);
 
@@ -43,12 +53,12 @@ impl fmt::Display for VfId {
 
 /// Capability token for physical-function (privileged) operations.
 ///
-/// Obtained once from [`VirtualizedCanController::new`]; possession models
+/// Handed out once per controller by [`CanBus::attach`]; possession models
 /// the hypervisor privilege boundary of the paper.
+///
+/// [`CanBus::attach`]: crate::bus::CanBus::attach
 #[derive(Debug)]
-pub struct PfToken {
-    _private: (),
-}
+pub struct PfToken(pub(crate) ());
 
 /// Errors returned by the virtualization layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,7 +89,7 @@ impl std::error::Error for VirtError {}
 pub struct VfStats {
     /// Frames successfully transmitted for this VF.
     pub tx_frames: u64,
-    /// Frames delivered to this VF's RX FIFO.
+    /// Frames stored in this VF's RX FIFO (an overrun is not counted).
     pub rx_frames: u64,
     /// Frames rejected due to quota or a full queue.
     pub tx_rejected: u64,
@@ -87,7 +97,7 @@ pub struct VfStats {
 
 /// Token-bucket transmit quota.
 #[derive(Debug, Clone, Copy)]
-struct TxQuota {
+pub(crate) struct TxQuota {
     rate_per_sec: f64,
     burst: f64,
     tokens: f64,
@@ -104,7 +114,7 @@ impl TxQuota {
         }
     }
 
-    fn limited(rate_per_sec: f64, burst: f64) -> Self {
+    pub(crate) fn limited(rate_per_sec: f64, burst: f64) -> Self {
         TxQuota {
             rate_per_sec,
             burst,
@@ -113,7 +123,7 @@ impl TxQuota {
         }
     }
 
-    fn try_take(&mut self, now: Time) -> bool {
+    pub(crate) fn try_take(&mut self, now: Time) -> bool {
         if self.rate_per_sec.is_infinite() {
             return true;
         }
@@ -129,197 +139,22 @@ impl TxQuota {
     }
 }
 
+/// One VF's RX FIFO, transmit quota and statistics.
 #[derive(Debug)]
-struct VirtualFunction {
-    rx: RxFifo,
-    quota: TxQuota,
-    stats: VfStats,
+pub(crate) struct VirtualFunction {
+    pub(crate) rx: RxFifo,
+    pub(crate) quota: TxQuota,
+    pub(crate) stats: VfStats,
 }
 
-/// Configuration of a virtualized CAN controller.
-#[derive(Debug, Clone)]
-pub struct VirtCanConfig {
-    /// Number of virtual functions provisioned in hardware.
-    pub num_vfs: usize,
-    /// Protocol-layer (native controller) latencies and capacities.
-    pub base: ControllerConfig,
-    /// VM-to-VF doorbell write latency.
-    pub doorbell_latency: Duration,
-    /// Fixed TX multiplexer latency of the wrapper.
-    pub wrapper_tx_base: Duration,
-    /// Additional TX latency per extra VF (mux scan).
-    pub wrapper_tx_per_vf: Duration,
-    /// Fixed RX demultiplexer latency of the wrapper.
-    pub wrapper_rx_base: Duration,
-    /// Additional RX latency per extra VF.
-    pub wrapper_rx_per_vf: Duration,
-    /// Virtual interrupt injection latency.
-    pub virq_latency: Duration,
-}
-
-impl VirtCanConfig {
-    /// The calibration used for the paper's experiment (see module docs).
-    pub fn calibrated(num_vfs: usize) -> Self {
-        VirtCanConfig {
-            num_vfs,
-            base: ControllerConfig::default(),
-            doorbell_latency: Duration::from_nanos(1_400),
-            wrapper_tx_base: Duration::from_nanos(2_600),
-            wrapper_tx_per_vf: Duration::from_nanos(300),
-            wrapper_rx_base: Duration::from_nanos(2_200),
-            wrapper_rx_per_vf: Duration::from_nanos(200),
-            virq_latency: Duration::from_nanos(800),
-        }
-    }
-}
-
-/// A virtualized CAN controller: protocol layer + virtualization layer.
-#[derive(Debug)]
-pub struct VirtualizedCanController {
-    config: VirtCanConfig,
-    vfs: Vec<VirtualFunction>,
-    /// Merged, priority-ordered staging queue of the wrapper; each staged
-    /// frame carries the index of its originating VF.
-    tx: TxQueue,
-}
-
-impl VirtualizedCanController {
-    /// Creates a controller and hands out its unique [`PfToken`].
-    ///
-    /// All VFs start with unlimited quota.
-    ///
-    /// # Panics
-    /// Panics if `num_vfs` is zero.
-    pub fn new(config: VirtCanConfig) -> (Self, PfToken) {
-        assert!(config.num_vfs > 0, "need at least one VF");
-        let vfs = (0..config.num_vfs)
-            .map(|_| VirtualFunction {
-                rx: RxFifo::new(config.base.rx_capacity),
-                quota: TxQuota::unlimited(),
-                stats: VfStats::default(),
-            })
-            .collect();
-        let ctrl = VirtualizedCanController {
-            vfs,
-            tx: TxQueue::bounded(config.base.tx_capacity * config.num_vfs),
-            config,
-        };
-        (ctrl, PfToken { _private: () })
-    }
-
-    /// Number of provisioned VFs.
-    pub fn num_vfs(&self) -> usize {
-        self.vfs.len()
-    }
-
-    fn vf(&self, vf: VfId) -> Result<&VirtualFunction, VirtError> {
-        self.vfs.get(vf.0).ok_or(VirtError::InvalidVf)
-    }
-
-    fn vf_mut(&mut self, vf: VfId) -> Result<&mut VirtualFunction, VirtError> {
-        self.vfs.get_mut(vf.0).ok_or(VirtError::InvalidVf)
-    }
-
-    /// Total added TX-path latency of the virtualization layer.
-    pub fn tx_overhead(&self) -> Duration {
-        let extra = self.num_vfs().saturating_sub(1) as u64;
-        self.config.doorbell_latency
-            + self.config.wrapper_tx_base
-            + self.config.wrapper_tx_per_vf * extra
-    }
-
-    /// Total added RX-path latency of the virtualization layer.
-    pub fn rx_overhead(&self) -> Duration {
-        let extra = self.num_vfs().saturating_sub(1) as u64;
-        self.config.wrapper_rx_base
-            + self.config.wrapper_rx_per_vf * extra
-            + self.config.virq_latency
-    }
-
-    // ---- VF (data path) interface ----
-
-    /// Queues `frame` for transmission on behalf of `vf` at time `now`.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`], [`VirtError::QuotaExceeded`] or
-    /// [`VirtError::QueueFull`].
-    pub fn vf_send(&mut self, vf: VfId, frame: CanFrame, now: Time) -> Result<(), VirtError> {
-        let tx_overhead = self.tx_overhead();
-        let tx_latency = self.config.base.tx_latency;
-        let v = self.vf_mut(vf)?;
-        if !v.quota.try_take(now) {
-            v.stats.tx_rejected += 1;
-            return Err(VirtError::QuotaExceeded);
-        }
-        let ready = now + tx_overhead + tx_latency;
-        // The staged frame records its owner for stats and isolation
-        // accounting.
-        if self.tx.push_owned(frame, ready, vf.0).is_none() {
-            self.vf_mut(vf)?.stats.tx_rejected += 1;
-            return Err(VirtError::QueueFull);
-        }
-        Ok(())
-    }
-
-    /// Retrieves the oldest frame visible to `vf` at `now`.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn vf_receive(&mut self, vf: VfId, now: Time) -> Result<Option<CanFrame>, VirtError> {
-        Ok(self.vf_mut(vf)?.rx.pop(now))
-    }
-
-    /// Per-VF statistics.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn vf_stats(&self, vf: VfId) -> Result<VfStats, VirtError> {
-        Ok(self.vf(vf)?.stats)
-    }
-
-    // ---- PF (privileged) interface ----
-
-    /// Sets a VF transmit quota (token bucket). Privileged.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn pf_set_vf_quota(
-        &mut self,
-        _token: &PfToken,
-        vf: VfId,
-        rate_per_sec: f64,
-        burst: f64,
-    ) -> Result<(), VirtError> {
-        self.vf_mut(vf)?.quota = TxQuota::limited(rate_per_sec, burst);
-        Ok(())
-    }
-
-    // ---- bus-side interface ----
-
-    pub(crate) fn bus_earliest_ready(&self) -> Option<Time> {
-        self.tx.earliest_ready()
-    }
-
-    pub(crate) fn bus_best_key(&self, at: Time) -> Option<u64> {
-        self.tx.best_ready_key(at)
-    }
-
-    pub(crate) fn bus_take_frame(&mut self, at: Time) -> Option<QueuedFrame> {
-        self.tx.pop_best_ready(at)
-    }
-
-    pub(crate) fn bus_tx_success(&mut self, q: &QueuedFrame) {
-        if let Some(v) = self.vfs.get_mut(q.owner) {
-            v.stats.tx_frames += 1;
-        }
-    }
-
-    pub(crate) fn bus_deliver(&mut self, frame: CanFrame, completed_at: Time) {
-        let rx_overhead = self.rx_overhead();
-        let rx_latency = self.config.base.rx_latency;
-        for v in &mut self.vfs {
-            v.rx.push(frame, completed_at + rx_latency + rx_overhead);
-            v.stats.rx_frames += 1;
+impl VirtualFunction {
+    /// A VF with an empty RX FIFO of `rx_capacity` frames and unlimited
+    /// quota.
+    pub(crate) fn new(rx_capacity: usize) -> Self {
+        VirtualFunction {
+            rx: RxFifo::new(rx_capacity),
+            quota: TxQuota::unlimited(),
+            stats: VfStats::default(),
         }
     }
 }
@@ -327,14 +162,15 @@ impl VirtualizedCanController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::FrameId;
+    use crate::controller::{CanController, ControllerConfig};
+    use crate::frame::{CanFrame, FrameId};
 
     fn frame(id: u16) -> CanFrame {
         CanFrame::data(FrameId::standard(id).unwrap(), &[0xAA]).unwrap()
     }
 
-    fn controller(n: usize) -> (VirtualizedCanController, PfToken) {
-        VirtualizedCanController::new(VirtCanConfig::calibrated(n))
+    fn controller(n: usize) -> (CanController, PfToken) {
+        CanController::new(ControllerConfig::virtualized(n))
     }
 
     #[test]
@@ -389,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn latency_overheads_grow_with_enabled_vfs() {
+    fn latency_overheads_grow_with_vfs() {
         let (c1, _p1) = controller(1);
         let (c8, _p8) = controller(8);
         let rt1 = c1.tx_overhead() + c1.rx_overhead();

@@ -15,7 +15,7 @@
 use saav_can::bus::{CanBus, NodeId};
 use saav_can::controller::ControllerConfig;
 use saav_can::frame::{CanFrame, FrameId};
-use saav_can::virt::{PfToken, VfId, VirtCanConfig};
+use saav_can::virt::{PfToken, VfId};
 use saav_hw::pe::PeId;
 use saav_hw::platform::Platform;
 use saav_learn::{OnlineScorer, SelfAwarenessModel};
@@ -69,7 +69,6 @@ pub struct SelfAwareVehicle {
     pub(crate) rte: Rte,
     bus: CanBus,
     virt_node: NodeId,
-    _actuator_node: NodeId,
     pf: PfToken,
     pub(crate) world: VehicleWorld,
     pub(crate) abilities: AbilityGraph,
@@ -231,9 +230,10 @@ impl SelfAwareVehicle {
         }
 
         // --- communication ------------------------------------------------
+        // The virtualized controller is the bus's only node: it sends every
+        // frame, and no node reads them.
         let mut bus = CanBus::automotive_500k();
-        let (virt_node, pf) = bus.attach_virtualized(VirtCanConfig::calibrated(2));
-        let actuator_node = bus.attach_standard(ControllerConfig::default());
+        let (virt_node, pf) = bus.attach(ControllerConfig::virtualized(2));
 
         // --- functional level ---------------------------------------------
         let world = VehicleWorld::new(seed, ego_speed_mps, lead);
@@ -262,7 +262,6 @@ impl SelfAwareVehicle {
             rte,
             bus,
             virt_node,
-            _actuator_node: actuator_node,
             pf,
             world,
             abilities,
@@ -371,7 +370,7 @@ impl SelfAwareVehicle {
                 .unwrap_or(u16::MAX);
             CanFrame::data(FrameId::Standard(0x120), &range_cm.to_be_bytes()).expect("valid frame")
         };
-        let virt = self.bus.virtualized_mut(self.virt_node);
+        let virt = self.bus.node_mut(self.virt_node);
         let _ = virt.vf_send(VfId(0), radar_frame, self.now);
         // Brake command frame from the control VM.
         let brake_frame = CanFrame::data(FrameId::Standard(0x110), &[0, 0]).expect("valid frame");
@@ -387,7 +386,7 @@ impl SelfAwareVehicle {
                 .expect("valid frame");
                 let _ = self
                     .bus
-                    .virtualized_mut(self.virt_node)
+                    .node_mut(self.virt_node)
                     .vf_send(VfId(1), f, self.now);
                 // Known gap: the flood's rate anomaly is discarded, so it
                 // never reaches the coordinator and detection rests on the
@@ -544,7 +543,7 @@ impl SelfAwareVehicle {
             }
             (Layer::Communication, ProblemKind::SecurityBreach) => {
                 // Throttle the offending VF at the virtualization layer.
-                let _ = self.bus.virtualized_mut(self.virt_node).pf_set_vf_quota(
+                let _ = self.bus.node_mut(self.virt_node).pf_set_vf_quota(
                     &self.pf,
                     VfId(1),
                     120.0,

@@ -7,6 +7,7 @@
 //! a [`Verdict`]; the integration process accepts a change only when every
 //! viewpoint passes.
 
+use saav_timing::can_rt::frame_bits_worst_case;
 use saav_timing::event_model::EventModel;
 use saav_timing::task::{Priority, Task};
 use saav_timing::{CanAnalysis, CpuAnalysis};
@@ -104,8 +105,7 @@ impl Viewpoint for TimingViewpoint {
                     if candidate.frame_mapping.get(&key) != Some(&net_idx) {
                         continue;
                     }
-                    // Worst-case bits for a standard frame with stuffing.
-                    let bits = 8 * f.payload as u64 + 47 + (34 + 8 * f.payload as u64 - 1) / 4;
+                    let bits = frame_bits_worst_case(f.payload, false) as u64;
                     can.add_frame(Task::new(
                         key.clone(),
                         saav_sim::time::Duration::from_nanos(bits * bit_ns),

@@ -46,5 +46,5 @@ pub mod time;
 pub use event::EventQueue;
 pub use name::Name;
 pub use rng::SimRng;
-pub use series::{Histogram, Series};
+pub use series::Series;
 pub use time::{Duration, Time};

@@ -2,8 +2,7 @@
 //!
 //! [`Series`] collects `(Time, f64)` samples produced by a simulation run and
 //! offers the aggregates the benchmark harness reports (mean, percentiles,
-//! min/max, time-weighted integrals). [`Histogram`] buckets samples for
-//! distribution-shaped outputs.
+//! min/max, time-weighted integrals).
 
 use crate::time::{Duration, Time};
 
@@ -181,83 +180,6 @@ pub fn percentile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[rank - 1])
 }
 
-/// A fixed-width-bucket histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    counts: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            total: 0,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        self.total += 1;
-        if value < self.lo {
-            self.underflow += 1;
-        } else if value >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (value - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.counts.len() as f64) as usize).min(self.counts.len() - 1);
-            self.counts[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `idx`.
-    ///
-    /// # Panics
-    /// Panics if `idx` is out of range.
-    pub fn count(&self, idx: usize) -> u64 {
-        self.counts[idx]
-    }
-
-    /// Samples below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Samples at or above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total samples recorded, including out-of-range ones.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Lower edge of bucket `idx`.
-    pub fn bucket_lo(&self, idx: usize) -> f64 {
-        self.lo + (self.hi - self.lo) * idx as f64 / self.counts.len() as f64
-    }
-
-    /// Number of buckets (excluding under/overflow).
-    pub fn bins(&self) -> usize {
-        self.counts.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,22 +237,6 @@ mod tests {
         assert_eq!(s.fraction_where(|v| v >= 5.0), Some(0.5));
         assert_eq!(s.first_time_where(|v| v >= 7.0), Some(secs(7)));
         assert_eq!(s.first_time_where(|v| v > 100.0), None);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [0.0, 1.9, 2.0, 9.99, -1.0, 10.0, 5.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(0), 2); // 0.0, 1.9
-        assert_eq!(h.count(1), 1); // 2.0
-        assert_eq!(h.count(2), 1); // 5.0
-        assert_eq!(h.count(4), 1); // 9.99
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bucket_lo(1), 2.0);
     }
 
     #[test]

@@ -21,6 +21,19 @@ use crate::task::{AnalysisError, ResourceAnalysis, Task, TaskResponse};
 
 const MAX_ITERATIONS: usize = 10_000;
 
+/// Worst-case bits of a frame with `dlc` payload bytes, the classic bound
+/// with maximum stuffing and the interframe space: `8n + 47 + ⌊(34 + 8n −
+/// 1)/4⌋` for a standard frame. Its transmission time is a frame stream's
+/// `wcet`.
+pub fn frame_bits_worst_case(dlc: u8, extended: bool) -> u32 {
+    let n = dlc as u32;
+    // SOF through CRC sequence, the region bit stuffing applies to.
+    let stuffable = if extended { 54 + 8 * n } else { 34 + 8 * n };
+    // CRC delimiter, ACK slot and delimiter, EOF (10) and interframe space (3).
+    let fixed = stuffable + 10 + 3;
+    fixed + (stuffable - 1) / 4
+}
+
 /// WCRT analysis of one CAN bus. [`Task`]s model frame streams: `wcet` is
 /// the worst-case frame transmission time, `priority` the CAN identifier
 /// order (lower = wins arbitration).
@@ -174,6 +187,14 @@ mod tests {
 
     fn bus() -> CanAnalysis {
         CanAnalysis::with_bitrate(500_000)
+    }
+
+    #[test]
+    fn worst_case_formula_matches_known_value() {
+        // Classic result: standard frame, 8 data bytes => 135 bits with IFS.
+        assert_eq!(frame_bits_worst_case(8, false), 135);
+        // And 0 data bytes => 55 bits.
+        assert_eq!(frame_bits_worst_case(0, false), 55);
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! * [`event_model`] — (P, J, d_min) event models with `η⁺`/`δ⁻`.
 //! * [`task`] — tasks/frame streams, priorities, analysis results.
 //! * [`cpu`] — busy-window WCRT for static-priority preemptive CPUs.
-//! * [`can_rt`] — non-preemptive CAN WCRT with blocking (Davis et al. 2007).
+//! * [`can_rt`] — non-preemptive CAN WCRT with blocking (Davis et al. 2007)
+//!   and the worst-case frame length it is fed.
 //!
 //! Each resource is analysed on its own: the MCC's timing viewpoint runs
 //! one [`CpuAnalysis`] per processing element and one [`CanAnalysis`] per

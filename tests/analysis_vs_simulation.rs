@@ -9,6 +9,7 @@
 use saav::can::bus::CanBus;
 use saav::can::controller::ControllerConfig;
 use saav::can::frame::{CanFrame, FrameId};
+use saav::can::virt::VfId;
 use saav::rte::component::ComponentId;
 use saav::rte::sched::{Priority as RtePriority, Scheduler, TaskSpec};
 use saav::sim::time::{Duration, Time};
@@ -129,12 +130,12 @@ fn can_analysis_bounds_simulated_latency() {
     let bounds = analysis.analyze().expect("schedulable");
 
     let mut bus = CanBus::automotive_500k();
-    let tx = bus.attach_standard(ControllerConfig {
+    let (tx, _) = bus.attach(ControllerConfig {
         tx_capacity: 256,
         tx_latency: Duration::ZERO,
         ..ControllerConfig::default()
     });
-    let rx = bus.attach_standard(ControllerConfig {
+    let (rx, _) = bus.attach(ControllerConfig {
         rx_capacity: 4_096,
         rx_latency: Duration::ZERO,
         ..ControllerConfig::default()
@@ -152,7 +153,7 @@ fn can_analysis_bounds_simulated_latency() {
     sent.sort_by_key(|&(t, _)| t);
     for &(t, frame) in &sent {
         bus.advance(t);
-        assert!(bus.standard_mut(tx).send(frame, t));
+        assert!(bus.node_mut(tx).vf_send(VfId(0), frame, t).is_ok());
     }
     bus.advance(Time::from_millis(100));
     // Drain in delivery order; measure per-stream worst latency by walking
@@ -161,7 +162,7 @@ fn can_analysis_bounds_simulated_latency() {
     let mut now = Time::ZERO;
     while now <= Time::from_millis(100) {
         now += Duration::from_micros(10);
-        while let Some(f) = bus.standard_mut(rx).receive(now) {
+        while let Some(f) = bus.node_mut(rx).vf_receive(VfId(0), now).unwrap() {
             deliveries.push((f.id().raw(), now));
         }
     }

@@ -8,10 +8,11 @@ use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use saav::can::bitstream::{
-    frame_bits_exact, frame_bits_with_ifs, frame_bits_worst_case, stuff, stuffable_bits,
+    frame_bits_exact, frame_bits_with_ifs, stuff, stuffable_bits, IFS_BITS, TAIL_BITS,
 };
 use saav::can::controller::TxQueue;
 use saav::can::frame::{CanFrame, FrameId};
+use saav::can::virt::VfId;
 use saav::core::cache::ResultCache;
 use saav::core::coordinator::{Coordinator, EscalationPolicy};
 use saav::core::fleet::{FleetOutcome, FleetRunner, FleetStats};
@@ -25,6 +26,7 @@ use saav::sim::time::{Duration, Time};
 use saav::skills::ability::{AbilityGraph, AggregateOp, Thresholds};
 use saav::skills::acc::build_acc_graph;
 use saav::skills::graph::NodeId;
+use saav::timing::can_rt::frame_bits_worst_case;
 use saav::timing::event_model::EventModel;
 use saav::timing::task::{Priority, Task};
 use saav::timing::CpuAnalysis;
@@ -152,6 +154,21 @@ fn observed_mini_fleet(
         .clone()
 }
 
+/// All-zero payloads, which stuff hardest, stay within the canonical
+/// bounds of the exact frame length at every DLC.
+#[test]
+fn exact_bits_within_canonical_bounds() {
+    for len in 0..=8usize {
+        let payload = vec![0u8; len];
+        let f = CanFrame::data(FrameId::standard(0x100).unwrap(), &payload).unwrap();
+        let exact = frame_bits_with_ifs(&f);
+        let min = 34 + 8 * len as u32 + TAIL_BITS + IFS_BITS; // no stuffing
+        let max = frame_bits_worst_case(len as u8, false);
+        assert!(exact >= min, "len {len}: {exact} < {min}");
+        assert!(exact <= max, "len {len}: {exact} > {max}");
+    }
+}
+
 proptest! {
     /// CAN bit stuffing never leaves six equal consecutive bits, and the
     /// exact frame length stays within the canonical bounds.
@@ -188,10 +205,10 @@ proptest! {
     /// TxQueue pops ready frames in strict arbitration order.
     #[test]
     fn tx_queue_pop_order(ids in proptest::collection::vec(0u16..0x800, 1..20)) {
-        let mut q = TxQueue::new();
+        let mut q = TxQueue::new(ids.len());
         for &id in &ids {
             let f = CanFrame::data(FrameId::standard(id).unwrap(), &[]).unwrap();
-            q.push(f, Time::ZERO);
+            prop_assert!(q.push(f, Time::ZERO, VfId(0)).is_some());
         }
         let mut popped = Vec::new();
         while let Some(qf) = q.pop_best_ready(Time::ZERO) {
