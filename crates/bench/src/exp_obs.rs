@@ -23,9 +23,7 @@ use saav_core::cache::ResultCache;
 use saav_core::fleet::FleetRunner;
 use saav_core::runner;
 use saav_core::scenario::{CitySpec, PlatoonSpec, ResponseStrategy, Scenario, ScenarioEvent};
-use saav_core::telemetry::{
-    chrome_trace_json, Counter, Stage, Telemetry, TelemetrySnapshot, TraceRecord,
-};
+use saav_core::telemetry::{chrome_trace_json, Stage, Telemetry, TelemetrySnapshot, TraceRecord};
 use saav_sim::report::Table;
 use saav_sim::time::{Duration, Time};
 
@@ -87,13 +85,6 @@ fn fleet_jobs() -> Vec<Scenario> {
         .collect()
 }
 
-/// A snapshot with the (intentionally schedule-dependent) steal counter
-/// zeroed — the deterministic registry view compared across reruns.
-fn without_steals(mut snap: TelemetrySnapshot) -> TelemetrySnapshot {
-    snap.counters[Counter::ShardSteals as usize] = 0;
-    snap
-}
-
 fn observe_solo(label: &'static str, scenario: impl Fn() -> Scenario) -> E16Scenario {
     let observe = || {
         let sink = Telemetry::default();
@@ -123,7 +114,7 @@ fn observe_fleet() -> E16Scenario {
             .with_telemetry(sink.clone());
         fleet.run_scenarios(fleet_jobs()); // cold: every job simulated
         fleet.run_scenarios(fleet_jobs()); // warm: pure cache traffic
-        (sink.events(), without_steals(sink.snapshot()))
+        (sink.events(), sink.snapshot())
     };
     let (events, snapshot) = observe(1);
     let (events4, snapshot4) = observe(4);
@@ -230,7 +221,7 @@ pub fn e16b_table() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saav_core::telemetry::TelemetryEvent;
+    use saav_core::telemetry::{Counter, TelemetryEvent};
 
     #[test]
     fn e16_traces_every_subsystem() {

@@ -12,7 +12,7 @@
 use saav_sim::time::{Duration, Time};
 
 use crate::bitstream::{frame_bits_exact, IFS_BITS};
-use crate::controller::{CanController, ControllerConfig, QueuedFrame};
+use crate::controller::{CanController, ControllerConfig};
 use crate::frame::{CanFrame, FrameId};
 use crate::virt::PfToken;
 
@@ -23,7 +23,7 @@ pub struct NodeId(pub usize);
 #[derive(Debug)]
 struct InFlight {
     sender: usize,
-    queued: QueuedFrame,
+    frame: CanFrame,
     /// End of frame (EOF); receivers see the frame here.
     frame_end: Time,
 }
@@ -58,26 +58,6 @@ impl FrameBitsMemo {
     }
 }
 
-/// Aggregate bus statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct BusStats {
-    /// Successfully transmitted frames.
-    pub frames_ok: u64,
-    /// Accumulated bus-busy time.
-    pub busy_time: Duration,
-}
-
-impl BusStats {
-    /// Bus utilization over the elapsed time `now`.
-    pub fn utilization(&self, now: Time) -> f64 {
-        if now == Time::ZERO {
-            0.0
-        } else {
-            self.busy_time.as_secs_f64() / now.saturating_since(Time::ZERO).as_secs_f64()
-        }
-    }
-}
-
 /// The shared CAN bus owning all attached controllers.
 #[derive(Debug)]
 pub struct CanBus {
@@ -85,7 +65,6 @@ pub struct CanBus {
     now: Time,
     in_flight: Option<InFlight>,
     nodes: Vec<CanController>,
-    stats: BusStats,
     frame_bits: FrameBitsMemo,
 }
 
@@ -101,7 +80,6 @@ impl CanBus {
             now: Time::ZERO,
             in_flight: None,
             nodes: Vec::new(),
-            stats: BusStats::default(),
             frame_bits: FrameBitsMemo::new(),
         }
     }
@@ -124,40 +102,12 @@ impl CanBus {
         (NodeId(self.nodes.len() - 1), token)
     }
 
-    /// Number of attached nodes.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no nodes are attached.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
-
-    /// The controller of node `id`.
-    ///
-    /// # Panics
-    /// Panics if the node does not exist.
-    pub fn node(&self, id: NodeId) -> &CanController {
-        &self.nodes[id.0]
-    }
-
     /// Mutable access to the controller of node `id`.
     ///
     /// # Panics
     /// Panics if the node does not exist.
     pub fn node_mut(&mut self, id: NodeId) -> &mut CanController {
         &mut self.nodes[id.0]
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> BusStats {
-        self.stats
-    }
-
-    /// Current bus-internal time (last processed event).
-    pub fn now(&self) -> Time {
-        self.now
     }
 
     /// Processes all bus activity up to `to`.
@@ -202,30 +152,25 @@ impl CanBus {
         let Some((_key, sender)) = winner else {
             return;
         };
-        let queued = self.nodes[sender]
+        let frame = self.nodes[sender]
             .bus_take_frame(start)
-            .expect("winner must have a ready frame");
-        let bits = self.frame_bits.bits(&queued.frame);
+            .expect("winner must have a ready frame")
+            .frame;
+        let bits = self.frame_bits.bits(&frame);
         let frame_end = start + self.bit_time * bits as u64;
         self.now = start;
         self.in_flight = Some(InFlight {
             sender,
-            queued,
+            frame,
             frame_end,
         });
     }
 
     fn complete_in_flight(&mut self) {
         let fl = self.in_flight.take().expect("in-flight frame");
-        self.stats.frames_ok += 1;
-        self.stats.busy_time += fl.frame_end.saturating_since(self.now);
-        self.now = fl.frame_end;
-        let frame = fl.queued.frame;
         for (i, n) in self.nodes.iter_mut().enumerate() {
-            if i == fl.sender {
-                n.bus_tx_success(&fl.queued);
-            } else {
-                n.bus_deliver(frame, fl.frame_end);
+            if i != fl.sender {
+                n.bus_deliver(fl.frame, fl.frame_end);
             }
         }
         // Interframe space: the next arbitration may start 3 bit times later.
@@ -275,9 +220,6 @@ mod tests {
         assert_eq!(got, Some(f));
         // Sender does not receive its own frame.
         assert_eq!(receive(&mut bus, a, Time::from_millis(1)), None);
-        assert_eq!(bus.stats().frames_ok, 1);
-        assert_eq!(bus.node(a).vf_stats(VfId(0)).unwrap().tx_frames, 1);
-        assert_eq!(bus.node(b).vf_stats(VfId(0)).unwrap().rx_frames, 1);
     }
 
     #[test]
@@ -329,7 +271,6 @@ mod tests {
         let mut sorted = got.clone();
         sorted.sort_unstable();
         assert_eq!(got, sorted);
-        assert!(bus.stats().utilization(t) > 0.0);
     }
 
     #[test]
@@ -383,7 +324,8 @@ mod tests {
 
     /// The memo returns `frame_bits_exact` for every frame of a stream that
     /// mixes repeats of a few cyclic frames with new ones, and so does the
-    /// bus: its busy time is the exact length of every frame it carried.
+    /// bus: every frame it carries reaches the receiver exactly when its
+    /// exact length says.
     #[test]
     fn memoized_frame_bits_match_the_exact_count() {
         let mut rng = SimRng::seed_from(2017);
@@ -400,32 +342,17 @@ mod tests {
         for f in &stream {
             assert_eq!(memo.bits(f), frame_bits_exact(f), "{f}");
         }
-        let (mut bus, a, _b) = two_node_bus();
-        let mut busy = Duration::ZERO;
+        let (mut bus, a, b) = two_node_bus();
+        // TX and RX latency of a native node: 2 us each.
+        let latency = Duration::from_micros(4);
         for (i, f) in stream.iter().take(500).enumerate() {
             let at = Time::from_millis(i as u64);
             assert!(send(&mut bus, a, *f, at));
             bus.advance(at + Duration::from_micros(999));
-            busy += bus.bit_time() * frame_bits_exact(f) as u64;
+            let visible = at + latency + bus.bit_time() * frame_bits_exact(f) as u64;
+            let before = visible - Duration::from_nanos(1);
+            assert_eq!(receive(&mut bus, b, before), None, "{f} early");
+            assert_eq!(receive(&mut bus, b, visible), Some(*f), "{f}");
         }
-        assert_eq!(bus.stats().frames_ok, 500);
-        assert_eq!(bus.stats().busy_time, busy);
-    }
-
-    #[test]
-    fn bus_utilization_accumulates() {
-        let mut bus = CanBus::automotive_500k();
-        let (a, _) = bus.attach(ControllerConfig {
-            tx_capacity: 128,
-            ..ControllerConfig::default()
-        });
-        let _b = native(&mut bus);
-        for _ in 0..100 {
-            assert!(send(&mut bus, a, frame(0x100, &[0xFF; 8]), Time::ZERO));
-        }
-        bus.advance(Time::from_millis(50));
-        let u = bus.stats().utilization(Time::from_millis(50));
-        assert!(u > 0.4, "utilization {u}");
-        assert!(u <= 1.0);
     }
 }

@@ -16,7 +16,7 @@
 use saav_sim::time::{Duration, Time};
 
 use crate::frame::CanFrame;
-use crate::virt::{PfToken, TxQuota, VfId, VfStats, VirtError, VirtualFunction};
+use crate::virt::{PfToken, TxQuota, VfId, VirtError, VirtualFunction};
 
 /// A frame queued for transmission.
 #[derive(Debug, Clone, Copy)]
@@ -27,8 +27,6 @@ pub struct QueuedFrame {
     pub ready_at: Time,
     /// Enqueue order, for FIFO tie-breaking among equal priorities.
     pub seq: u64,
-    /// The virtual function that queued the frame.
-    pub(crate) owner: VfId,
 }
 
 /// Bounded, priority-ordered TX queue with readiness times.
@@ -53,12 +51,11 @@ impl TxQueue {
         }
     }
 
-    /// Enqueues a frame of virtual function `owner` that becomes ready at
-    /// `ready_at`, returning the frame's queue sequence number. The frame
-    /// carries its owner through arbitration and completion.
+    /// Enqueues a frame that becomes ready at `ready_at`, returning the
+    /// frame's queue sequence number.
     ///
     /// Returns `None` (dropping the frame) when the queue is full.
-    pub fn push(&mut self, frame: CanFrame, ready_at: Time, owner: VfId) -> Option<u64> {
+    pub fn push(&mut self, frame: CanFrame, ready_at: Time) -> Option<u64> {
         if self.frames.len() >= self.capacity {
             return None;
         }
@@ -68,7 +65,6 @@ impl TxQueue {
             frame,
             ready_at,
             seq,
-            owner,
         });
         Some(seq)
     }
@@ -99,16 +95,6 @@ impl TxQueue {
             .map(|(i, _)| i)?;
         Some(self.frames.remove(idx))
     }
-
-    /// Number of queued frames.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
 }
 
 /// A frame waiting in an RX FIFO until software may see it.
@@ -123,7 +109,6 @@ struct RxEntry {
 pub struct RxFifo {
     entries: Vec<RxEntry>,
     capacity: usize,
-    overruns: u64,
 }
 
 impl RxFifo {
@@ -132,42 +117,22 @@ impl RxFifo {
         RxFifo {
             entries: Vec::new(),
             capacity,
-            overruns: 0,
         }
     }
 
-    /// Pushes a received frame that becomes visible at `visible_at`,
-    /// returning whether the FIFO stored it. On overflow the *newest* frame
-    /// is dropped and counted as an overrun, matching common CAN controller
-    /// FIFO semantics.
-    pub fn push(&mut self, frame: CanFrame, visible_at: Time) -> bool {
-        if self.entries.len() >= self.capacity {
-            self.overruns += 1;
-            return false;
+    /// Pushes a received frame that becomes visible at `visible_at`. On
+    /// overflow the *newest* frame is dropped, matching common CAN
+    /// controller FIFO semantics.
+    pub fn push(&mut self, frame: CanFrame, visible_at: Time) {
+        if self.entries.len() < self.capacity {
+            self.entries.push(RxEntry { frame, visible_at });
         }
-        self.entries.push(RxEntry { frame, visible_at });
-        true
     }
 
     /// Pops the oldest frame visible at `now`, if any.
     pub fn pop(&mut self, now: Time) -> Option<CanFrame> {
         let idx = self.entries.iter().position(|e| e.visible_at <= now)?;
         Some(self.entries.remove(idx).frame)
-    }
-
-    /// Frames currently buffered (visible or not).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the FIFO is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Frames dropped due to FIFO overflow.
-    pub fn overruns(&self) -> u64 {
-        self.overruns
     }
 }
 
@@ -270,10 +235,6 @@ impl CanController {
         self.vfs.len()
     }
 
-    fn vf(&self, vf: VfId) -> Result<&VirtualFunction, VirtError> {
-        self.vfs.get(vf.0).ok_or(VirtError::InvalidVf)
-    }
-
     fn vf_mut(&mut self, vf: VfId) -> Result<&mut VirtualFunction, VirtError> {
         self.vfs.get_mut(vf.0).ok_or(VirtError::InvalidVf)
     }
@@ -304,16 +265,11 @@ impl CanController {
     pub fn vf_send(&mut self, vf: VfId, frame: CanFrame, now: Time) -> Result<(), VirtError> {
         let tx_overhead = self.tx_overhead();
         let tx_latency = self.config.tx_latency;
-        let v = self.vf_mut(vf)?;
-        if !v.quota.try_take(now) {
-            v.stats.tx_rejected += 1;
+        if !self.vf_mut(vf)?.quota.try_take(now) {
             return Err(VirtError::QuotaExceeded);
         }
         let ready = now + tx_overhead + tx_latency;
-        if self.tx.push(frame, ready, vf).is_none() {
-            self.vf_mut(vf)?.stats.tx_rejected += 1;
-            return Err(VirtError::QueueFull);
-        }
+        self.tx.push(frame, ready).ok_or(VirtError::QueueFull)?;
         Ok(())
     }
 
@@ -323,14 +279,6 @@ impl CanController {
     /// [`VirtError::InvalidVf`].
     pub fn vf_receive(&mut self, vf: VfId, now: Time) -> Result<Option<CanFrame>, VirtError> {
         Ok(self.vf_mut(vf)?.rx.pop(now))
-    }
-
-    /// Per-VF statistics.
-    ///
-    /// # Errors
-    /// [`VirtError::InvalidVf`].
-    pub fn vf_stats(&self, vf: VfId) -> Result<VfStats, VirtError> {
-        Ok(self.vf(vf)?.stats)
     }
 
     // ---- PF (privileged) interface ----
@@ -364,18 +312,10 @@ impl CanController {
         self.tx.pop_best_ready(at)
     }
 
-    pub(crate) fn bus_tx_success(&mut self, q: &QueuedFrame) {
-        if let Some(v) = self.vfs.get_mut(q.owner.0) {
-            v.stats.tx_frames += 1;
-        }
-    }
-
     pub(crate) fn bus_deliver(&mut self, frame: CanFrame, completed_at: Time) {
         let visible_at = completed_at + self.config.rx_latency + self.rx_overhead();
         for v in &mut self.vfs {
-            if v.rx.push(frame, visible_at) {
-                v.stats.rx_frames += 1;
-            }
+            v.rx.push(frame, visible_at);
         }
     }
 }
@@ -401,9 +341,9 @@ mod tests {
     fn tx_queue_orders_by_priority_then_fifo() {
         let mut q = TxQueue::new(8);
         let t = Time::ZERO;
-        q.push(frame(0x300), t, VfId(0));
-        q.push(frame(0x100), t, VfId(0));
-        q.push(frame(0x100), t, VfId(0)); // same id, later seq
+        q.push(frame(0x300), t);
+        q.push(frame(0x100), t);
+        q.push(frame(0x100), t); // same id, later seq
         let a = q.pop_best_ready(t).unwrap();
         assert_eq!(a.frame.id(), sid(0x100));
         assert_eq!(a.seq, 1);
@@ -415,8 +355,8 @@ mod tests {
     #[test]
     fn tx_queue_respects_readiness() {
         let mut q = TxQueue::new(8);
-        q.push(frame(0x100), Time::from_micros(10), VfId(0));
-        q.push(frame(0x200), Time::from_micros(1), VfId(0));
+        q.push(frame(0x100), Time::from_micros(10));
+        q.push(frame(0x200), Time::from_micros(1));
         // At t=5 only 0x200 is ready, despite 0x100's higher priority.
         assert_eq!(
             q.best_ready_key(Time::from_micros(5)),
@@ -440,7 +380,6 @@ mod tests {
             c.vf_send(VfId(0), frame(2), Time::ZERO),
             Err(VirtError::QueueFull)
         );
-        assert_eq!(c.vf_stats(VfId(0)).unwrap().tx_rejected, 1);
     }
 
     #[test]
@@ -455,25 +394,11 @@ mod tests {
     }
 
     #[test]
-    fn rx_frames_counts_only_stored_frames() {
-        let mut c = native(ControllerConfig {
-            rx_capacity: 2,
-            ..ControllerConfig::default()
-        });
-        for id in 1..=3 {
-            c.bus_deliver(frame(id), Time::ZERO);
-        }
-        assert_eq!(c.vf_stats(VfId(0)).unwrap().rx_frames, 2);
-        assert_eq!(c.vfs[0].rx.overruns(), 1);
-    }
-
-    #[test]
     fn rx_fifo_overrun_drops_newest() {
         let mut fifo = RxFifo::new(2);
-        assert!(fifo.push(frame(1), Time::ZERO));
-        assert!(fifo.push(frame(2), Time::ZERO));
-        assert!(!fifo.push(frame(3), Time::ZERO));
-        assert_eq!(fifo.overruns(), 1);
+        for id in 1..=3 {
+            fifo.push(frame(id), Time::ZERO);
+        }
         assert_eq!(fifo.pop(Time::ZERO), Some(frame(1)));
         assert_eq!(fifo.pop(Time::ZERO), Some(frame(2)));
         assert_eq!(fifo.pop(Time::ZERO), None);

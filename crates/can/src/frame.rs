@@ -54,11 +54,6 @@ impl FrameId {
         }
     }
 
-    /// Whether this is an extended identifier.
-    pub fn is_extended(self) -> bool {
-        matches!(self, FrameId::Extended(_))
-    }
-
     /// The 11-bit base identifier (for extended ids, the top 11 bits).
     pub fn base11(self) -> u16 {
         match self {

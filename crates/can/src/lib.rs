@@ -55,7 +55,7 @@ pub mod resources;
 pub mod v2v;
 pub mod virt;
 
-pub use bus::{BusStats, CanBus, NodeId};
+pub use bus::{CanBus, NodeId};
 pub use controller::{CanController, ControllerConfig};
 pub use frame::{CanFrame, FrameError, FrameId};
 pub use v2v::{LinkFault, PeerId, V2vChannel, V2vMessage};

@@ -146,14 +146,6 @@ impl V2vChannel {
         self.faults[peer.0] = fault;
     }
 
-    /// The fault model currently on `peer`'s outgoing link.
-    ///
-    /// # Panics
-    /// Panics on an invalid peer id.
-    pub fn link_fault(&self, peer: PeerId) -> LinkFault {
-        self.faults[peer.0]
-    }
-
     /// Broadcasts a safe-speed claim from `from` at `now`, applying the
     /// link's fault model. A lost broadcast never enters the queue.
     ///

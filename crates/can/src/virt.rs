@@ -11,8 +11,8 @@
 //! [`CanController::pf_set_vf_quota`] requires a [`PfToken`], handed out
 //! exactly once per controller. Every VF receives every frame.
 //!
-//! This module holds the layer's vocabulary (VF ids, the PF token, errors,
-//! per-VF statistics and quotas); [`CanController`] is the one controller
+//! This module holds the layer's vocabulary (VF ids, the PF token, errors
+//! and per-VF quotas); [`CanController`] is the one controller
 //! type. A native controller is the same design with one VF and no wrapper
 //! latency ([`ControllerConfig::default`]).
 //!
@@ -84,17 +84,6 @@ impl fmt::Display for VirtError {
 
 impl std::error::Error for VirtError {}
 
-/// Per-VF statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VfStats {
-    /// Frames successfully transmitted for this VF.
-    pub tx_frames: u64,
-    /// Frames stored in this VF's RX FIFO (an overrun is not counted).
-    pub rx_frames: u64,
-    /// Frames rejected due to quota or a full queue.
-    pub tx_rejected: u64,
-}
-
 /// Token-bucket transmit quota.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TxQuota {
@@ -139,12 +128,11 @@ impl TxQuota {
     }
 }
 
-/// One VF's RX FIFO, transmit quota and statistics.
+/// One VF's RX FIFO and transmit quota.
 #[derive(Debug)]
 pub(crate) struct VirtualFunction {
     pub(crate) rx: RxFifo,
     pub(crate) quota: TxQuota,
-    pub(crate) stats: VfStats,
 }
 
 impl VirtualFunction {
@@ -154,7 +142,6 @@ impl VirtualFunction {
         VirtualFunction {
             rx: RxFifo::new(rx_capacity),
             quota: TxQuota::unlimited(),
-            stats: VfStats::default(),
         }
     }
 }
@@ -182,9 +169,6 @@ mod tests {
         let ready = c.bus_earliest_ready().unwrap();
         let q = c.bus_take_frame(ready).unwrap();
         assert_eq!(q.frame.id(), FrameId::standard(0x50).unwrap());
-        c.bus_tx_success(&q);
-        assert_eq!(c.vf_stats(VfId(1)).unwrap().tx_frames, 1);
-        assert_eq!(c.vf_stats(VfId(0)).unwrap().tx_frames, 0);
     }
 
     #[test]
@@ -221,7 +205,6 @@ mod tests {
         assert!(c.vf_send(VfId(1), frame(1), now).is_ok());
         // After 100 ms one token refilled.
         assert!(c.vf_send(VfId(0), frame(1), Time::from_millis(100)).is_ok());
-        assert_eq!(c.vf_stats(VfId(0)).unwrap().tx_rejected, 1);
     }
 
     #[test]

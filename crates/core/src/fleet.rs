@@ -6,16 +6,18 @@
 //! engine: it expands a `families × strategies × seeds` grid (or any
 //! explicit scenario list) into jobs, derives each job's RNG seed from one
 //! master seed via [`saav_sim::rng::derive_seed`], executes the jobs on
-//! the work-stealing shard executor ([`crate::executor`]), and aggregates
-//! the per-run [`Summary`]s into [`FleetStats`] — collision rate, the
+//! the shared-cursor job queue ([`crate::executor`]), and aggregates the
+//! per-run [`Summary`]s into [`FleetStats`] — collision rate, the
 //! detection-latency distribution, and distance/availability per strategy.
 //!
 //! With [`FleetRunner::with_cache`], each job is first looked up by its
-//! content-hashed identity ([`crate::cache::job_key`]): a repeated sweep
-//! over bit-identical jobs skips the simulation entirely and assembles
-//! its [`FleetStats`] from cached [`Summary`] slots. Cached summaries are
-//! shared via [`Arc`], so a warm sweep's per-job path performs no heap
-//! allocation (pinned in `tests/zero_alloc.rs`).
+//! content-hashed identity ([`crate::cache::job_key`]) on the calling
+//! thread, and only the misses reach the executor: a repeated sweep over
+//! bit-identical jobs skips the simulation entirely, spawns no worker and
+//! assembles its [`FleetStats`] from cached [`Summary`] slots. Cached
+//! summaries are shared via [`Arc`], so a warm sweep's per-job path
+//! performs no heap allocation, at any worker count (pinned in
+//! `tests/zero_alloc.rs`).
 //!
 //! Determinism is by construction: job order, per-job seeds and the
 //! result slots are all fixed before any worker starts, so the aggregate
@@ -43,7 +45,7 @@ use saav_sim::rng::derive_seed;
 use saav_sim::series::percentile_sorted;
 use saav_sim::time::Time;
 
-use crate::cache::{job_key, ResultCache};
+use crate::cache::{job_key, JobKey, ResultCache};
 use crate::executor;
 use crate::outcome::{latency_s, Summary};
 use crate::runner;
@@ -388,26 +390,6 @@ impl FleetRunner {
         self.threads
     }
 
-    /// The mounted result cache, if any.
-    pub fn cache(&self) -> Option<&ResultCache> {
-        self.cache.as_ref()
-    }
-
-    /// The mounted learned model, if any.
-    pub fn model(&self) -> Option<&SelfAwarenessModel> {
-        self.model.as_deref()
-    }
-
-    /// The mounted telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.telemetry.as_ref()
-    }
-
-    /// The master seed all per-run seeds derive from.
-    pub fn master_seed(&self) -> u64 {
-        self.master_seed
-    }
-
     /// Expands the `families × strategies × seeds_per_cell` grid and runs
     /// every cell.
     pub fn sweep(
@@ -432,53 +414,63 @@ impl FleetRunner {
     /// Runs an explicit scenario list. Each scenario's seed is overridden
     /// with `derive_seed(master_seed, job_index)` *before* its cache key
     /// is computed — the derived seed is part of the job identity.
-    pub fn run_scenarios(&self, scenarios: Vec<Scenario>) -> FleetOutcome {
+    ///
+    /// Every cache lookup is answered on the calling thread before any job
+    /// runs, and only the misses go to the executor, so a fully warm batch
+    /// spawns no thread. No two jobs of a batch share a key (their derived
+    /// seeds differ), so looking every job up first sees the same hits as
+    /// interleaving lookups with runs; the misses are inserted in job
+    /// order once they have all run.
+    pub fn run_scenarios(&self, mut scenarios: Vec<Scenario>) -> FleetOutcome {
+        self.seed(&mut scenarios);
         let model = self.model.as_deref();
-        let cache = if model.is_none() {
-            self.cache.as_ref()
-        } else {
-            None
-        };
+        let cache = self.cache.as_ref().filter(|_| model.is_none());
         let sink = self.telemetry.as_ref();
         let before = sink.map(Telemetry::snapshot);
-        let records = self.execute(scenarios, |job_index, scenario| {
-            let mut tel = sink.map(|s| (s.begin_run(job_index as u32), s));
-            let run = |model, tel| Arc::new(runner::run_mounted(scenario, model, tel).summary());
-            let injected_at = scenario.first_event_at();
-            let summary = match cache {
-                Some(cache) => {
-                    let key = job_key(scenario);
-                    match cache.get(key) {
-                        Some(hit) => {
-                            // A hit never runs, so its telemetry closes here.
-                            if let Some((mut t, sink)) = tel {
-                                t.record(Time::ZERO, TelemetryEvent::CacheHit);
-                                if let Some(latency) = latency_s(hit.first_detection, injected_at) {
-                                    t.record_detection_latency(latency);
-                                }
-                                sink.absorb(t);
-                            }
-                            hit
-                        }
-                        None => {
-                            if let Some((t, _)) = tel.as_mut() {
-                                t.record(Time::ZERO, TelemetryEvent::CacheMiss);
-                            }
-                            let computed = run(None, tel);
-                            cache.insert(key, Arc::clone(&computed));
-                            computed
-                        }
-                    }
+        let mut summaries: Vec<Option<Arc<Summary>>> = Vec::with_capacity(scenarios.len());
+        let mut misses: Vec<(usize, Option<JobKey>)> = Vec::new();
+        for (i, scenario) in scenarios.iter().enumerate() {
+            let key = cache.map(|_| job_key(scenario));
+            let hit = cache.zip(key).and_then(|(cache, key)| cache.get(key));
+            if let (Some(hit), Some(sink)) = (&hit, sink) {
+                // A hit never runs, so its telemetry closes here.
+                let mut t = sink.begin_run(i as u32);
+                t.record(Time::ZERO, TelemetryEvent::CacheHit);
+                if let Some(latency) = latency_s(hit.first_detection, scenario.first_event_at()) {
+                    t.record_detection_latency(latency);
                 }
-                None => run(model, tel),
-            };
-            FleetRecord {
+                sink.absorb(t);
+            }
+            if hit.is_none() {
+                misses.push((i, key));
+            }
+            summaries.push(hit);
+        }
+        let computed = executor::run(misses.len(), self.threads, |m| {
+            let (i, key) = misses[m];
+            let mut tel = sink.map(|s| (s.begin_run(i as u32), s));
+            // A job with a key was looked up, and it runs because it missed.
+            if let (Some((t, _)), Some(_)) = (tel.as_mut(), key) {
+                t.record(Time::ZERO, TelemetryEvent::CacheMiss);
+            }
+            Arc::new(runner::run_mounted(&scenarios[i], model, tel).summary())
+        });
+        for (&(i, key), summary) in misses.iter().zip(computed) {
+            if let (Some(cache), Some(key)) = (cache, key) {
+                cache.insert(key, Arc::clone(&summary));
+            }
+            summaries[i] = Some(summary);
+        }
+        let records: Vec<FleetRecord> = scenarios
+            .iter()
+            .zip(summaries)
+            .map(|(scenario, summary)| FleetRecord {
                 strategy: scenario.strategy,
                 seed: scenario.seed,
-                injected_at,
-                summary,
-            }
-        });
+                injected_at: scenario.first_event_at(),
+                summary: summary.expect("every miss ran"),
+            })
+            .collect();
         let mut stats = FleetStats::from_records(&records);
         if let (Some(sink), Some(before)) = (sink, before) {
             stats.telemetry = Some(sink.snapshot().minus(&before));
@@ -491,28 +483,19 @@ impl FleetRunner {
     /// hook that feeds [`SelfAwarenessModel::train`] with nominal data.
     /// The learned model, if any, is *not* mounted for capture runs, and
     /// the cache is not consulted (traces are not part of a [`Summary`]).
-    pub fn capture_traces(&self, scenarios: Vec<Scenario>) -> Vec<SignalTrace> {
-        self.execute(scenarios, |_i, scenario| {
-            runner::run_mounted(scenario, None, None).signal_trace()
+    pub fn capture_traces(&self, mut scenarios: Vec<Scenario>) -> Vec<SignalTrace> {
+        self.seed(&mut scenarios);
+        executor::run(scenarios.len(), self.threads, |i| {
+            runner::run_mounted(&scenarios[i], None, None).signal_trace()
         })
     }
 
-    /// The shared batch engine: seeds the jobs deterministically from the
-    /// master seed and job index, executes them on the shard executor,
-    /// and returns one result per job in job order. With telemetry
-    /// mounted, executor steals land on the sink's shared counter.
-    fn execute<T, F>(&self, mut scenarios: Vec<Scenario>, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize, &Scenario) -> T + Sync,
-    {
+    /// Seeds the jobs deterministically from the master seed and job
+    /// index, before any lookup or run.
+    fn seed(&self, scenarios: &mut [Scenario]) {
         for (i, s) in scenarios.iter_mut().enumerate() {
             s.seed = derive_seed(self.master_seed, i as u64);
         }
-        let steals = self.telemetry.as_ref().map(Telemetry::steal_counter);
-        executor::run(scenarios.len(), self.threads, steals, |i, _worker| {
-            job(i, &scenarios[i])
-        })
     }
 }
 

@@ -45,8 +45,9 @@
 //! * [`cache`] — content-hashed job identity ([`cache::job_key`]) and the
 //!   in-memory [`cache::ResultCache`] memo store, so repeated sweeps skip
 //!   bit-identical re-runs.
-//! * [`executor`] — the work-stealing shard executor behind the fleet,
-//!   preserving the fixed-slot determinism contract.
+//! * [`executor`] — the fleet's one shared job queue (an atomic claim
+//!   cursor over scoped workers), preserving the fixed-slot determinism
+//!   contract.
 //! * [`colstore`] — the compact columnar binary format for a batch of
 //!   fleet records ([`colstore::to_bytes`], [`colstore::from_bytes`]).
 //! * [`csv`] — machine-consumable CSV export of fleet records and

@@ -33,9 +33,8 @@
 //! the worker executing that job, so the recorded *content* is
 //! independent of thread count and scheduler; the shared [`Telemetry`]
 //! sink merges absorbed runs and canonicalizes event order by
-//! `(virtual_time, job_slot, seq)` at export. The only intentionally
-//! schedule-dependent quantity is the executor steal count — it lives in
-//! the registry, never in the deterministic trace.
+//! `(virtual_time, job_slot, seq)` at export. Nothing in a snapshot
+//! depends on the schedule: it is a function of the absorbed runs alone.
 //!
 //! # Zero cost when unmounted
 //!
@@ -46,7 +45,6 @@
 //! and counter bumps write into preallocated storage.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use saav_monitor::anomaly::AnomalyKind;
@@ -316,9 +314,11 @@ pub enum Counter {
     CacheHits,
     /// Fleet jobs that missed the cache and simulated.
     CacheMisses,
-    /// Fleet jobs executed by a worker outside its own shard
-    /// (nondeterministic by nature — scheduling noise, never part of the
-    /// trace).
+    /// Always 0: the fleet executor has one shared job queue, so no job is
+    /// stolen. The slot keeps its place in [`Counter::ALL`], and so the CSV
+    /// column order, because the benchmark's `executor.steals.*` metrics
+    /// still read it; the next benchmark change drops those metrics and
+    /// this counter with them.
     ShardSteals,
     /// Always 0: a city run steps on one thread and issues no tick
     /// barriers. The slot keeps its place in [`Counter::ALL`], and so the
@@ -638,8 +638,6 @@ struct TelemetryInner {
     /// Absorbed per-run telemetry. Absorption order is scheduling noise;
     /// every reader sorts or sums, so the noise never escapes.
     runs: Mutex<Vec<RunTelemetry>>,
-    /// Executor steal count — bumped from worker threads, hence atomic.
-    steals: AtomicU64,
 }
 
 /// The mountable telemetry sink: cheaply cloneable (an [`Arc`] share,
@@ -678,7 +676,6 @@ impl Telemetry {
             inner: Arc::new(TelemetryInner {
                 config,
                 runs: Mutex::new(Vec::new()),
-                steals: AtomicU64::new(0),
             }),
         }
     }
@@ -699,18 +696,15 @@ impl Telemetry {
         self.inner.runs.lock().expect("telemetry lock").push(run);
     }
 
-    /// The shared executor steal counter (crossed by worker threads).
-    pub(crate) fn steal_counter(&self) -> &AtomicU64 {
-        &self.inner.steals
-    }
-
-    /// Cumulative executor steals observed across fleet shards.
+    /// Always 0, like [`Counter::ShardSteals`]: the fleet executor has one
+    /// shared job queue. Kept because the benchmark's
+    /// `executor.steals.warm` metric still calls it; the next benchmark
+    /// change drops that metric and this method with it.
     pub fn steals(&self) -> u64 {
-        self.inner.steals.load(Ordering::Relaxed)
+        0
     }
 
-    /// A deterministic snapshot of the merged registry (plus the
-    /// intentionally nondeterministic steal counter).
+    /// A deterministic snapshot of the merged registry.
     pub fn snapshot(&self) -> TelemetrySnapshot {
         let runs = self.inner.runs.lock().expect("telemetry lock");
         let mut snap = TelemetrySnapshot {
@@ -733,7 +727,6 @@ impl Telemetry {
             snap.events_recorded += run.ring.recorded();
             snap.events_evicted += run.ring.evicted();
         }
-        snap.counters[Counter::ShardSteals as usize] += self.steals();
         snap
     }
 

@@ -317,11 +317,6 @@ impl SelfAwareVehicle {
         self.learned = Some(model.scorer());
     }
 
-    /// Whether a learned monitor is mounted.
-    pub fn has_learned_monitor(&self) -> bool {
-        self.learned.is_some()
-    }
-
     /// The response strategy the vehicle was configured with.
     pub fn strategy(&self) -> ResponseStrategy {
         self.strategy

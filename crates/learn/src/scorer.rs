@@ -52,11 +52,6 @@ impl OnlineScorer {
         }
     }
 
-    /// The model being scored against.
-    pub fn model(&self) -> &SelfAwarenessModel {
-        &self.model
-    }
-
     /// Advances the scorer by one sample and returns the windowed score —
     /// shared by [`Self::ingest`] and the offline
     /// [`SelfAwarenessModel::score_trace`], so online and replay scoring

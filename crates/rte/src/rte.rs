@@ -133,11 +133,6 @@ impl Rte {
         VmId(self.vms.len() - 1)
     }
 
-    /// Number of VMs.
-    pub fn vm_count(&self) -> usize {
-        self.vms.len()
-    }
-
     /// Memory currently allocated in a VM (running or stopped components).
     pub fn vm_memory_used_kib(&self, vm: VmId) -> u32 {
         self.components

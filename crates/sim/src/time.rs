@@ -96,11 +96,6 @@ impl Duration {
         self.0 as f64 / 1e3
     }
 
-    /// The duration in fractional milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Addition that clamps at [`Duration::MAX`] instead of overflowing.
     pub const fn saturating_add(self, rhs: Duration) -> Duration {
         Duration(self.0.saturating_add(rhs.0))
@@ -269,14 +264,6 @@ impl Time {
     /// The elapsed duration since `earlier`, or zero if `earlier` is later.
     pub const fn saturating_since(self, earlier: Time) -> Duration {
         Duration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked difference; `None` when `earlier` is after `self`.
-    pub const fn checked_since(self, earlier: Time) -> Option<Duration> {
-        match self.0.checked_sub(earlier.0) {
-            Some(d) => Some(Duration(d)),
-            None => None,
-        }
     }
 }
 

@@ -65,9 +65,9 @@ fn city_fleet_is_bit_identical_across_thread_counts() {
 /// so this pins that nothing about the new path leaks into the old ones.
 ///
 /// A 45 s intrusion job leads the 6 s family jobs, so the batch is skewed:
-/// at 4 workers the long job pins its shard's owner while the idle workers
-/// steal that shard's remaining jobs. Stealing moves where a job runs,
-/// never what it computes.
+/// at 4 workers the long job holds one worker while the others claim
+/// every job behind it from the shared queue. The schedule moves where a
+/// job runs, never what it computes.
 #[test]
 fn legacy_families_are_bit_identical_across_thread_counts() {
     let jobs = || -> Vec<Scenario> {

@@ -12,13 +12,12 @@ use saav::can::bitstream::{
 };
 use saav::can::controller::TxQueue;
 use saav::can::frame::{CanFrame, FrameId};
-use saav::can::virt::VfId;
 use saav::core::cache::ResultCache;
 use saav::core::coordinator::{Coordinator, EscalationPolicy};
 use saav::core::fleet::{FleetOutcome, FleetRunner, FleetStats};
 use saav::core::layer::{Containment, Layer, ProblemKind};
 use saav::core::scenario::{ResponseStrategy, Scenario, ScenarioEvent};
-use saav::core::telemetry::{Counter, Telemetry, TelemetryEvent, TelemetrySnapshot, TraceRing};
+use saav::core::telemetry::{Telemetry, TelemetryEvent, TraceRing};
 use saav::learn::{Binning, LearnConfig, Quantizer, SelfAwarenessModel, SignalTrace};
 use saav::platoon::agreement::{robust_min, trimmed_mean_agreement, Behavior};
 use saav::sim::series::Series;
@@ -122,34 +121,21 @@ fn cold_mini_fleet(master_seed: u64, rot: usize) -> (FleetOutcome, ResultCache) 
         .clone()
 }
 
-/// Memoized mini-fleet run per `(master_seed, threads, mounted?)`: the
-/// outcome plus — when a telemetry sink was mounted — its snapshot with
-/// the schedule-dependent steal counter zeroed.
-fn observed_mini_fleet(
-    master_seed: u64,
-    threads: usize,
-    mounted: bool,
-) -> (FleetOutcome, Option<TelemetrySnapshot>) {
+/// Memoized mini-fleet run per `(master_seed, threads, mounted?)`; a
+/// mounted run's outcome carries its batch's telemetry snapshot.
+fn observed_mini_fleet(master_seed: u64, threads: usize, mounted: bool) -> FleetOutcome {
     type Key = (u64, usize, bool);
-    type Val = (FleetOutcome, Option<TelemetrySnapshot>);
-    static CACHE: OnceLock<Mutex<HashMap<Key, Val>>> = OnceLock::new();
+    static CACHE: OnceLock<Mutex<HashMap<Key, FleetOutcome>>> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     let mut cache = cache.lock().expect("observed-fleet lock");
     cache
         .entry((master_seed, threads, mounted))
         .or_insert_with(|| {
             let mut runner = FleetRunner::new(master_seed).with_threads(threads);
-            let sink = mounted.then(Telemetry::default);
-            if let Some(sink) = &sink {
-                runner = runner.with_telemetry(sink.clone());
+            if mounted {
+                runner = runner.with_telemetry(Telemetry::default());
             }
-            let out = runner.run_scenarios(mini_fleet_jobs());
-            let snap = sink.map(|s| {
-                let mut snap = s.snapshot();
-                snap.counters[Counter::ShardSteals as usize] = 0;
-                snap
-            });
-            (out, snap)
+            runner.run_scenarios(mini_fleet_jobs())
         })
         .clone()
 }
@@ -208,7 +194,7 @@ proptest! {
         let mut q = TxQueue::new(ids.len());
         for &id in &ids {
             let f = CanFrame::data(FrameId::standard(id).unwrap(), &[]).unwrap();
-            prop_assert!(q.push(f, Time::ZERO, VfId(0)).is_some());
+            prop_assert!(q.push(f, Time::ZERO).is_some());
         }
         let mut popped = Vec::new();
         while let Some(qf) = q.pop_best_ready(Time::ZERO) {
@@ -595,23 +581,21 @@ proptest! {
     /// Mounting a telemetry sink never perturbs the simulation: the
     /// per-run summaries (and aggregate statistics, apart from the
     /// attached snapshot) are bit-identical to an unmounted batch at any
-    /// worker count — and the snapshot itself is thread-count-invariant
-    /// once the (deliberately schedule-dependent) steal counter is set
-    /// aside.
+    /// worker count — and the whole mounted outcome, snapshot included,
+    /// is thread-count-invariant.
     #[test]
     fn mounted_telemetry_never_perturbs_results(
         master_seed in 0u64..2,
         threads in 1usize..5,
     ) {
-        let (unmounted, _) = observed_mini_fleet(master_seed, 1, false);
-        let (mounted, snap) = observed_mini_fleet(master_seed, threads, true);
+        let unmounted = observed_mini_fleet(master_seed, 1, false);
+        let mounted = observed_mini_fleet(master_seed, threads, true);
         prop_assert_eq!(&unmounted.records, &mounted.records);
         let mut stats = mounted.stats.clone();
         prop_assert!(stats.telemetry.is_some(), "mounted stats carry a snapshot");
         stats.telemetry = None;
         prop_assert_eq!(&unmounted.stats, &stats);
-        let (_, single_snap) = observed_mini_fleet(master_seed, 1, true);
-        prop_assert_eq!(snap, single_snap);
+        prop_assert_eq!(&mounted, &observed_mini_fleet(master_seed, 1, true));
     }
 
     /// Duration arithmetic round-trips through the unit constructors.

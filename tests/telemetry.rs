@@ -2,7 +2,7 @@
 //! deterministic across thread counts, the stepped-run sink sees the
 //! escalation a scripted run produces, the fleet and a single run fold the
 //! same detection latency, the chrome-tracing export is well-formed JSON,
-//! and a single-worker fleet never counts a steal.
+//! and a mounted batch's whole outcome is the same at any worker count.
 
 use saav::core::cache::ResultCache;
 use saav::core::fleet::FleetRunner;
@@ -104,17 +104,23 @@ fn fleet_and_run_observed_fold_the_same_detection_latency() {
     assert_eq!(fleet, run_sink.snapshot().detection_latency);
 }
 
-/// With `SAAV_THREADS=1` the fleet runs as an inline loop — nothing can
-/// be stolen, so the registry's steal counter must stay at zero.
+/// A mounted batch is a function of its jobs alone: the inline loop and
+/// four workers return the same outcome, registry snapshot included.
 #[test]
-fn single_worker_fleet_counts_no_steals() {
-    std::env::set_var("SAAV_THREADS", "1");
-    let sink = Telemetry::default();
-    let fleet = FleetRunner::new(7).with_telemetry(sink.clone());
-    let out = fleet.run_scenarios(intrusion_jobs());
-    assert_eq!(out.records.len(), 3);
-    assert_eq!(sink.steals(), 0, "inline fleet registered a steal");
-    assert_eq!(sink.snapshot().counter(Counter::ShardSteals), 0);
+fn mounted_batch_outcome_is_identical_across_thread_counts() {
+    let run = |threads: usize| {
+        FleetRunner::new(7)
+            .with_threads(threads)
+            .with_telemetry(Telemetry::default())
+            .run_scenarios(intrusion_jobs())
+    };
+    let inline = run(1);
+    assert_eq!(inline.records.len(), 3);
+    assert!(
+        inline.stats.telemetry.is_some(),
+        "mounted batch has a snapshot"
+    );
+    assert_eq!(inline, run(4));
 }
 
 /// The chrome-tracing export parses as a single JSON object with the

@@ -183,7 +183,8 @@ fn mounted_telemetry_tick_is_allocation_free() {
 /// total allocation count is a small constant (result vector, stats
 /// buffers) that does not grow with the job count. Pinned by exact
 /// equality between a 6-job and a 24-job warm sweep on the inline
-/// single-thread path, and by a tight bound on the work-stealing path.
+/// single-thread path, and between that path and a 3-worker runner, which
+/// answers every hit on the calling thread and so spawns no worker.
 fn warm_cache_sweep_allocations_are_independent_of_job_count() {
     // Index i in both batch sizes maps to the same scenario, so the
     // 24-job batch's first 6 jobs are identical to the 6-job batch
@@ -231,18 +232,18 @@ fn warm_cache_sweep_allocations_are_independent_of_job_count() {
          the per-sweep constant overhead grew"
     );
 
-    // The work-stealing multi-thread path: per-job steal/lookup is
-    // allocation-free too, so the count is bounded by the per-sweep and
-    // per-worker constants — never by the job count.
-    let stealing = FleetRunner::new(11)
+    // Every hit is answered on the calling thread, so a warm batch never
+    // reaches the executor: three workers allocate exactly as often as
+    // the inline loop.
+    let wide = FleetRunner::new(11)
         .with_threads(3)
         .with_cache(cache.clone());
-    let allocs_6_mt = count_allocs(|| keep.push(stealing.run_scenarios(small2)));
-    let allocs_24_mt = count_allocs(|| keep.push(stealing.run_scenarios(large2)));
-    assert!(
-        allocs_24_mt <= allocs_6_mt + 8,
-        "work-steal warm sweep allocations grew with job count: \
-         {allocs_6_mt} at 6 jobs vs {allocs_24_mt} at 24 jobs"
+    let allocs_6_mt = count_allocs(|| keep.push(wide.run_scenarios(small2)));
+    let allocs_24_mt = count_allocs(|| keep.push(wide.run_scenarios(large2)));
+    assert_eq!(
+        (allocs_6_mt, allocs_24_mt),
+        (allocs_6, allocs_24),
+        "3-worker warm sweep allocated differently from the inline one"
     );
     assert_eq!(cache.stats().misses, 24, "warm sweeps must never miss");
     drop(keep);
