@@ -7,6 +7,13 @@
 //! 5-bit stuffing rule to the stuffable region (SOF through CRC sequence) and
 //! accounts for the fixed-form tail (CRC delimiter, ACK, EOF) plus the
 //! 3-bit interframe space.
+//!
+//! [`frame_bits_exact`] counts the same bits without building them: the
+//! CRC register and the stuffing automaton each take a byte per table
+//! lookup, first over the header (SOF, arbitration and control fields),
+//! then over the payload and the CRC sequence. The count after the header
+//! depends on the identifier, RTR flag and DLC alone, so the bus keeps it
+//! per header and counts only the rest of each frame.
 
 use crate::frame::{CanFrame, FrameId};
 
@@ -114,7 +121,7 @@ fn emit_bits(sink: &mut impl FnMut(bool), value: u64, nbits: u32) {
 
 /// Feeds the CRC-covered region — SOF, arbitration, control and data
 /// fields, in wire order — into `sink` one bit at a time: the reference
-/// that [`covered_word`] must match.
+/// that [`header_state`] and [`through_payload`] must match.
 fn emit_covered_bits(frame: &CanFrame, sink: &mut impl FnMut(bool)) {
     sink(false); // SOF, dominant
     match frame.id() {
@@ -174,72 +181,111 @@ pub fn stuff(bits: &[bool]) -> Vec<bool> {
     out
 }
 
-/// The CRC-covered region packed MSB-first into the low bits of a word,
-/// and its length in bits: at most 103 (extended id, eight data bytes).
-/// The dominant SOF bit counts towards the length as a leading zero.
-fn covered_word(frame: &CanFrame) -> (u128, u32) {
-    let rtr = frame.is_remote() as u128;
-    let dlc = frame.dlc() as u128;
-    let (mut word, mut len) = match frame.id() {
+/// The count of a frame's CRC-covered bits up to some field boundary: the
+/// CRC-15 register, the stuffing automaton's state, the stuff bits
+/// inserted so far and the bits fed, stuff bits excluded. After the
+/// header (SOF, arbitration and control fields) it depends on the
+/// identifier, RTR flag and DLC alone.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeaderState {
+    crc: u16,
+    state: u8,
+    stuffed: u8,
+    len: u8,
+}
+
+impl HeaderState {
+    /// One byte, MSB first, through the CRC-15 register (see
+    /// [`CRC15_TABLE`]).
+    #[inline]
+    fn crc_byte(&mut self, byte: u8) {
+        let index = usize::from((self.crc >> 7) as u8 ^ byte);
+        self.crc = (self.crc << 8 & 0x7FFF) ^ CRC15_TABLE[index];
+    }
+
+    /// One byte, MSB first, through the stuffing automaton (see
+    /// [`STUFF_TABLE`]).
+    #[inline]
+    fn stuff_byte(&mut self, byte: u8) {
+        let entry = STUFF_TABLE[usize::from(self.state)][usize::from(byte)];
+        self.state = entry & 0xF;
+        self.stuffed += entry >> 4;
+    }
+}
+
+/// The count after `frame`'s header, a byte at a time. The 19 header bits
+/// of a standard frame or 39 of an extended one are padded in front to 3
+/// or 5 whole bytes: with zeros for the CRC, because leading zeros leave a
+/// zero register unchanged, and with alternating bits that end recessive
+/// for the stuffing, because they never stuff and the dominant SOF that
+/// follows starts a new run exactly as from the empty start.
+pub(crate) fn header_state(frame: &CanFrame) -> HeaderState {
+    let rtr = u64::from(frame.is_remote());
+    let dlc = u64::from(frame.dlc());
+    // The dominant SOF bit is the header word's leading zero.
+    let (word, len): (u64, u8) = match frame.id() {
         // id · RTR · IDE (dominant) · r0 · DLC
-        FrameId::Standard(id) => ((id as u128) << 7 | rtr << 6 | dlc, 19),
+        FrameId::Standard(id) => (u64::from(id) << 7 | rtr << 6 | dlc, 19),
         // base id · SRR, IDE (recessive) · extended id · RTR · r1 · r0 · DLC
         FrameId::Extended(id) => {
-            let base = (id >> 18) as u128;
-            let ext = (id & 0x3_FFFF) as u128;
+            let base = u64::from(id >> 18);
+            let ext = u64::from(id & 0x3_FFFF);
             (base << 27 | 0b11 << 25 | ext << 7 | rtr << 6 | dlc, 39)
         }
     };
-    for &byte in frame.payload() {
-        word = word << 8 | byte as u128;
-        len += 8;
+    let bytes = len.div_ceil(8);
+    let stuffing = word | (0x55 & ((1 << (8 * bytes - len)) - 1)) << len;
+    let mut header = HeaderState {
+        crc: 0,
+        state: 0,
+        stuffed: 0,
+        len,
+    };
+    for i in (0..bytes).rev() {
+        header.crc_byte((word >> (8 * i)) as u8);
+        header.stuff_byte((stuffing >> (8 * i)) as u8);
     }
-    (word, len)
+    header
 }
 
-/// CAN CRC-15 of the low `len` bits of `word`, a byte at a time. Leading
-/// zeros leave a zero register unchanged, so the region is fed as if
-/// zero-padded at the front to whole bytes.
-fn crc15_word(word: u128, len: u32) -> u16 {
-    (0..len.div_ceil(8)).rev().fold(0, |crc, i| {
-        let byte = (word >> (8 * i)) as u8;
-        (crc << 8 & 0x7FFF) ^ CRC15_TABLE[((crc >> 7) as u8 ^ byte) as usize]
-    })
+/// `count` carried through `payload`: one CRC and one stuffing step per
+/// byte. After a frame's header and payload its `crc` is the frame's CRC
+/// sequence.
+#[inline]
+fn through_payload(mut count: HeaderState, payload: &[u8]) -> HeaderState {
+    for &byte in payload {
+        count.crc_byte(byte);
+        count.stuff_byte(byte);
+    }
+    count.len += 8 * payload.len() as u8;
+    count
 }
 
-/// Stuff bits the low `len` bits of `word` need, a byte at a time. The
-/// region is padded at the front to whole bytes with alternating bits
-/// that end recessive: they never stuff, and the dominant SOF that
-/// follows starts a new run exactly as from the empty start.
-fn stuff_count_word(word: u128, len: u32) -> u32 {
-    let pad = (8 - len % 8) % 8;
-    let word = word | (0x55 & ((1 << pad) - 1)) << len;
-    let mut state = 0;
-    let mut stuffed = 0;
-    for i in (0..(len + pad) / 8).rev() {
-        let entry = STUFF_TABLE[state as usize][(word >> (8 * i)) as u8 as usize];
-        stuffed += (entry >> 4) as u32;
-        state = entry & 0xF;
+/// [`frame_bits_exact`] counted on from the frame's [`header_state`]: its
+/// payload, then its CRC sequence through the stuffing automaton.
+pub(crate) fn bits_after_header(header: HeaderState, frame: &CanFrame) -> u32 {
+    let mut covered = through_payload(header, frame.payload());
+    // The CRC sequence is stuffed like any other field but does not feed
+    // back into the CRC register. Its 15 bits go in as two bytes whose
+    // 16th bit is the opposite of the 15th: it starts a new run, so it can
+    // never complete a run of five.
+    let sequence = covered.crc << 1 | (!covered.crc & 1);
+    for byte in sequence.to_be_bytes() {
+        covered.stuff_byte(byte);
     }
-    stuffed
+    u32::from(covered.len) + 15 + u32::from(covered.stuffed) + TAIL_BITS
 }
 
 /// Exact number of bits the frame occupies on the bus, **excluding** the
 /// interframe space: stuffed stuffable region plus the fixed-form tail.
 ///
-/// Allocation-free and byte-wise: the bus simulation calls this once per
-/// transmitted frame at 100 Hz per vehicle, so the frame is packed into
-/// one word and both the CRC-15 and the stuffing run length advance a
-/// byte per table lookup instead of a bit per step (the
-/// [`stuffable_bits`]/[`stuff`] pair remains as the bit-at-a-time
-/// reference; a unit test pins both paths equal).
+/// Allocation-free and byte-wise: the bus simulation counts every
+/// transmitted frame at 100 Hz per vehicle, so both the CRC-15 and the
+/// stuffing run length advance a byte per table lookup instead of a bit
+/// per step (the [`stuffable_bits`]/[`stuff`] pair remains as the
+/// bit-at-a-time reference; a unit test pins both paths equal).
 pub fn frame_bits_exact(frame: &CanFrame) -> u32 {
-    let (covered, len) = covered_word(frame);
-    // The CRC sequence is stuffed like any other field but does not feed
-    // back into the CRC register.
-    let region = covered << 15 | crc15_word(covered, len) as u128;
-    let len = len + 15;
-    len + stuff_count_word(region, len) + TAIL_BITS
+    bits_after_header(header_state(frame), frame)
 }
 
 /// Exact bits including the 3-bit interframe space that must elapse before
@@ -327,9 +373,11 @@ mod tests {
         // The table-driven count must agree bit-for-bit with the reference
         // stuff(stuffable_bits(..)) path on a seeded sweep of standard,
         // extended and remote frames at every DLC, including the
-        // all-dominant and all-recessive payloads that stuff hardest, and
-        // the packed word must hold exactly the reference bits (which pins
-        // the byte-wise CRC to the bit-at-a-time one).
+        // all-dominant and all-recessive payloads that stuff hardest. The
+        // byte-wise CRC must equal the bit-at-a-time one over the covered
+        // bits, so that a wrong CRC cannot hide behind an equal stuff
+        // count, and the header count must equal the reference over the
+        // header bits, which is what the bus memoizes.
         let mut rng = SimRng::seed_from(0xC0FFEE);
         let mut frames = Vec::new();
         for dlc in 0..=8u8 {
@@ -353,10 +401,18 @@ mod tests {
         }
         for f in frames {
             let reference = stuffable_bits(&f);
-            let (covered, len) = covered_word(&f);
-            let region = covered << 15 | crc15_word(covered, len) as u128;
-            let packed: Vec<bool> = (0..len + 15).rev().map(|i| region >> i & 1 == 1).collect();
-            assert_eq!(packed, reference, "{f}");
+            let header = header_state(&f);
+            let bits = &reference[..header.len as usize];
+            assert_eq!(header.crc, crc15(bits), "{f}");
+            assert_eq!(
+                header.stuffed as usize,
+                stuff(bits).len() - bits.len(),
+                "{f}"
+            );
+            let covered = through_payload(header, f.payload());
+            let bits = &reference[..reference.len() - 15];
+            assert_eq!(covered.len as usize, bits.len(), "{f}");
+            assert_eq!(covered.crc, crc15(bits), "{f}");
             assert_eq!(
                 frame_bits_exact(&f),
                 stuff(&reference).len() as u32 + TAIL_BITS,

@@ -8,10 +8,17 @@
 //! [`arbitration key`](crate::frame::CanFrame::arbitration_key) wins (ties
 //! broken by node index, modelling layout-determined bit timing skew).
 //! Every transmission succeeds: the bus models no bit errors.
+//!
+//! A TX queue keeps each frame's key from the moment it was queued, so
+//! arbitration is one scan per node, and the winner leaves its queue by
+//! the index that scan found. A frame's transmission time is its exact
+//! bit count; the count of its header (identifier, RTR flag and DLC) is
+//! kept in a small memo, because cyclic traffic repeats headers while its
+//! payloads change.
 
 use saav_sim::time::{Duration, Time};
 
-use crate::bitstream::{frame_bits_exact, IFS_BITS};
+use crate::bitstream::{bits_after_header, header_state, HeaderState, IFS_BITS};
 use crate::controller::{CanController, ControllerConfig};
 use crate::frame::{CanFrame, FrameId};
 use crate::virt::PfToken;
@@ -31,30 +38,34 @@ struct InFlight {
 /// log2 of the frame-length memo's slot count.
 const FRAME_MEMO_BITS: u32 = 3;
 
-/// Exact lengths of recently transmitted frames, direct-mapped by a hash
-/// of the whole frame into 2^[`FRAME_MEMO_BITS`] slots. Cyclic traffic
-/// repeats the same frames every period, and a hit costs one frame
-/// comparison instead of a CRC and a stuffing count. Every slot holds a
-/// frame and its exact length from construction on, so a hit is exact.
+/// Header counts of recently transmitted frames, direct-mapped into
+/// 2^[`FRAME_MEMO_BITS`] slots by the header key `arbitration_key << 4 |
+/// dlc`, which is unique per identifier, RTR flag and DLC. The count after
+/// a frame's header depends on nothing else, so a hit is exact whatever
+/// the payload, and cyclic traffic whose payload changes every period
+/// still hits; only the payload and the CRC sequence are counted per
+/// frame. Every slot holds a key and its header's count from
+/// construction on.
 #[derive(Debug)]
-struct FrameBitsMemo([(CanFrame, u32); 1 << FRAME_MEMO_BITS]);
+struct FrameBitsMemo([(u64, HeaderState); 1 << FRAME_MEMO_BITS]);
 
 impl FrameBitsMemo {
     fn new() -> Self {
         let blank = CanFrame::remote(FrameId::Standard(0), 0).expect("valid frame");
-        FrameBitsMemo([(blank, frame_bits_exact(&blank)); 1 << FRAME_MEMO_BITS])
+        FrameBitsMemo([(blank.arbitration_key() << 4, header_state(&blank)); 1 << FRAME_MEMO_BITS])
     }
 
-    /// [`frame_bits_exact`] of `frame`, computed only on a miss.
-    fn bits(&mut self, frame: &CanFrame) -> u32 {
-        let key =
-            frame.arbitration_key() ^ frame.data_word().rotate_left(32) ^ u64::from(frame.dlc());
+    /// [`frame_bits_exact`](crate::bitstream::frame_bits_exact) of
+    /// `frame`, whose arbitration key is `key`; the header is counted only
+    /// on a miss.
+    fn bits(&mut self, key: u64, frame: &CanFrame) -> u32 {
+        let key = key << 4 | u64::from(frame.dlc());
         let slot = key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - FRAME_MEMO_BITS);
         let entry = &mut self.0[slot as usize];
-        if entry.0 != *frame {
-            *entry = (*frame, frame_bits_exact(frame));
+        if entry.0 != key {
+            *entry = (key, header_state(frame));
         }
-        entry.1
+        bits_after_header(entry.1, frame)
     }
 }
 
@@ -142,21 +153,19 @@ impl CanBus {
     }
 
     fn start_transmission(&mut self, start: Time) {
-        // Arbitration among all frames ready at `start`.
+        // Arbitration among all frames ready at `start`: one scan per
+        // node yields its best key and where that frame sits in its queue.
         let winner = self
             .nodes
             .iter()
             .enumerate()
-            .filter_map(|(i, n)| n.bus_best_key(start).map(|k| (k, i)))
+            .filter_map(|(i, n)| n.bus_best_ready(start).map(|(key, index)| (key, i, index)))
             .min();
-        let Some((_key, sender)) = winner else {
+        let Some((key, sender, index)) = winner else {
             return;
         };
-        let frame = self.nodes[sender]
-            .bus_take_frame(start)
-            .expect("winner must have a ready frame")
-            .frame;
-        let bits = self.frame_bits.bits(&frame);
+        let frame = self.nodes[sender].bus_take(index).frame;
+        let bits = self.frame_bits.bits(key, &frame);
         let frame_end = start + self.bit_time * bits as u64;
         self.now = start;
         self.in_flight = Some(InFlight {
@@ -182,6 +191,8 @@ impl CanBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitstream::frame_bits_exact;
+    use crate::reference::ReferenceBus;
     use crate::virt::VfId;
     use saav_sim::rng::SimRng;
 
@@ -340,7 +351,11 @@ mod tests {
         }
         let mut memo = FrameBitsMemo::new();
         for f in &stream {
-            assert_eq!(memo.bits(f), frame_bits_exact(f), "{f}");
+            assert_eq!(
+                memo.bits(f.arbitration_key(), f),
+                frame_bits_exact(f),
+                "{f}"
+            );
         }
         let (mut bus, a, b) = two_node_bus();
         // TX and RX latency of a native node: 2 us each.
@@ -354,5 +369,93 @@ mod tests {
             assert_eq!(receive(&mut bus, b, before), None, "{f} early");
             assert_eq!(receive(&mut bus, b, visible), Some(*f), "{f}");
         }
+    }
+
+    /// Random traffic on two or three native or virtualized nodes with
+    /// short TX queues: every send is accepted or refused as on the
+    /// reference bus (the original three-scan queues and the bit-serial
+    /// frame length), and every VF of every node receives the frames that
+    /// bus delivers, each at exactly the instant it says.
+    #[test]
+    fn bus_matches_the_reference_bus() {
+        let mut rng = SimRng::seed_from(4242);
+        let mut delivered = 0;
+        for _ in 0..120 {
+            let mut bus = CanBus::automotive_500k();
+            let mut oracle = ReferenceBus::new(500_000);
+            let mut vfs = Vec::new();
+            for _ in 0..2 + rng.index(2) {
+                let base = if rng.chance(0.5) {
+                    ControllerConfig::default()
+                } else {
+                    ControllerConfig::virtualized(1 + rng.index(3))
+                };
+                let config = ControllerConfig {
+                    tx_capacity: 1 + rng.index(3),
+                    rx_capacity: 4_096,
+                    ..base
+                };
+                vfs.push(config.num_vfs);
+                oracle.attach(&config);
+                bus.attach(config);
+            }
+            let mut now = Time::ZERO;
+            for _ in 0..150 {
+                now += Duration::from_nanos(rng.uniform_u64(0, 400_000));
+                for _ in 0..rng.index(4) {
+                    let node = rng.index(vfs.len());
+                    let vf = VfId(rng.index(vfs[node]));
+                    let f = random_frame(&mut rng);
+                    let sent = bus.node_mut(NodeId(node)).vf_send(vf, f, now).is_ok();
+                    assert_eq!(sent, oracle.send(node, f, now), "{f} at {now}");
+                }
+                bus.advance(now);
+                oracle.advance(now);
+            }
+            let end = now + Duration::from_secs(1);
+            bus.advance(end);
+            oracle.advance(end);
+            for (node, want) in oracle.nodes.iter().enumerate() {
+                let ctrl = bus.node_mut(NodeId(node));
+                for vf in (0..vfs[node]).map(VfId) {
+                    for &(f, visible) in &want.received {
+                        let before = visible - Duration::from_nanos(1);
+                        assert_eq!(ctrl.vf_receive(vf, before), Ok(None), "{f} early");
+                        assert_eq!(ctrl.vf_receive(vf, visible), Ok(Some(f)), "{f}");
+                    }
+                    assert_eq!(ctrl.vf_receive(vf, end), Ok(None));
+                }
+                delivered += want.received.len();
+            }
+        }
+        assert!(delivered > 20_000, "{delivered} deliveries");
+    }
+
+    /// A quota re-posted every tick keeps its bucket: a VF offering 20
+    /// frames per 10 ms under 120 frames/s with a burst of 10, re-posted
+    /// each time, sends at most one second's rate plus one burst, and a
+    /// reader receives no more.
+    #[test]
+    fn reposted_quota_holds_the_rate() {
+        let mut bus = CanBus::automotive_500k();
+        let (sender, pf) = bus.attach(ControllerConfig::virtualized(2));
+        let reader = native(&mut bus);
+        let flood = frame(0x10F, &[0, 1]);
+        let (mut accepted, mut received) = (0, 0);
+        for tick in 0..100 {
+            let now = Time::from_millis(10 * tick);
+            let ctrl = bus.node_mut(sender);
+            ctrl.pf_set_vf_quota(&pf, VfId(1), 120.0, 10.0).unwrap();
+            for _ in 0..20 {
+                accepted += ctrl.vf_send(VfId(1), flood, now).is_ok() as u32;
+            }
+            bus.advance(now);
+            while receive(&mut bus, reader, now).is_some() {
+                received += 1;
+            }
+        }
+        assert!(accepted <= 130, "{accepted} frames accepted");
+        assert!(received <= accepted, "{received} of {accepted} received");
+        assert!(received >= 120, "{received} frames received");
     }
 }

@@ -108,6 +108,7 @@ impl CanFrame {
     ///
     /// # Errors
     /// Returns [`FrameError::PayloadTooLong`] for payloads over 8 bytes.
+    #[inline]
     pub fn data(id: FrameId, payload: &[u8]) -> Result<Self, FrameError> {
         if payload.len() > MAX_PAYLOAD {
             return Err(FrameError::PayloadTooLong);
@@ -162,18 +163,13 @@ impl CanFrame {
         }
     }
 
-    /// The payload buffer as one little-endian word (zero past the DLC and
-    /// for remote frames), for hashing.
-    pub(crate) fn data_word(&self) -> u64 {
-        u64::from_le_bytes(self.data)
-    }
-
     /// Bus-priority key: **lower key wins arbitration**.
     ///
     /// Layout (33 bits in a `u64`), following the order bits appear on the
     /// wire: base id (11) · RTR/SRR (1) · IDE (1) · extended id (18) ·
     /// extended RTR (1). Dominant bits are 0, so integer order equals
     /// arbitration order.
+    #[inline]
     pub fn arbitration_key(&self) -> u64 {
         match self.id {
             FrameId::Standard(base) => {

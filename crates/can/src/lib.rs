@@ -51,6 +51,8 @@ pub mod bitstream;
 pub mod bus;
 pub mod controller;
 pub mod frame;
+#[cfg(test)]
+mod reference;
 pub mod resources;
 pub mod v2v;
 pub mod virt;

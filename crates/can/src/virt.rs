@@ -103,12 +103,18 @@ impl TxQuota {
         }
     }
 
-    pub(crate) fn limited(rate_per_sec: f64, burst: f64) -> Self {
-        TxQuota {
-            rate_per_sec,
-            burst,
-            tokens: burst,
-            last_refill: Time::ZERO,
+    /// Sets the quota to `rate_per_sec` with `burst`. A changed quota
+    /// starts a new, full bucket; re-posting the current one keeps the
+    /// tokens left and the last refill, so a VF that floods while its
+    /// quota is re-posted is still held to the rate.
+    pub(crate) fn set(&mut self, rate_per_sec: f64, burst: f64) {
+        if (self.rate_per_sec, self.burst) != (rate_per_sec, burst) {
+            *self = TxQuota {
+                rate_per_sec,
+                burst,
+                tokens: burst,
+                last_refill: Time::ZERO,
+            };
         }
     }
 
@@ -167,7 +173,8 @@ mod tests {
         c.vf_send(VfId(1), frame(0x50), Time::ZERO).unwrap();
         // Higher-priority frame (0x50) wins the wrapper mux.
         let ready = c.bus_earliest_ready().unwrap();
-        let q = c.bus_take_frame(ready).unwrap();
+        let (_, index) = c.bus_best_ready(ready).unwrap();
+        let q = c.bus_take(index);
         assert_eq!(q.frame.id(), FrameId::standard(0x50).unwrap());
     }
 
@@ -209,8 +216,8 @@ mod tests {
 
     #[test]
     fn latency_overheads_grow_with_vfs() {
-        let (c1, _p1) = controller(1);
-        let (c8, _p8) = controller(8);
+        let c1 = ControllerConfig::virtualized(1);
+        let c8 = ControllerConfig::virtualized(8);
         let rt1 = c1.tx_overhead() + c1.rx_overhead();
         let rt8 = c8.tx_overhead() + c8.rx_overhead();
         assert!(rt1 < rt8);

@@ -370,21 +370,6 @@ impl ResultCache {
         self.inner.insertions.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Number of cached summaries.
-    pub fn len(&self) -> usize {
-        self.mem().len()
-    }
-
-    /// Whether no summaries are cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached summary; the counters keep their values.
-    pub fn clear(&self) {
-        self.mem().clear();
-    }
-
     /// A snapshot of the hit/miss/store counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -526,8 +511,9 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 1, 1));
         // Clones share the store and the counters.
         let clone = cache.clone();
-        assert_eq!(clone.len(), 1);
-        clone.clear();
-        assert!(cache.is_empty());
+        assert!(clone.get(key).is_some());
+        clone.insert(JobKey(8), Arc::new(sample_summary()));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 1, 2));
     }
 }

@@ -680,11 +680,6 @@ impl Telemetry {
         }
     }
 
-    /// The mount configuration.
-    pub fn config(&self) -> TelemetryConfig {
-        self.inner.config
-    }
-
     /// Opens per-run telemetry for fleet job `job_slot` (0 for solo
     /// runs). The ring is allocated here, once per run.
     pub fn begin_run(&self, job_slot: u32) -> RunTelemetry {

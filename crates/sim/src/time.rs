@@ -145,12 +145,14 @@ impl Duration {
 
 impl Add for Duration {
     type Output = Duration;
+    #[inline]
     fn add(self, rhs: Duration) -> Duration {
         Duration(self.0.checked_add(rhs.0).expect("duration overflow"))
     }
 }
 
 impl AddAssign for Duration {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         *self = *self + rhs;
     }
@@ -158,12 +160,14 @@ impl AddAssign for Duration {
 
 impl Sub for Duration {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: Duration) -> Duration {
         Duration(self.0.checked_sub(rhs.0).expect("duration underflow"))
     }
 }
 
 impl SubAssign for Duration {
+    #[inline]
     fn sub_assign(&mut self, rhs: Duration) {
         *self = *self - rhs;
     }
@@ -171,6 +175,7 @@ impl SubAssign for Duration {
 
 impl Mul<u64> for Duration {
     type Output = Duration;
+    #[inline]
     fn mul(self, rhs: u64) -> Duration {
         Duration(self.0.checked_mul(rhs).expect("duration overflow"))
     }
@@ -178,6 +183,7 @@ impl Mul<u64> for Duration {
 
 impl Div<u64> for Duration {
     type Output = Duration;
+    #[inline]
     fn div(self, rhs: u64) -> Duration {
         Duration(self.0 / rhs)
     }
@@ -269,12 +275,14 @@ impl Time {
 
 impl Add<Duration> for Time {
     type Output = Time;
+    #[inline]
     fn add(self, rhs: Duration) -> Time {
         Time(self.0.checked_add(rhs.0).expect("time overflow"))
     }
 }
 
 impl AddAssign<Duration> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: Duration) {
         *self = *self + rhs;
     }
@@ -282,6 +290,7 @@ impl AddAssign<Duration> for Time {
 
 impl Sub<Duration> for Time {
     type Output = Time;
+    #[inline]
     fn sub(self, rhs: Duration) -> Time {
         Time(self.0.checked_sub(rhs.0).expect("time underflow"))
     }
@@ -289,6 +298,7 @@ impl Sub<Duration> for Time {
 
 impl Sub for Time {
     type Output = Duration;
+    #[inline]
     fn sub(self, rhs: Time) -> Duration {
         Duration(self.0.checked_sub(rhs.0).expect("negative time difference"))
     }
