@@ -100,11 +100,6 @@ impl CanBus {
         CanBus::new(500_000)
     }
 
-    /// The nominal bit time.
-    pub fn bit_time(&self) -> Duration {
-        self.bit_time
-    }
-
     /// Attaches a controller, returning its node id and the PF privilege
     /// token.
     pub fn attach(&mut self, config: ControllerConfig) -> (NodeId, PfToken) {
@@ -241,7 +236,7 @@ mod tests {
         send(&mut bus, a, f, Time::ZERO);
         bus.advance(Time::from_millis(1));
         // Earliest visibility: tx_latency (2us) + bits * 2us + rx_latency (2us).
-        let expect = Duration::from_micros(2) + bus.bit_time() * bits + Duration::from_micros(2);
+        let expect = Duration::from_micros(2) + bus.bit_time * bits + Duration::from_micros(2);
         let just_before = Time::ZERO + expect - Duration::from_nanos(1);
         assert_eq!(receive(&mut bus, b, just_before), None);
         let at = Time::ZERO + expect;
@@ -364,7 +359,7 @@ mod tests {
             let at = Time::from_millis(i as u64);
             assert!(send(&mut bus, a, *f, at));
             bus.advance(at + Duration::from_micros(999));
-            let visible = at + latency + bus.bit_time() * frame_bits_exact(f) as u64;
+            let visible = at + latency + bus.bit_time * frame_bits_exact(f) as u64;
             let before = visible - Duration::from_nanos(1);
             assert_eq!(receive(&mut bus, b, before), None, "{f} early");
             assert_eq!(receive(&mut bus, b, visible), Some(*f), "{f}");

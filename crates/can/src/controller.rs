@@ -259,11 +259,6 @@ impl CanController {
         (ctrl, PfToken(()))
     }
 
-    /// Number of provisioned VFs.
-    pub fn num_vfs(&self) -> usize {
-        self.vfs.len()
-    }
-
     fn vf_mut(&mut self, vf: VfId) -> Result<&mut VirtualFunction, VirtError> {
         self.vfs.get_mut(vf.0).ok_or(VirtError::InvalidVf)
     }

@@ -53,14 +53,6 @@ impl FrameId {
             FrameId::Extended(id) => id,
         }
     }
-
-    /// The 11-bit base identifier (for extended ids, the top 11 bits).
-    pub fn base11(self) -> u16 {
-        match self {
-            FrameId::Standard(id) => id,
-            FrameId::Extended(id) => (id >> 18) as u16,
-        }
-    }
 }
 
 impl fmt::Display for FrameId {
@@ -273,13 +265,6 @@ mod tests {
         let a = CanFrame::data(xid(0x0ABC_0001), &[]).unwrap();
         let b = CanFrame::data(xid(0x0ABC_0002), &[]).unwrap();
         assert!(a.arbitration_key() < b.arbitration_key());
-    }
-
-    #[test]
-    fn base11_extraction() {
-        assert_eq!(sid(0x7FF).base11(), 0x7FF);
-        assert_eq!(xid(0x1FFF_FFFF).base11(), 0x7FF);
-        assert_eq!(xid(0x0004_0000).base11(), 1);
     }
 
     #[test]

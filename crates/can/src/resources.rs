@@ -109,19 +109,17 @@ pub fn standalone_array(n: u32) -> ResourceEstimate {
     standalone_controller().times(n)
 }
 
-/// The smallest VM count at which the virtualized controller uses no more
-/// LUTs *and* no more FFs than `n` stand-alone controllers.
-pub fn break_even_vms(max_n: u32) -> Option<u32> {
-    (1..=max_n).find(|&n| virtualized_controller(n).fits_within(standalone_array(n)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn break_even_at_four_vms() {
-        assert_eq!(break_even_vms(16), Some(4));
+        // The smallest VM count at which the virtualized controller uses no
+        // more LUTs and no more FFs than that many stand-alone controllers.
+        let break_even =
+            (1..=16).find(|&n| virtualized_controller(n).fits_within(standalone_array(n)));
+        assert_eq!(break_even, Some(4));
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! use saav_sim::time::{Duration, Time};
 //!
 //! let mut ch = V2vChannel::new(3, 42);
-//! ch.set_link_fault(PeerId(1), LinkFault::delayed(Duration::from_millis(50)));
+//! ch.set_link_fault(PeerId(1), LinkFault::default().with_delay(Duration::from_millis(50)));
 //! ch.broadcast(Time::ZERO, PeerId(0), 22.0);
 //! ch.broadcast(Time::ZERO, PeerId(1), 21.0);
 //! // Peer 0's claim arrives immediately; peer 1's is still in flight.
@@ -81,14 +81,6 @@ impl LinkFault {
         }
     }
 
-    /// A link delivering every broadcast `delay` late.
-    pub fn delayed(delay: Duration) -> Self {
-        LinkFault {
-            delay,
-            ..LinkFault::default()
-        }
-    }
-
     /// A compromised link replacing every claim with `claim_mps`.
     pub fn spoofed(claim_mps: f64) -> Self {
         LinkFault {
@@ -112,8 +104,6 @@ pub struct V2vChannel {
     rng: SimRng,
     sent: u64,
     dropped: u64,
-    delivered: u64,
-    spoofed: u64,
     delayed: u64,
 }
 
@@ -127,15 +117,8 @@ impl V2vChannel {
             rng: SimRng::seed_from(seed),
             sent: 0,
             dropped: 0,
-            delivered: 0,
-            spoofed: 0,
             delayed: 0,
         }
-    }
-
-    /// Number of peers attached to the channel.
-    pub fn peers(&self) -> usize {
-        self.faults.len()
     }
 
     /// Installs a fault model on `peer`'s outgoing link.
@@ -158,13 +141,7 @@ impl V2vChannel {
             self.dropped += 1;
             return;
         }
-        let claim = match fault.spoof_mps {
-            Some(spoofed) => {
-                self.spoofed += 1;
-                spoofed
-            }
-            None => claim_mps,
-        };
+        let claim = fault.spoof_mps.unwrap_or(claim_mps);
         if !fault.delay.is_zero() {
             self.delayed += 1;
         }
@@ -183,15 +160,9 @@ impl V2vChannel {
     pub fn poll_due(&mut self, now: Time) -> Vec<V2vMessage> {
         let mut due = Vec::new();
         while let Some((_, msg)) = self.in_flight.pop_due(now) {
-            self.delivered += 1;
             due.push(msg);
         }
         due
-    }
-
-    /// Messages still in flight.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.len()
     }
 
     /// Broadcasts attempted so far.
@@ -202,16 +173,6 @@ impl V2vChannel {
     /// Broadcasts lost to link faults.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Messages delivered to receivers.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Claims altered in transit by spoofing links.
-    pub fn spoofed(&self) -> u64 {
-        self.spoofed
     }
 
     /// Broadcasts that entered the queue late (a nonzero per-link delay).
@@ -234,20 +195,29 @@ mod tests {
         assert_eq!(due.len(), 4);
         let senders: Vec<usize> = due.iter().map(|m| m.from.0).collect();
         assert_eq!(senders, vec![0, 1, 2, 3]);
-        assert_eq!(ch.delivered(), 4);
+        assert!(
+            ch.poll_due(Time::from_secs(2)).is_empty(),
+            "each delivered once"
+        );
         assert_eq!(ch.dropped(), 0);
     }
 
     #[test]
     fn delayed_link_holds_delivery_until_due() {
         let mut ch = V2vChannel::new(2, 2);
-        ch.set_link_fault(PeerId(1), LinkFault::delayed(Duration::from_millis(100)));
+        ch.set_link_fault(
+            PeerId(1),
+            LinkFault::default().with_delay(Duration::from_millis(100)),
+        );
         ch.broadcast(Time::ZERO, PeerId(1), 19.0);
         assert!(ch.poll_due(Time::from_millis(99)).is_empty());
-        assert_eq!(ch.in_flight(), 1);
         let due = ch.poll_due(Time::from_millis(100));
         assert_eq!(due.len(), 1);
         assert_eq!(due[0].sent_at, Time::ZERO);
+        assert!(
+            ch.poll_due(Time::from_secs(1)).is_empty(),
+            "nothing left in flight"
+        );
         assert_eq!(ch.delayed(), 1);
     }
 
@@ -291,14 +261,19 @@ mod tests {
         let due = ch.poll_due(Time::ZERO);
         assert_eq!(due[0].claim_mps, 90.0, "spoofed in transit");
         assert_eq!(due[1].claim_mps, 21.0, "honest link untouched");
-        assert_eq!(ch.spoofed(), 1);
     }
 
     #[test]
     fn mixed_delays_deliver_in_time_order() {
         let mut ch = V2vChannel::new(3, 5);
-        ch.set_link_fault(PeerId(0), LinkFault::delayed(Duration::from_millis(200)));
-        ch.set_link_fault(PeerId(1), LinkFault::delayed(Duration::from_millis(50)));
+        ch.set_link_fault(
+            PeerId(0),
+            LinkFault::default().with_delay(Duration::from_millis(200)),
+        );
+        ch.set_link_fault(
+            PeerId(1),
+            LinkFault::default().with_delay(Duration::from_millis(50)),
+        );
         for i in 0..3 {
             ch.broadcast(Time::ZERO, PeerId(i), 20.0);
         }

@@ -63,19 +63,6 @@ impl ResolutionTrace {
     pub fn resolved(&self) -> bool {
         self.resolved_by.is_some()
     }
-
-    /// All actions taken along the way (mitigations and the resolution).
-    pub fn actions(&self) -> Vec<&str> {
-        self.attempts
-            .iter()
-            .filter_map(|a| match &a.outcome {
-                Containment::Resolved { action } | Containment::Mitigated { action } => {
-                    Some(action.as_ref())
-                }
-                Containment::CannotHandle => None,
-            })
-            .collect()
-    }
 }
 
 /// The coordinator.
@@ -103,26 +90,14 @@ impl Coordinator {
         }
     }
 
-    /// The active policy.
-    pub fn policy(&self) -> EscalationPolicy {
-        self.policy
-    }
-
     /// The layer sequence a problem detected at `origin` is offered to,
-    /// under the active policy.
+    /// under the active policy, as a borrowed slice of [`Layer::ALL`].
     ///
     /// This is the *single* routing implementation: [`Coordinator::resolve`]
     /// and the assembly's stepping loop both iterate exactly this sequence.
     /// Under [`EscalationPolicy::LocalFirst`] it is the origin layer and then
     /// strictly upward; under [`EscalationPolicy::BroadcastUp`] it is every
     /// layer bottom-up regardless of origin.
-    pub fn route(&self, origin: Layer) -> impl Iterator<Item = Layer> {
-        self.route_slice(origin).iter().copied()
-    }
-
-    /// The same routing as [`Self::route`], as a borrowed slice of
-    /// [`Layer::ALL`] — the escalation hot path iterates this directly so
-    /// routing never materializes a temporary collection.
     pub fn route_slice(&self, origin: Layer) -> &'static [Layer] {
         let start = match self.policy {
             EscalationPolicy::LocalFirst => Layer::ALL
@@ -294,7 +269,18 @@ mod tests {
             },
             _ => Containment::CannotHandle,
         });
-        assert_eq!(trace.actions().len(), 2);
+        let outcomes: Vec<&Containment> = trace.attempts.iter().map(|a| &a.outcome).collect();
+        assert_eq!(
+            outcomes,
+            [
+                &Containment::Mitigated {
+                    action: "quarantine".into()
+                },
+                &Containment::Resolved {
+                    action: "regen braking + speed cap".into()
+                }
+            ]
+        );
         assert_eq!(trace.resolved_by, Some(Layer::Ability));
     }
 
@@ -330,14 +316,14 @@ mod tests {
         assert_eq!((c.resolved(), c.routed()), (1, 2));
     }
 
-    /// `route` and `resolve` must visit identical layer sequences — the
+    /// `route_slice` and `resolve` must visit identical layer sequences — the
     /// assembly loop and the coordinator share one routing implementation.
     #[test]
     fn route_and_resolve_visit_identical_sequences() {
         for policy in [EscalationPolicy::LocalFirst, EscalationPolicy::BroadcastUp] {
             for &origin in &Layer::ALL {
                 let mut c = Coordinator::new(policy);
-                let routed: Vec<Layer> = c.route(origin).collect();
+                let routed = c.route_slice(origin).to_vec();
                 let p = problem(&mut c, origin);
                 // A never-resolving handler forces the full sequence.
                 let trace = c.resolve(p, |_, _| Containment::CannotHandle);
@@ -350,7 +336,7 @@ mod tests {
     #[test]
     fn local_first_route_is_origin_then_strictly_upward() {
         let c = Coordinator::new(EscalationPolicy::LocalFirst);
-        let routed: Vec<Layer> = c.route(Layer::Safety).collect();
+        let routed = c.route_slice(Layer::Safety).to_vec();
         assert_eq!(
             routed,
             vec![Layer::Safety, Layer::Ability, Layer::Objective]

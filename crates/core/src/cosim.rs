@@ -19,7 +19,7 @@
 //! received claims feed [`Platoon::negotiate_speed`]: the agreed speed is
 //! the Byzantine-robust minimum, trust updates on every round, and a trust
 //! collapse raises [`AnomalyKind::PeerMisbehavior`] on every member —
-//! flowing through the *same* [`crate::coordinator::Coordinator::route`]
+//! flowing through the *same* [`crate::coordinator::Coordinator::route_slice`]
 //! escalation path as any on-board anomaly, so cooperative containment
 //! (eject the peer, or leave the platoon and fall back to standalone ACC)
 //! reuses the single escalation mechanism.

@@ -525,9 +525,6 @@ pub struct FleetCoordinator {
     mcc: saav_mcc::Mcc,
     degraded: bool,
     threshold_misses_per_run: f64,
-    batches: u64,
-    renegotiations: u64,
-    rollbacks: u64,
 }
 
 impl Default for FleetCoordinator {
@@ -546,9 +543,6 @@ impl FleetCoordinator {
             mcc,
             degraded: false,
             threshold_misses_per_run: 100.0,
-            batches: 0,
-            renegotiations: 0,
-            rollbacks: 0,
         }
     }
 
@@ -557,31 +551,6 @@ impl FleetCoordinator {
     pub fn with_threshold(mut self, misses_per_run: f64) -> Self {
         self.threshold_misses_per_run = misses_per_run;
         self
-    }
-
-    /// Whether the degraded batch budget is currently in force.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// Batches observed so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
-    }
-
-    /// Admitted budget renegotiations so far.
-    pub fn renegotiations(&self) -> u64 {
-        self.renegotiations
-    }
-
-    /// Budget rollbacks so far.
-    pub fn rollbacks(&self) -> u64 {
-        self.rollbacks
-    }
-
-    /// The fleet's own multi-change controller (read access for reports).
-    pub fn mcc(&self) -> &saav_mcc::Mcc {
-        &self.mcc
     }
 
     /// Observes one completed batch. Requires the batch to have run with a
@@ -593,7 +562,6 @@ impl FleetCoordinator {
     /// below half the threshold (hysteresis), the nominal budget is rolled
     /// back in.
     pub fn observe(&mut self, stats: &FleetStats) -> FleetDirective {
-        self.batches += 1;
         let Some(snapshot) = &stats.telemetry else {
             return FleetDirective::Nominal;
         };
@@ -606,13 +574,11 @@ impl FleetCoordinator {
                 .expect("fleet budget plan is well-formed");
             if report.accepted {
                 self.degraded = true;
-                self.renegotiations += 1;
                 return FleetDirective::Degraded;
             }
         } else if self.degraded && pressure < self.threshold_misses_per_run * 0.5 {
             self.mcc.rollback().expect("degraded budget was committed");
             self.degraded = false;
-            self.rollbacks += 1;
             return FleetDirective::RolledBack;
         }
         FleetDirective::Nominal
@@ -620,10 +586,11 @@ impl FleetCoordinator {
 
     /// Reallocates a fixed seed budget across `families` for the next
     /// batch, shifting seeds toward the families whose runs degraded in
-    /// `outcome` (detected a problem or left Normal mode). Every family
-    /// keeps at least one seed and the total always equals
-    /// `families.len() * seeds_per_cell`; with no degradation (or no
-    /// admitted budget degradation) the split stays uniform.
+    /// `outcome` (detected a problem or left Normal mode). The total always
+    /// equals `families.len() * seeds_per_cell`, and every family keeps at
+    /// least one seed unless `seeds_per_cell` is 0; with no degradation (or
+    /// no admitted budget degradation, or no seeds to shift) the split
+    /// stays uniform.
     pub fn reallocate(
         &self,
         families: &[ScenarioFamily],
@@ -634,7 +601,7 @@ impl FleetCoordinator {
         if families.is_empty() {
             return Vec::new();
         }
-        if !self.degraded {
+        if !self.degraded || seeds_per_cell == 0 {
             return families.iter().map(|&f| (f, seeds_per_cell)).collect();
         }
         let degradation: Vec<usize> = families
@@ -873,37 +840,37 @@ mod tests {
     #[test]
     fn coordinator_degrades_under_pressure_and_rolls_back() {
         let mut c = FleetCoordinator::new().with_threshold(100.0);
-        assert!(!c.degraded());
+        assert!(!c.degraded);
         // 200 misses/run: the degraded budget is proposed and admitted.
         assert_eq!(
             c.observe(&stats_with_misses(10, 2000)),
             FleetDirective::Degraded
         );
-        assert!(c.degraded());
-        assert_eq!(c.renegotiations(), 1);
+        assert!(c.degraded);
         // Sustained pressure while already degraded changes nothing.
         assert_eq!(
             c.observe(&stats_with_misses(10, 2000)),
             FleetDirective::Nominal
         );
-        assert_eq!(c.renegotiations(), 1);
         // Pressure inside the hysteresis band holds the degraded budget.
         assert_eq!(
             c.observe(&stats_with_misses(10, 700)),
             FleetDirective::Nominal
         );
-        assert!(c.degraded());
-        // Pressure cleared: the nominal budget rolls back in.
+        assert!(c.degraded);
+        // Pressure cleared: the nominal budget rolls back in, once.
         assert_eq!(
             c.observe(&stats_with_misses(10, 100)),
             FleetDirective::RolledBack
         );
-        assert!(!c.degraded());
-        assert_eq!(c.rollbacks(), 1);
-        assert_eq!(c.batches(), 4);
+        assert!(!c.degraded);
+        assert_eq!(
+            c.observe(&stats_with_misses(10, 100)),
+            FleetDirective::Nominal
+        );
         // The fleet MCC is back on the nominal budget.
         assert!(c
-            .mcc()
+            .mcc
             .current()
             .components
             .iter()
@@ -916,8 +883,7 @@ mod tests {
         let mut stats = FleetStats::from_records(&[]);
         stats.runs = 10;
         assert_eq!(c.observe(&stats), FleetDirective::Nominal);
-        assert!(!c.degraded());
-        assert_eq!(c.renegotiations(), 0);
+        assert!(!c.degraded);
     }
 
     #[test]
@@ -1036,6 +1002,18 @@ mod tests {
             [
                 (ScenarioFamily::Thermal, 1),
                 (ScenarioFamily::ThermalFog, 7)
+            ]
+        );
+        // With no seeds to shift, every family gets none.
+        assert_eq!(
+            c.reallocate(
+                &[ScenarioFamily::Thermal, ScenarioFamily::ThermalFog],
+                &outcome,
+                0
+            ),
+            [
+                (ScenarioFamily::Thermal, 0),
+                (ScenarioFamily::ThermalFog, 0)
             ]
         );
     }

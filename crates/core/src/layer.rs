@@ -278,11 +278,6 @@ impl DirectiveBoard {
     pub fn is_empty(&self) -> bool {
         self.active.is_empty()
     }
-
-    /// Clears all directives (scenario reset).
-    pub fn clear(&mut self) {
-        self.active.clear();
-    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! * [`coordinator`] — routing of detected problems through the layers with
 //!   structurally guaranteed termination (strictly upward escalation over a
 //!   finite lattice — the paper's "no forwarding ad infinitum").
-//!   [`coordinator::Coordinator::route`] is the single routing
+//!   [`coordinator::Coordinator::route_slice`] is the single routing
 //!   implementation shared by `resolve` and the scenario runner, and the
 //!   coordinator counts what it routes instead of storing it.
 //! * [`scenario`] — composable scenario descriptions: a builder DSL, the

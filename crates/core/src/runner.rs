@@ -5,10 +5,10 @@
 //! events pop from the deterministic [`crate::scenario::ScenarioState`]
 //! queue, the platform / execution / plant / communication layers
 //! advance, monitors raise anomalies, and each anomaly is routed through
-//! the layers by [`Coordinator::route`] — the same routing the coordinator
-//! itself uses, so escalation exists exactly once.
+//! the layers by [`Coordinator::route_slice`] — the same routing the
+//! coordinator itself uses, so escalation exists exactly once.
 //!
-//! [`Coordinator::route`]: crate::coordinator::Coordinator::route
+//! [`Coordinator::route_slice`]: crate::coordinator::Coordinator::route_slice
 
 use saav_hw::pe::PeId;
 use saav_learn::SelfAwarenessModel;
@@ -44,7 +44,7 @@ pub(crate) struct DetectionLog {
 /// resolving layer; nothing is kept per problem.
 fn handle_anomaly(
     v: &mut SelfAwareVehicle,
-    state: &mut ScenarioState,
+    state: &ScenarioState,
     log: &mut DetectionLog,
     mut tel: Option<&mut RunTelemetry>,
     anomaly: Anomaly,
@@ -206,7 +206,7 @@ impl RunContext {
     /// the platoon negotiation) through the identical escalation path the
     /// onboard monitors use.
     pub(crate) fn raise(&mut self, tel: Option<&mut RunTelemetry>, anomaly: Anomaly) {
-        handle_anomaly(&mut self.v, &mut self.state, &mut self.log, tel, anomaly);
+        handle_anomaly(&mut self.v, &self.state, &mut self.log, tel, anomaly);
     }
 
     /// Advances the vehicle by one [`CONTROL_PERIOD`]: scripted events,
@@ -296,7 +296,7 @@ impl RunContext {
             // rollback threshold and the pressure has cleared, the MCC
             // restores the nominal contracts here, at the deterministic
             // 1 Hz instant.
-            if v.maybe_rollback(state) {
+            if v.maybe_rollback() {
                 for switch in v.switch_events.drain(..) {
                     if let Some(t) = tel.as_deref_mut() {
                         t.record(

@@ -423,12 +423,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the initial ego speed.
-    pub fn ego_speed(mut self, mps: f64) -> Self {
-        self.ego_speed_mps = mps;
-        self
-    }
-
     /// Sets the lead-vehicle profile.
     pub fn lead(mut self, lead: LeadVehicle) -> Self {
         self.lead = lead;
@@ -444,12 +438,6 @@ impl ScenarioBuilder {
     /// Makes the scenario a city-scale tiered-fidelity co-simulation.
     pub fn city(mut self, spec: CitySpec) -> Self {
         self.city = Some(spec);
-        self
-    }
-
-    /// Sets the runtime contract-reconfiguration policy wholesale.
-    pub fn reconfig(mut self, spec: ReconfigSpec) -> Self {
-        self.reconfig = spec;
         self
     }
 
@@ -830,21 +818,20 @@ impl Ramp {
     }
 }
 
-/// Runtime scenario-injection state, owned by the runner.
+/// Runtime scenario-injection state, owned by the runner: the script
+/// alone.
 ///
 /// Scripted events wait in a deterministic [`EventQueue`] (time order, FIFO
-/// ties) instead of a sorted `Vec` popped from the front; the flags record
-/// what the script and the containment actions have done so far, so the
+/// ties) instead of a sorted `Vec` popped from the front; the ramps and
+/// `compromised` record what the script has started so far, so the
 /// vehicle's layers can consult them without owning any scripting logic.
+/// What containment does is kept by the layer it acts on, not here.
 #[derive(Debug)]
 pub struct ScenarioState {
     queue: EventQueue<ScenarioEvent>,
-    /// Whether the rear-brake component is currently compromised.
+    /// Whether the rear-brake component is compromised: the attack's
+    /// ground truth, set by the script and never cleared.
     pub compromised: bool,
-    /// Whether the safety layer has quarantined the rear-brake component.
-    pub brake_rear_quarantined: bool,
-    /// Whether the ability layer already swapped in the low-rate tasks.
-    pub acc_reconfigured: bool,
     fog_ramp: Option<Ramp>,
     ambient_ramp: Option<Ramp>,
 }
@@ -859,8 +846,6 @@ impl ScenarioState {
         ScenarioState {
             queue,
             compromised: false,
-            brake_rear_quarantined: false,
-            acc_reconfigured: false,
             fog_ramp: None,
             ambient_ramp: None,
         }
@@ -869,11 +854,6 @@ impl ScenarioState {
     /// Pops the next scripted event due at or before `now`, if any.
     pub fn pop_due(&mut self, now: Time) -> Option<ScenarioEvent> {
         self.queue.pop_due(now).map(|(_, ev)| ev)
-    }
-
-    /// Number of scripted events still pending.
-    pub fn pending_events(&self) -> usize {
-        self.queue.len()
     }
 
     /// Starts a fog ramp from the current density.
@@ -956,7 +936,6 @@ mod tests {
             )
             .build();
         let mut state = ScenarioState::new(&s);
-        assert_eq!(state.pending_events(), 3);
         assert_eq!(
             state.pop_due(Time::from_secs(120)),
             Some(ScenarioEvent::RadarFault(SensorFault::Dead))

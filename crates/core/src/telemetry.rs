@@ -274,11 +274,6 @@ impl TraceRing {
         self.buf.is_empty()
     }
 
-    /// The fixed capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Total events ever pushed (survivors + evicted).
     pub fn recorded(&self) -> u64 {
         self.next_seq
@@ -519,11 +514,6 @@ impl RunTelemetry {
         }
     }
 
-    /// The fleet job index this run records under.
-    pub fn job_slot(&self) -> u32 {
-        self.job_slot
-    }
-
     /// Records one trace event at virtual time `at` and bumps the event
     /// class's counter. Allocation-free.
     pub fn record(&mut self, at: Time, event: TelemetryEvent) {
@@ -554,11 +544,6 @@ impl RunTelemetry {
     /// Counts one invocation of `stage`.
     pub fn count_stage(&mut self, stage: Stage) {
         self.stage_calls[stage as usize] += 1;
-    }
-
-    /// The run's surviving trace, oldest first.
-    pub fn ring(&self) -> &TraceRing {
-        &self.ring
     }
 }
 

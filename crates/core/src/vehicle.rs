@@ -7,10 +7,12 @@
 //! (`saav_mcc`), coordinated by the cross-layer [`Coordinator`].
 //!
 //! The vehicle owns construction and the *per-layer containment logic*;
-//! it does not script disturbances or drive time. Scenario injection lives
-//! in [`ScenarioState`] (owned by the [`crate::runner`]) and the vehicle's
-//! layers consult and update it — e.g. the safety layer records a
-//! quarantine there so the communication pump stops flooding.
+//! it does not script disturbances or drive time. The script lives in
+//! [`ScenarioState`] (owned by the [`crate::runner`]): the vehicle applies
+//! its events and ramps, and its layers read the attack's ground truth
+//! there. Everything containment changes lives in the layer it changes —
+//! e.g. the communication pump stops flooding once the RTE holds the rear
+//! brake quarantined.
 
 use saav_can::bus::{CanBus, NodeId};
 use saav_can::controller::ControllerConfig;
@@ -26,7 +28,7 @@ use saav_monitor::anomaly::{Anomaly, AnomalyKind};
 use saav_monitor::exec::{ExecutionMonitor, JobTiming, TaskSlot};
 use saav_monitor::signal::{HeartbeatMonitor, QualityMonitor};
 use saav_rte::access::AccessEvent;
-use saav_rte::component::{ComponentSpec, ServiceName, VmId};
+use saav_rte::component::{ComponentSpec, ComponentState, ServiceName, VmId};
 use saav_rte::rte::Rte;
 use saav_rte::sched::{JobRecord, Priority, TaskRef, TaskSpec};
 use saav_sim::name::Name;
@@ -86,6 +88,8 @@ pub struct SelfAwareVehicle {
     reconfig: ReconfigSpec,
     renegotiator: Renegotiator,
     lowrate_tasks: Option<(TaskRef, TaskRef)>,
+    // whether the ability layer has the low-rate tasks swapped in
+    acc_reconfigured: bool,
     // switch outcomes since the runner last drained them; empty on the
     // nominal tick, so the hot path never allocates
     pub(crate) switch_events: Vec<SwitchOutcome>,
@@ -113,16 +117,6 @@ pub struct SelfAwareVehicle {
 }
 
 impl SelfAwareVehicle {
-    /// Builds the reference vehicle for a scenario.
-    pub fn new(scenario: &Scenario) -> Self {
-        Self::with_overrides(
-            scenario,
-            scenario.seed,
-            scenario.ego_speed_mps,
-            scenario.lead.clone(),
-        )
-    }
-
     /// Builds the vehicle from a borrowed scenario with per-member
     /// overrides (seed, initial speed, lead profile) — the multi-vehicle
     /// engines use this so N members never clone the scenario N times.
@@ -132,7 +126,7 @@ impl SelfAwareVehicle {
         ego_speed_mps: f64,
         lead: saav_vehicle::traffic::LeadVehicle,
     ) -> Self {
-        let platform = Platform::with_embedded_pes(2);
+        let platform = Platform::with_embedded_pes(1);
         // --- execution domain -------------------------------------------
         let mut rte = Rte::new(seed, 8_192);
         let control_vm = rte.add_vm(4_096);
@@ -278,6 +272,7 @@ impl SelfAwareVehicle {
             reconfig: scenario.reconfig,
             renegotiator: contracts::vehicle_renegotiator(scenario.reconfig.prefer_fast),
             lowrate_tasks: None,
+            acc_reconfigured: false,
             switch_events: Vec::new(),
             acc_task,
             perception_task,
@@ -315,11 +310,6 @@ impl SelfAwareVehicle {
     /// escalation path the contract monitors use.
     pub fn mount_learned_monitor(&mut self, model: &SelfAwarenessModel) {
         self.learned = Some(model.scorer());
-    }
-
-    /// The response strategy the vehicle was configured with.
-    pub fn strategy(&self) -> ResponseStrategy {
-        self.strategy
     }
 
     /// Applies one scripted disturbance to the affected layer, recording
@@ -372,7 +362,7 @@ impl SelfAwareVehicle {
         let _ = virt.vf_send(VfId(1), brake_frame, self.now);
         // The compromised rear-brake component floods spurious brake frames
         // and hammers services it has no capability for.
-        if state.compromised && !state.brake_rear_quarantined {
+        if state.compromised && self.rte.state(self.brake_rear_comp) == ComponentState::Running {
             for i in 0..20u16 {
                 let f = CanFrame::data(
                     FrameId::Standard(0x10F), // higher priority than legit traffic
@@ -506,7 +496,7 @@ impl SelfAwareVehicle {
     /// each layer, honoring the response strategy.
     pub(crate) fn contain(
         &mut self,
-        state: &mut ScenarioState,
+        state: &ScenarioState,
         layer: Layer,
         kind: ProblemKind,
         subject: &str,
@@ -559,7 +549,6 @@ impl SelfAwareVehicle {
                     self.post_standing(Layer::Safety, "brake_rear", Directive::Shutdown);
                     self.rte.quarantine(self.brake_rear_comp);
                     self.world.brakes.rear.set_enabled(false);
-                    state.brake_rear_quarantined = true;
                     self.abilities.set_measured(self.nodes.brakes, 0.55);
                     if single {
                         Containment::Resolved {
@@ -620,9 +609,9 @@ impl SelfAwareVehicle {
                     // The swap is proposed to the mounted MCC and applied
                     // only when the full viewpoint battery admits it.
                     let halved = kind == ProblemKind::ThermalStress
-                        && !state.acc_reconfigured
+                        && !self.acc_reconfigured
                         && self.reconfig.live
-                        && self.renegotiate_thermal(state);
+                        && self.renegotiate_thermal();
                     let action = if halved {
                         "speed cap 15 m/s + regen braking + control rate halved"
                     } else {
@@ -663,7 +652,7 @@ impl SelfAwareVehicle {
     /// whether a lowrate configuration was admitted and applied; switch
     /// outcomes (including viewpoint rejections) accumulate in
     /// `switch_events` for the runner to record as telemetry.
-    fn renegotiate_thermal(&mut self, state: &mut ScenarioState) -> bool {
+    fn renegotiate_thermal(&mut self) -> bool {
         let pe0 = self.platform.pe(PeId(0));
         let pressure = Pressure {
             kind: PressureKind::Thermal,
@@ -677,12 +666,12 @@ impl SelfAwareVehicle {
             .expect("registered plans are well-formed against the baseline");
         match outcome {
             NegotiationOutcome::Accepted { .. } => {
-                self.apply_admitted_swap(state);
+                self.apply_admitted_swap();
                 true
             }
             NegotiationOutcome::FallbackAccepted { .. } => {
                 self.switch_events.push(SwitchOutcome::Rejected);
-                self.apply_admitted_swap(state);
+                self.apply_admitted_swap();
                 true
             }
             NegotiationOutcome::Rejected { .. } => {
@@ -698,7 +687,7 @@ impl SelfAwareVehicle {
     /// previous switch already installed them), and the exec-monitor
     /// contract table is re-derived from the MCC's current configuration —
     /// the one source of truth for every duration.
-    fn apply_admitted_swap(&mut self, state: &mut ScenarioState) {
+    fn apply_admitted_swap(&mut self) {
         self.rte.scheduler_mut().set_active(self.acc_task, false);
         self.rte
             .scheduler_mut()
@@ -749,7 +738,7 @@ impl SelfAwareVehicle {
         for (task, wcet) in contracts::monitored_contracts(self.renegotiator.mcc().current()) {
             self.exec_mon.set_contract(task, wcet);
         }
-        state.acc_reconfigured = true;
+        self.acc_reconfigured = true;
         self.switch_events.push(SwitchOutcome::Accepted);
     }
 
@@ -765,11 +754,11 @@ impl SelfAwareVehicle {
     /// well before the OPP ladder recovers, and full-rate contracts on a
     /// still-throttled PE are exactly the infeasible configuration the
     /// switch was admitted to escape.
-    pub(crate) fn maybe_rollback(&mut self, state: &mut ScenarioState) -> bool {
+    pub(crate) fn maybe_rollback(&mut self) -> bool {
         let Some(threshold_c) = self.reconfig.rollback_below_c else {
             return false;
         };
-        if !state.acc_reconfigured
+        if !self.acc_reconfigured
             || self.platform.pe(PeId(0)).temperature_c() >= threshold_c
             || self.platform.pe(PeId(0)).speed_factor() > 1.0
         {
@@ -791,14 +780,8 @@ impl SelfAwareVehicle {
         }
         self.world.allocator.set_speed_cap(None);
         self.world.allocator.prefer_regen = false;
-        state.acc_reconfigured = false;
+        self.acc_reconfigured = false;
         self.switch_events.push(SwitchOutcome::RolledBack);
         true
-    }
-
-    /// The live contract-renegotiation controller mounted on this vehicle
-    /// (read access for reports and experiments).
-    pub fn renegotiator(&self) -> &Renegotiator {
-        &self.renegotiator
     }
 }

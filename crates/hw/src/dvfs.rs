@@ -63,16 +63,6 @@ impl DvfsTable {
         ])
     }
 
-    /// Number of OPPs.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether the table is empty (never true for a constructed table).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The OPP at `level` (0 = slowest).
     ///
     /// # Panics
@@ -146,21 +136,6 @@ impl ThrottleGovernor {
         ThrottleGovernor::new(85.0, 70.0, 110.0)
     }
 
-    /// The throttle-onset temperature in °C.
-    pub fn throttle_c(&self) -> f64 {
-        self.throttle_c
-    }
-
-    /// The recovery temperature in °C.
-    pub fn recover_c(&self) -> f64 {
-        self.recover_c
-    }
-
-    /// The shutdown temperature in °C.
-    pub fn critical_c(&self) -> f64 {
-        self.critical_c
-    }
-
     /// Evaluates the governor at the given die temperature and OPP level.
     pub fn evaluate(&self, temp_c: f64, level: usize, top_level: usize) -> GovernorDecision {
         if temp_c >= self.critical_c {
@@ -182,7 +157,7 @@ mod tests {
     #[test]
     fn table_slowdown_relative_to_nominal() {
         let t = DvfsTable::typical_quad();
-        assert_eq!(t.len(), 4);
+        assert_eq!(t.top_level(), 3, "four OPPs");
         assert_eq!(t.slowdown(t.top_level()), 1.0);
         assert_eq!(t.slowdown(0), 4.0);
         assert_eq!(t.slowdown(1), 2.0);

@@ -19,7 +19,7 @@
 //! use saav_hw::pe::PeId;
 //! use saav_sim::time::Duration;
 //!
-//! let mut platform = Platform::with_embedded_pes(2);
+//! let mut platform = Platform::with_embedded_pes(1);
 //! platform.pe_mut(PeId(0)).set_utilization(0.8);
 //! platform.set_ambient_c(45.0);
 //! for _ in 0..100 {

@@ -17,11 +17,10 @@ use crate::thermal::ThermalModel;
 /// Health of a platform element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Health {
-    /// Fully operational.
+    /// Operational (possibly throttled: see
+    /// [`ProcessingElement::speed_factor`]).
     Ok,
-    /// Operational with reduced capability (e.g. throttled).
-    Degraded,
-    /// Not operational.
+    /// Shut down by the governor; not operational.
     Failed,
 }
 
@@ -47,8 +46,6 @@ impl std::fmt::Display for PeId {
 /// A single processing element.
 #[derive(Debug, Clone)]
 pub struct ProcessingElement {
-    id: PeId,
-    name: String,
     dvfs: DvfsTable,
     level: usize,
     governor: ThrottleGovernor,
@@ -73,8 +70,6 @@ pub struct ProcessingElement {
 impl ProcessingElement {
     /// Creates a PE from explicit models, starting at the fastest OPP.
     pub fn new(
-        id: PeId,
-        name: impl Into<String>,
         dvfs: DvfsTable,
         governor: ThrottleGovernor,
         power: PowerModel,
@@ -82,8 +77,6 @@ impl ProcessingElement {
     ) -> Self {
         let level = dvfs.top_level();
         ProcessingElement {
-            id,
-            name: name.into(),
             dvfs,
             level,
             governor,
@@ -99,30 +92,13 @@ impl ProcessingElement {
     }
 
     /// A PE with typical embedded-SoC models.
-    pub fn embedded_soc(id: PeId, name: impl Into<String>) -> Self {
+    pub fn embedded_soc() -> Self {
         ProcessingElement::new(
-            id,
-            name,
             DvfsTable::typical_quad(),
             ThrottleGovernor::automotive(),
             PowerModel::embedded_soc(),
             ThermalModel::embedded_soc(),
         )
-    }
-
-    /// The PE identifier.
-    pub fn id(&self) -> PeId {
-        self.id
-    }
-
-    /// The PE name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Current DVFS level (0 = slowest).
-    pub fn level(&self) -> usize {
-        self.level
     }
 
     /// Current die temperature in °C.
@@ -160,11 +136,6 @@ impl ProcessingElement {
     /// Sets the utilization (activity factor) used for the next power step.
     pub fn set_utilization(&mut self, utilization: f64) {
         self.utilization = utilization.clamp(0.0, 1.0);
-    }
-
-    /// Current utilization.
-    pub fn utilization(&self) -> f64 {
-        self.utilization
     }
 
     /// Advances the PE by `dt`: power → temperature → governor.
@@ -222,24 +193,20 @@ mod tests {
 
     #[test]
     fn cool_ambient_keeps_top_frequency() {
-        let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
+        let mut pe = ProcessingElement::embedded_soc();
         pe.set_utilization(0.6);
         step_for(&mut pe, 300, 25.0);
-        assert_eq!(pe.level(), 3);
+        assert_eq!(pe.level, 3);
         assert_eq!(pe.speed_factor(), 1.0);
         assert_eq!(pe.throttle_events(), 0);
     }
 
     #[test]
     fn hot_ambient_causes_throttling_and_slowdown() {
-        let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
+        let mut pe = ProcessingElement::embedded_soc();
         pe.set_utilization(1.0);
         step_for(&mut pe, 600, 75.0);
-        assert!(
-            pe.level() < 3,
-            "should have throttled, level={}",
-            pe.level()
-        );
+        assert!(pe.level < 3, "should have throttled, level={}", pe.level);
         assert!(pe.speed_factor() > 1.0);
         assert!(pe.throttle_events() > 0);
         assert!(pe.health().is_operational());
@@ -247,7 +214,7 @@ mod tests {
 
     #[test]
     fn extreme_ambient_forces_shutdown_and_infinite_speed_factor() {
-        let mut pe = ProcessingElement::embedded_soc(PeId(0), "ecu0");
+        let mut pe = ProcessingElement::embedded_soc();
         pe.set_utilization(1.0);
         step_for(&mut pe, 600, 108.0);
         assert_eq!(pe.health(), Health::Failed, "temp {}", pe.temperature_c());
@@ -260,8 +227,8 @@ mod tests {
 
     #[test]
     fn temperature_tracks_utilization() {
-        let mut busy = ProcessingElement::embedded_soc(PeId(0), "busy");
-        let mut idle = ProcessingElement::embedded_soc(PeId(1), "idle");
+        let mut busy = ProcessingElement::embedded_soc();
+        let mut idle = ProcessingElement::embedded_soc();
         busy.set_utilization(1.0);
         idle.set_utilization(0.05);
         step_for(&mut busy, 120, 25.0);

@@ -3,7 +3,7 @@
 
 use saav_sim::time::{Duration, Time};
 
-use crate::pe::{Health, PeId, ProcessingElement};
+use crate::pe::{PeId, ProcessingElement};
 
 /// The full hardware platform.
 #[derive(Debug)]
@@ -15,26 +15,15 @@ pub struct Platform {
 
 impl Platform {
     /// Creates a platform with `n` identical embedded-SoC PEs at 25 °C
-    /// ambient.
+    /// ambient, addressed as `PeId(0)` to `PeId(n - 1)`.
     pub fn with_embedded_pes(n: usize) -> Self {
-        let pes: Vec<ProcessingElement> = (0..n)
-            .map(|i| ProcessingElement::embedded_soc(PeId(i), format!("ecu{i}")))
-            .collect();
+        let pes: Vec<ProcessingElement> =
+            (0..n).map(|_| ProcessingElement::embedded_soc()).collect();
         Platform {
             pes,
             ambient_c: 25.0,
             now: Time::ZERO,
         }
-    }
-
-    /// Number of PEs.
-    pub fn len(&self) -> usize {
-        self.pes.len()
-    }
-
-    /// Whether the platform has no PEs.
-    pub fn is_empty(&self) -> bool {
-        self.pes.is_empty()
     }
 
     /// Sets the ambient temperature (scenario input).
@@ -45,11 +34,6 @@ impl Platform {
     /// Current ambient temperature.
     pub fn ambient_c(&self) -> f64 {
         self.ambient_c
-    }
-
-    /// Current simulated time as seen by the platform.
-    pub fn now(&self) -> Time {
-        self.now
     }
 
     /// Immutable access to a PE.
@@ -68,30 +52,6 @@ impl Platform {
         &mut self.pes[id.0]
     }
 
-    /// Iterates over all PEs.
-    pub fn iter(&self) -> impl Iterator<Item = &ProcessingElement> {
-        self.pes.iter()
-    }
-
-    /// Ids of PEs that are currently operational.
-    pub fn operational_pes(&self) -> Vec<PeId> {
-        self.pes
-            .iter()
-            .filter(|pe| pe.health().is_operational())
-            .map(|pe| pe.id())
-            .collect()
-    }
-
-    /// Worst (slowest) speed factor among operational PEs, or `None` when no
-    /// PE is operational.
-    pub fn worst_speed_factor(&self) -> Option<f64> {
-        self.pes
-            .iter()
-            .filter(|pe| pe.health().is_operational())
-            .map(|pe| pe.speed_factor())
-            .fold(None, |acc, f| Some(acc.map_or(f, |a: f64| a.max(f))))
-    }
-
     /// Advances all PEs by `dt`.
     pub fn step(&mut self, dt: Duration) {
         self.now += dt;
@@ -101,32 +61,12 @@ impl Platform {
             pe.step(now, dt, ambient);
         }
     }
-
-    /// Overall platform health: `Failed` if all PEs failed, `Degraded` if any
-    /// PE is degraded/failed/throttled, else `Ok`.
-    pub fn health(&self) -> Health {
-        let operational = self
-            .pes
-            .iter()
-            .filter(|p| p.health().is_operational())
-            .count();
-        if operational == 0 {
-            return Health::Failed;
-        }
-        let any_issue = self.pes.iter().any(|p| {
-            !p.health().is_operational() || p.health() == Health::Degraded || p.speed_factor() > 1.0
-        });
-        if any_issue {
-            Health::Degraded
-        } else {
-            Health::Ok
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pe::Health;
 
     fn step_secs(p: &mut Platform, secs: u64) {
         for _ in 0..secs * 10 {
@@ -141,23 +81,30 @@ mod tests {
             p.pe_mut(PeId(i)).set_utilization(0.9);
         }
         step_secs(&mut p, 60);
-        assert!(p.pe(PeId(0)).temperature_c() > 30.0);
-        assert_eq!(p.health(), Health::Ok);
-        assert_eq!(p.now(), Time::from_secs(60));
+        for i in 0..3 {
+            assert!(p.pe(PeId(i)).temperature_c() > 30.0);
+            assert_eq!(p.pe(PeId(i)).health(), Health::Ok);
+            assert_eq!(p.pe(PeId(i)).speed_factor(), 1.0);
+        }
+        assert_eq!(p.now, Time::from_secs(60));
     }
 
-    /// At 100 °C ambient the busy PE shuts down; the idle one stays below
-    /// its critical temperature and keeps running, throttled.
+    /// At 100 °C ambient the busy PE shuts down; the idle ones stay below
+    /// their critical temperature and keep running, throttled.
     #[test]
     fn failed_pe_degrades_platform() {
-        let mut p = Platform::with_embedded_pes(2);
+        let mut p = Platform::with_embedded_pes(3);
         p.pe_mut(PeId(0)).set_utilization(1.0);
         p.set_ambient_c(100.0);
         step_secs(&mut p, 600);
+        // The shut-down PE has left service; the others still serve,
+        // throttled.
         assert_eq!(p.pe(PeId(0)).health(), Health::Failed);
-        assert_eq!(p.health(), Health::Degraded);
-        assert_eq!(p.operational_pes(), vec![PeId(1)]);
-        assert_eq!(p.worst_speed_factor(), Some(p.pe(PeId(1)).speed_factor()));
+        assert!(!p.pe(PeId(0)).health().is_operational());
+        for i in 1..3 {
+            assert!(p.pe(PeId(i)).health().is_operational());
+            assert!(p.pe(PeId(i)).speed_factor() > 1.0);
+        }
     }
 
     #[test]
@@ -166,8 +113,8 @@ mod tests {
         p.pe_mut(PeId(0)).set_utilization(1.0);
         p.set_ambient_c(108.0);
         step_secs(&mut p, 600);
-        assert_eq!(p.health(), Health::Failed);
-        assert_eq!(p.worst_speed_factor(), None);
+        assert_eq!(p.pe(PeId(0)).health(), Health::Failed);
+        assert_eq!(p.pe(PeId(0)).speed_factor(), f64::INFINITY);
     }
 
     #[test]
@@ -176,7 +123,7 @@ mod tests {
         p.pe_mut(PeId(0)).set_utilization(1.0);
         p.set_ambient_c(80.0);
         step_secs(&mut p, 600);
-        assert_eq!(p.health(), Health::Degraded);
-        assert!(p.worst_speed_factor().unwrap() > 1.0);
+        assert_eq!(p.pe(PeId(0)).health(), Health::Ok);
+        assert!(p.pe(PeId(0)).speed_factor() > 1.0);
     }
 }

@@ -60,11 +60,6 @@ impl ThermalModel {
         self.temp_c
     }
 
-    /// Thermal time constant τ = R·C.
-    pub fn time_constant(&self) -> Duration {
-        Duration::from_secs_f64(self.r_th_k_per_w * self.c_th_j_per_k)
-    }
-
     /// Steady-state temperature for constant `power_w` at `ambient_c`.
     pub fn steady_state_c(&self, power_w: f64, ambient_c: f64) -> f64 {
         ambient_c + power_w * self.r_th_k_per_w
@@ -127,8 +122,8 @@ mod tests {
     #[test]
     fn one_time_constant_covers_63_percent() {
         let mut m = ThermalModel::new(8.0, 2.5, 25.0);
-        let tau = m.time_constant();
-        assert_eq!(tau, Duration::from_secs(20));
+        // τ = R·C = 8 K/W × 2.5 J/K.
+        let tau = Duration::from_secs(20);
         m.step(5.0, 25.0, tau);
         let progress = (m.temperature_c() - 25.0) / 40.0;
         assert!((progress - (1.0 - (-1.0f64).exp())).abs() < 1e-9);

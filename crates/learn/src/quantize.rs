@@ -119,11 +119,6 @@ impl Quantizer {
         self.edges.len() - 1
     }
 
-    /// The fitted range `[lo, hi]`.
-    pub fn range(&self) -> (f64, f64) {
-        (self.edges[0], *self.edges.last().expect("≥ 2 edges"))
-    }
-
     /// Maps a value to its bin index; out-of-range values clamp to the
     /// first/last bin.
     pub fn bin(&self, v: f64) -> usize {
@@ -201,7 +196,7 @@ mod tests {
     #[test]
     fn constant_signal_gets_padded_range() {
         let q = Quantizer::fit(&[2.5; 40], 8, Binning::Uniform);
-        let (lo, hi) = q.range();
+        let (lo, hi) = (q.edges[0], q.edges[q.edges.len() - 1]);
         assert!(lo < 2.5 && hi > 2.5);
         // The constant sits in an interior bin; excursions hit the edges.
         let nominal = q.bin(2.5);

@@ -29,11 +29,6 @@ impl TransitionModel {
         }
     }
 
-    /// Number of states.
-    pub fn states(&self) -> usize {
-        self.n
-    }
-
     /// Records one observed transition `from → to`.
     ///
     /// # Panics
@@ -49,11 +44,6 @@ impl TransitionModel {
         for w in seq.windows(2) {
             self.observe(w[0], w[1]);
         }
-    }
-
-    /// Raw count of `from → to`.
-    pub fn count(&self, from: usize, to: usize) -> u64 {
-        self.counts[from * self.n + to]
     }
 
     /// Laplace-smoothed transition probability
@@ -80,7 +70,7 @@ mod tests {
         let mut m = TransitionModel::new(3);
         m.observe_sequence(&[0, 1, 1, 2, 0, 1]);
         // Row 0: two transitions to 1, none elsewhere.
-        assert_eq!(m.count(0, 1), 2);
+        assert_eq!(m.counts[1], 2);
         assert!((m.prob(0, 1) - 3.0 / 5.0).abs() < 1e-12);
         assert!((m.prob(0, 0) - 1.0 / 5.0).abs() < 1e-12);
         let row_sum: f64 = (0..3).map(|to| m.prob(0, to)).sum();

@@ -127,16 +127,6 @@ impl DependencyGraph {
         self.elements[id.0].layer
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.elements.len()
-    }
-
-    /// Whether the graph is empty.
-    pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
-    }
-
     /// Computes the set of elements that fail (transitively) when `failed`
     /// fail, honoring redundancy groups. The result includes the initially
     /// failed elements and is sorted.
@@ -285,7 +275,7 @@ mod tests {
         assert_eq!(g.element("braking"), Some(ids["braking"]));
         assert_eq!(g.name(ids["can0"]), "can0");
         assert_eq!(g.layer(ids["can0"]), LayerTag::Communication);
-        assert_eq!(g.len(), 7);
+        assert_eq!(g.elements.len(), 7);
     }
 
     #[test]

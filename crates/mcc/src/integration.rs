@@ -10,7 +10,6 @@
 //! one (the self-protection path for updates that misbehave in the field
 //! despite passing analysis).
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::contract::Contract;
@@ -115,7 +114,6 @@ pub struct Mcc {
     current: CandidateConfig,
     history: Vec<CandidateConfig>,
     viewpoints: Vec<Box<dyn Viewpoint>>,
-    reports: Vec<IntegrationReport>,
 }
 
 impl fmt::Debug for Mcc {
@@ -136,7 +134,6 @@ impl Mcc {
             current: CandidateConfig::default(),
             history: Vec::new(),
             viewpoints: default_viewpoints(),
-            reports: Vec::new(),
         }
     }
 
@@ -154,21 +151,6 @@ impl Mcc {
     pub fn install_baseline(&mut self, config: CandidateConfig) {
         self.current = config;
         self.history.clear();
-    }
-
-    /// Depth of the version history (rollbacks available).
-    pub fn history_depth(&self) -> usize {
-        self.history.len()
-    }
-
-    /// The platform model.
-    pub fn platform(&self) -> &PlatformModel {
-        &self.platform
-    }
-
-    /// All integration reports so far.
-    pub fn reports(&self) -> &[IntegrationReport] {
-        &self.reports
     }
 
     /// First-fit mapping of a component: the first PE with enough memory
@@ -256,14 +238,12 @@ impl Mcc {
         } else {
             log.push("configuration discarded".into());
         }
-        let report = IntegrationReport {
+        Ok(IntegrationReport {
             label: request.label,
             accepted,
             log,
             verdicts,
-        };
-        self.reports.push(report.clone());
-        Ok(report)
+        })
     }
 
     /// Restores the previously accepted configuration.
@@ -274,15 +254,6 @@ impl Mcc {
         let previous = self.history.pop().ok_or(IntegrationError::NoHistory)?;
         self.current = previous;
         Ok(())
-    }
-
-    /// A map from component names to PE names in the current configuration.
-    pub fn placement(&self) -> HashMap<String, String> {
-        self.current
-            .mapping
-            .iter()
-            .map(|(comp, &pe)| (comp.clone(), self.platform.pes[pe].name.clone()))
-            .collect()
     }
 }
 
@@ -316,7 +287,7 @@ mod tests {
             .unwrap();
         assert!(report.accepted, "{report}");
         assert_eq!(m.current().components.len(), 2);
-        assert!(m.placement().contains_key("acc"));
+        assert!(m.current().mapping.contains_key("acc"));
     }
 
     #[test]
@@ -421,8 +392,8 @@ mod tests {
             })
             .unwrap();
         assert!(report.accepted, "{report}");
-        let placement = m.placement();
-        assert_ne!(placement["h1"], placement["h2"]);
+        let mapping = &m.current().mapping;
+        assert_ne!(mapping["h1"], mapping["h2"]);
     }
 
     #[test]
@@ -479,7 +450,6 @@ mod tests {
         let base = with_base.current().clone();
         let mut m = mcc();
         m.install_baseline(base);
-        assert_eq!(m.history_depth(), 0);
         assert_eq!(m.rollback(), Err(IntegrationError::NoHistory));
         assert!(m.current().component("a").is_some(), "baseline survives");
     }
@@ -530,7 +500,7 @@ mod tests {
             remove: vec![],
         })
         .unwrap();
-        let base_placement = m.placement();
+        let base_mapping = m.current().mapping.clone();
         for round in 0..3 {
             let report = m
                 .propose_update(UpdateRequest {
@@ -544,13 +514,17 @@ mod tests {
             assert!(report.accepted, "round {round}: {report}");
             assert!(m.current().component("a2").is_some());
             assert!(m.current().component("a").is_none());
-            assert_eq!(m.placement()["a2"], "ecu0");
+            assert_eq!(m.current().mapping["a2"], 0, "first fit: ecu0");
             m.rollback().unwrap();
             assert!(m.current().component("a").is_some());
             assert!(m.current().component("a2").is_none());
-            assert_eq!(m.placement(), base_placement, "round {round}");
+            assert_eq!(m.current().mapping, base_mapping, "round {round}");
         }
-        assert_eq!(m.history_depth(), 1, "cycles net out to the base commit");
+        // The cycles net out to the base commit: one rollback reaches the
+        // empty system, and there is nothing before it.
+        m.rollback().unwrap();
+        assert!(m.current().components.is_empty());
+        assert_eq!(m.rollback(), Err(IntegrationError::NoHistory));
     }
 
     #[test]

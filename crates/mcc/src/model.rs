@@ -57,11 +57,6 @@ impl PlatformModel {
             }],
         }
     }
-
-    /// Looks up a PE index by name.
-    pub fn pe_index(&self, name: &str) -> Option<usize> {
-        self.pes.iter().position(|p| p.name == name)
-    }
 }
 
 /// A candidate system configuration: contracts plus their mapping.
@@ -79,13 +74,6 @@ impl CandidateConfig {
     /// The contract of a component, if present.
     pub fn component(&self, name: &str) -> Option<&Contract> {
         self.components.iter().find(|c| c.name == name)
-    }
-
-    /// The provider contract of a service, if any.
-    pub fn provider_of(&self, service: &str) -> Option<&Contract> {
-        self.components
-            .iter()
-            .find(|c| c.provides.iter().any(|p| p.name == service))
     }
 
     /// All providers of a service (for redundancy-aware safety analysis).
@@ -156,9 +144,10 @@ component acc {
     #[test]
     fn provider_lookup() {
         let c = candidate();
-        assert_eq!(c.provider_of("sensor.radar").unwrap().name, "radar_driver");
-        assert!(c.provider_of("nope").is_none());
-        assert_eq!(c.providers_of("sensor.radar").len(), 1);
+        let radar = c.providers_of("sensor.radar");
+        assert_eq!(radar.len(), 1);
+        assert_eq!(radar[0].name, "radar_driver");
+        assert!(c.providers_of("nope").is_empty());
     }
 
     #[test]
@@ -175,7 +164,6 @@ component acc {
         let p = PlatformModel::reference();
         assert_eq!(p.pes.len(), 2);
         assert_eq!(p.networks.len(), 1);
-        assert_eq!(p.pe_index("ecu1"), Some(1));
-        assert_eq!(p.pe_index("nope"), None);
+        assert_eq!(p.pes[1].name, "ecu1");
     }
 }

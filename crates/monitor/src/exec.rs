@@ -1,9 +1,8 @@
 //! Execution-time and deadline monitoring (application monitor).
 //!
 //! Supervises job records from the RTE scheduler against the contracted
-//! WCET/deadline, and maintains an observed execution-time profile that the
-//! model domain can use to refine its models ("extract run-time metrics that
-//! can be fed back into the model domain for optimization", Sec. II-B).
+//! WCET/deadline, and counts each task's jobs and deadline misses for its
+//! miss ratio.
 
 use saav_sim::name::Name;
 use saav_sim::time::{Duration, Time};
@@ -40,21 +39,6 @@ pub struct JobTiming {
     pub deadline_met: bool,
 }
 
-/// Per-task observed execution statistics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ExecProfile {
-    /// Number of observed jobs.
-    pub jobs: u64,
-    /// Largest observed nominal execution time.
-    pub max_exec: Duration,
-    /// Largest observed response time.
-    pub max_response: Duration,
-    /// Accumulated deadline misses.
-    pub misses: u64,
-    /// Accumulated overruns (exec above contract WCET).
-    pub overruns: u64,
-}
-
 /// A task's slot in one [`ExecutionMonitor`]: resolved once by name with
 /// [`ExecutionMonitor::slot`], then fed by index with
 /// [`ExecutionMonitor::observe_slot`], so the per-job path neither hashes
@@ -62,12 +46,13 @@ pub struct ExecProfile {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskSlot(usize);
 
-/// One task's contract and observed profile.
+/// One task's contract and its observed job and deadline-miss counts.
 #[derive(Debug, Clone)]
 struct TaskEntry {
     name: Name,
     contract: Option<Duration>,
-    profile: ExecProfile,
+    jobs: u64,
+    misses: u64,
 }
 
 /// The execution monitor.
@@ -95,7 +80,8 @@ impl ExecutionMonitor {
         self.tasks.push(TaskEntry {
             name: task.into(),
             contract: None,
-            profile: ExecProfile::default(),
+            jobs: 0,
+            misses: 0,
         });
         TaskSlot(self.tasks.len() - 1)
     }
@@ -134,13 +120,9 @@ impl ExecutionMonitor {
     /// slot issued by another monitor can.
     pub fn observe_slot(&mut self, slot: TaskSlot, job: JobTiming, out: &mut Vec<Anomaly>) {
         let task = &mut self.tasks[slot.0];
-        let profile = &mut task.profile;
-        profile.jobs += 1;
-        profile.max_exec = profile.max_exec.max(job.exec_nominal);
-        profile.max_response = profile.max_response.max(job.response);
+        task.jobs += 1;
         if let Some(wcet) = task.contract {
             if job.exec_nominal > wcet {
-                profile.overruns += 1;
                 out.push(Anomaly::new(
                     job.at,
                     task.name.clone(),
@@ -149,7 +131,7 @@ impl ExecutionMonitor {
             }
         }
         if !job.deadline_met {
-            profile.misses += 1;
+            task.misses += 1;
             out.push(Anomaly::new(
                 job.at,
                 task.name.clone(),
@@ -158,23 +140,13 @@ impl ExecutionMonitor {
         }
     }
 
-    /// The observed profile of a task, if any jobs were seen.
-    pub fn profile(&self, task: &str) -> Option<&ExecProfile> {
-        let slot = self.find(task)?;
-        Some(&self.tasks[slot.0].profile).filter(|p| p.jobs > 0)
-    }
-
-    /// Suggests a refined WCET from observations: the observed maximum plus
-    /// a safety margin. Returns `None` before any observation.
-    pub fn suggest_wcet(&self, task: &str, margin_factor: f64) -> Option<Duration> {
-        let p = self.profile(task)?;
-        Some(p.max_exec.mul_f64(margin_factor.max(1.0)))
-    }
-
-    /// Deadline-miss ratio of a task over all observed jobs.
+    /// Deadline-miss ratio of a task over all observed jobs; 0 before its
+    /// first job.
     pub fn miss_ratio(&self, task: &str) -> f64 {
-        self.profile(task)
-            .map_or(0.0, |p| p.misses as f64 / p.jobs as f64)
+        self.find(task)
+            .map(|slot| &self.tasks[slot.0])
+            .filter(|t| t.jobs > 0)
+            .map_or(0.0, |t| t.misses as f64 / t.jobs as f64)
     }
 }
 
@@ -200,7 +172,6 @@ mod tests {
         let anomalies = m.observe(&obs("ctl", 3, 4, true));
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].kind, AnomalyKind::ExecutionOverrun);
-        assert_eq!(m.profile("ctl").unwrap().overruns, 1);
     }
 
     #[test]
@@ -210,28 +181,6 @@ mod tests {
         assert_eq!(anomalies.len(), 1);
         assert_eq!(anomalies[0].kind, AnomalyKind::DeadlineMiss);
         assert!((m.miss_ratio("anything") - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn profile_tracks_maxima() {
-        let mut m = ExecutionMonitor::new();
-        m.observe(&obs("t", 1, 5, true));
-        m.observe(&obs("t", 4, 6, true));
-        m.observe(&obs("t", 2, 9, true));
-        let p = m.profile("t").unwrap();
-        assert_eq!(p.jobs, 3);
-        assert_eq!(p.max_exec, Duration::from_millis(4));
-        assert_eq!(p.max_response, Duration::from_millis(9));
-    }
-
-    #[test]
-    fn wcet_refinement_applies_margin() {
-        let mut m = ExecutionMonitor::new();
-        m.observe(&obs("t", 4, 5, true));
-        assert_eq!(m.suggest_wcet("t", 1.25), Some(Duration::from_millis(5)));
-        // Margin below 1 is clamped: never suggest less than the observation.
-        assert_eq!(m.suggest_wcet("t", 0.5), Some(Duration::from_millis(4)));
-        assert_eq!(m.suggest_wcet("unknown", 1.2), None);
     }
 
     fn timing(exec_ms: u64, resp_ms: u64, met: bool) -> JobTiming {
@@ -246,7 +195,7 @@ mod tests {
     #[test]
     fn separately_allocated_names_share_one_slot() {
         // Two allocations of one task name, fed alternately by name and
-        // through the resolved slot, land in one profile that answers
+        // through the resolved slot, land in one entry that answers
         // exactly like a monitor fed by string keys.
         let a = Name::from(String::from("ctl"));
         let b = Name::from(String::from("ctl"));
@@ -275,13 +224,10 @@ mod tests {
             via_keys.extend(keyed.observe(&obs("ctl", exec, resp, met)));
         }
         assert_eq!(via_slots, via_keys);
-        assert_eq!(slotted.profile("ctl"), keyed.profile("ctl"));
-        assert_eq!(slotted.profile("ctl").unwrap().jobs, 4);
+        assert_eq!(slotted.tasks.len(), 1);
+        assert_eq!((slotted.tasks[0].jobs, slotted.tasks[0].misses), (4, 2));
+        assert_eq!(slotted.miss_ratio("ctl"), 0.5);
         assert_eq!(slotted.miss_ratio("ctl"), keyed.miss_ratio("ctl"));
-        assert_eq!(
-            slotted.suggest_wcet("ctl", 1.2),
-            keyed.suggest_wcet("ctl", 1.2)
-        );
     }
 
     #[test]
@@ -290,8 +236,7 @@ mod tests {
         // its contract arrives.
         let mut m = ExecutionMonitor::new();
         let slot = m.slot("acc_ctl_lowrate");
-        assert_eq!(m.profile("acc_ctl_lowrate"), None);
-        assert_eq!(m.suggest_wcet("acc_ctl_lowrate", 1.2), None);
+        assert_eq!(m.tasks[slot.0].jobs, 0);
         assert_eq!(m.miss_ratio("acc_ctl_lowrate"), 0.0);
         let mut out = Vec::new();
         m.observe_slot(slot, timing(3, 4, true), &mut out);
@@ -305,8 +250,7 @@ mod tests {
         m.set_contract("acc_ctl_lowrate", Duration::from_millis(4));
         m.observe_slot(slot, timing(3, 24, true), &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(m.profile("acc_ctl_lowrate").unwrap().overruns, 1);
-        assert_eq!(m.profile("acc_ctl_lowrate").unwrap().jobs, 3);
+        assert_eq!(m.tasks[slot.0].jobs, 3);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! fed back to the model domain.
 //!
 //! * [`anomaly`] — the common deviation type all monitors emit.
-//! * [`exec`] — execution-time/deadline supervision and WCET refinement.
+//! * [`exec`] — execution-time/deadline supervision against contracts.
 //! * [`signal`] — heartbeat (SAFER baseline), boundary checks (RACE
 //!   baseline) and signal-quality estimation.
 //! * [`access_mon`] — capability-violation and message-rate intrusion
@@ -31,5 +31,5 @@ pub mod signal;
 
 pub use access_mon::{AccessMonitor, AccessObservation, ChannelSlot};
 pub use anomaly::{Anomaly, AnomalyKind};
-pub use exec::{ExecProfile, ExecutionMonitor, JobObservation, JobTiming, TaskSlot};
+pub use exec::{ExecutionMonitor, JobObservation, JobTiming, TaskSlot};
 pub use signal::{BoundaryMonitor, HeartbeatMonitor, QualityMonitor};

@@ -66,11 +66,6 @@ impl HeartbeatMonitor {
         }
         None
     }
-
-    /// Whether the heartbeat is currently considered lost.
-    pub fn is_lost(&self) -> bool {
-        self.lost
-    }
 }
 
 /// Static range check: the RACE-style baseline detector.
@@ -229,12 +224,15 @@ mod tests {
         assert!(m.check(Time::from_millis(200)).is_none());
         let a = m.check(Time::from_millis(301)).expect("loss detected");
         assert_eq!(a.kind, AnomalyKind::HeartbeatLoss);
-        assert!(m.is_lost());
         // Only one anomaly per episode.
         assert!(m.check(Time::from_millis(400)).is_none());
         m.beat(Time::from_millis(500));
-        assert!(!m.is_lost());
+        assert!(m.check(Time::from_millis(800)).is_none(), "beat in time");
         assert!(m.check(Time::from_millis(900)).is_some(), "re-armed");
+        assert!(
+            m.check(Time::from_millis(1_000)).is_none(),
+            "one per episode"
+        );
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl AccessControl {
         self.grants.insert((client, service.into()));
     }
 
-    /// Revokes a capability; returns whether it existed.
-    pub fn revoke(&mut self, client: ComponentId, service: &ServiceName) -> bool {
-        self.grants.remove(&(client, service.clone()))
-    }
-
     /// Revokes every capability held by `client`.
     pub fn revoke_all(&mut self, client: ComponentId) {
         self.grants.retain(|(c, _)| *c != client);
@@ -72,22 +67,6 @@ impl AccessControl {
         allowed
     }
 
-    /// Records a use of an already-open session (message-level accounting
-    /// for the communication monitor).
-    pub fn record_use(&mut self, at: Time, client: ComponentId, service: &ServiceName) {
-        self.log.push(AccessEvent {
-            at,
-            client,
-            service: service.clone(),
-            allowed: true,
-        });
-    }
-
-    /// The full access log.
-    pub fn log(&self) -> &[AccessEvent] {
-        &self.log
-    }
-
     /// Drains the access log into `buf` (monitors call this once per
     /// sampling period). `buf` is cleared and swapped with the log, so a
     /// caller that polls with the same buffer every period ping-pongs two
@@ -95,11 +74,6 @@ impl AccessControl {
     pub fn drain_log_into(&mut self, buf: &mut Vec<AccessEvent>) {
         buf.clear();
         std::mem::swap(&mut self.log, buf);
-    }
-
-    /// Number of grants currently in force.
-    pub fn grant_count(&self) -> usize {
-        self.grants.len()
     }
 }
 
@@ -115,8 +89,8 @@ mod tests {
     fn default_deny() {
         let mut ac = AccessControl::new();
         assert!(!ac.check(Time::ZERO, ComponentId(0), &svc("x")));
-        assert_eq!(ac.log().len(), 1);
-        assert!(!ac.log()[0].allowed);
+        assert_eq!(ac.log.len(), 1);
+        assert!(!ac.log[0].allowed);
     }
 
     #[test]
@@ -125,9 +99,10 @@ mod tests {
         let c = ComponentId(1);
         ac.grant(c, "sensor.radar");
         assert!(ac.check(Time::ZERO, c, &svc("sensor.radar")));
-        assert!(ac.revoke(c, &svc("sensor.radar")));
+        ac.revoke_all(c);
         assert!(!ac.check(Time::ZERO, c, &svc("sensor.radar")));
-        assert!(!ac.revoke(c, &svc("sensor.radar")), "already revoked");
+        let allowed: Vec<bool> = ac.log.iter().map(|e| e.allowed).collect();
+        assert_eq!(allowed, [true, false], "both attempts are logged");
     }
 
     #[test]
@@ -148,15 +123,15 @@ mod tests {
         assert!(!ac.is_granted(ComponentId(1), &svc("a")));
         assert!(!ac.is_granted(ComponentId(1), &svc("b")));
         assert!(ac.is_granted(ComponentId(2), &svc("a")));
-        assert_eq!(ac.grant_count(), 1);
+        assert_eq!(ac.grants.len(), 1);
     }
 
     #[test]
     fn drain_log_empties() {
         let mut ac = AccessControl::new();
         ac.grant(ComponentId(0), "s");
-        ac.record_use(Time::from_secs(1), ComponentId(0), &svc("s"));
-        ac.record_use(Time::from_secs(2), ComponentId(0), &svc("s"));
+        assert!(ac.check(Time::from_secs(1), ComponentId(0), &svc("s")));
+        assert!(!ac.check(Time::from_secs(2), ComponentId(1), &svc("s")));
         let mut events = vec![AccessEvent {
             at: Time::ZERO,
             client: ComponentId(9),
@@ -165,6 +140,6 @@ mod tests {
         }];
         ac.drain_log_into(&mut events);
         assert_eq!(events.len(), 2, "the buffer's stale entry is cleared");
-        assert!(ac.log().is_empty());
+        assert!(ac.log.is_empty());
     }
 }

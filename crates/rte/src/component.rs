@@ -50,11 +50,6 @@ impl ServiceName {
         ServiceName(name)
     }
 
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
     /// The interned name (cloning it never allocates).
     pub fn as_name(&self) -> &Name {
         &self.0
@@ -78,10 +73,8 @@ impl From<&str> for ServiceName {
 pub enum ComponentState {
     /// Scheduled and servicing requests.
     Running,
-    /// Stopped by an administrative action (e.g. before an update).
-    Stopped,
-    /// Forcibly isolated after a detected compromise or fault; its tasks are
-    /// descheduled and all its sessions are revoked.
+    /// Forcibly isolated after a detected compromise or fault, for good:
+    /// its tasks are descheduled and its capabilities revoked.
     Quarantined,
 }
 
@@ -161,7 +154,7 @@ mod tests {
         let b: ServiceName = "sensor.radar".into();
         assert_eq!(a, b);
         assert_eq!(a.to_string(), "sensor.radar");
-        assert_eq!(a.as_str(), "sensor.radar");
+        assert_eq!(a.as_name(), "sensor.radar");
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!   intrusion-detection monitor consumes.
 //! * [`sched`] — preemptive fixed-priority scheduler with per-job budgets,
 //!   speed-factor coupling to the hardware layer and overrun injection.
-//! * [`rte`] — the facade: installation, sessions, quarantine, atomic
-//!   reconfiguration with validation-before-mutation semantics.
+//! * [`rte`] — the facade: installation, capability-checked service
+//!   access, quarantine, atomic reconfiguration with
+//!   validation-before-mutation semantics.
 //!
 //! ```
 //! use saav_rte::component::{ComponentSpec, VmId};
@@ -24,8 +25,7 @@
 //! let radar = rte.install(ComponentSpec::new("radar", VmId(0)).provides("sensor.radar"))?;
 //! let acc = rte.install(ComponentSpec::new("acc", VmId(0)).requires("sensor.radar"))?;
 //! rte.grant(acc, "sensor.radar");
-//! let session = rte.open_session(acc, "sensor.radar", Time::ZERO)?;
-//! rte.call(session, Time::ZERO)?;
+//! rte.open_session(acc, "sensor.radar", Time::ZERO)?;
 //! # let _ = radar;
 //! # Ok(())
 //! # }
@@ -41,5 +41,5 @@ pub mod sched;
 
 pub use access::{AccessControl, AccessEvent};
 pub use component::{ComponentId, ComponentSpec, ComponentState, ServiceName, VmId};
-pub use rte::{Configuration, Rte, RteError, SessionId};
+pub use rte::{Configuration, Rte, RteError};
 pub use sched::{JobRecord, Priority, Scheduler, TaskRef, TaskSpec};

@@ -1,5 +1,6 @@
-//! The run-time environment facade: component registry, service sessions,
-//! VMs with memory quotas, and atomic reconfiguration.
+//! The run-time environment facade: component registry, capability-checked
+//! service access, VMs with memory quotas, quarantine and atomic
+//! reconfiguration.
 //!
 //! [`Rte`] ties the execution-domain pieces together the way the CCC
 //! architecture (Fig. 1 of the paper) describes: application components run
@@ -15,10 +16,6 @@ use saav_sim::time::Time;
 use crate::access::AccessControl;
 use crate::component::{ComponentId, ComponentSpec, ComponentState, ServiceName, VmId};
 use crate::sched::{JobRecord, Scheduler, TaskRef, TaskSpec};
-
-/// Identifier of an open service session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(pub usize);
 
 /// Errors of the run-time environment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,15 +35,13 @@ pub enum RteError {
         /// The service that was requested.
         service: ServiceName,
     },
-    /// The component is stopped or quarantined.
+    /// The component is quarantined.
     ComponentNotRunning(ComponentId),
     /// Installing the component would exceed the VM's memory quota.
     MemoryExceeded {
         /// The VM whose quota would be exceeded.
         vm: VmId,
     },
-    /// The session is closed or invalid.
-    InvalidSession(SessionId),
 }
 
 impl fmt::Display for RteError {
@@ -61,7 +56,6 @@ impl fmt::Display for RteError {
             }
             RteError::ComponentNotRunning(c) => write!(f, "{c} is not running"),
             RteError::MemoryExceeded { vm } => write!(f, "memory quota of {vm} exceeded"),
-            RteError::InvalidSession(s) => write!(f, "invalid session {s:?}"),
         }
     }
 }
@@ -72,19 +66,11 @@ impl std::error::Error for RteError {}
 struct ComponentEntry {
     spec: ComponentSpec,
     state: ComponentState,
-    tasks: Vec<TaskRef>,
 }
 
 #[derive(Debug)]
 struct VmEntry {
     memory_limit_kib: u32,
-}
-
-#[derive(Debug, Clone)]
-struct SessionEntry {
-    client: ComponentId,
-    service: ServiceName,
-    open: bool,
 }
 
 /// A configuration delta produced by the model domain: components to add,
@@ -107,7 +93,6 @@ pub struct Rte {
     providers: HashMap<ServiceName, ComponentId>,
     access: AccessControl,
     scheduler: Scheduler,
-    sessions: Vec<SessionEntry>,
     vms: Vec<VmEntry>,
 }
 
@@ -120,7 +105,6 @@ impl Rte {
             providers: HashMap::new(),
             access: AccessControl::new(),
             scheduler: Scheduler::new(seed),
-            sessions: Vec::new(),
             vms: vec![VmEntry {
                 memory_limit_kib: default_vm_kib,
             }],
@@ -133,7 +117,7 @@ impl Rte {
         VmId(self.vms.len() - 1)
     }
 
-    /// Memory currently allocated in a VM (running or stopped components).
+    /// Memory currently allocated in a VM (every installed component).
     pub fn vm_memory_used_kib(&self, vm: VmId) -> u32 {
         self.components
             .iter()
@@ -168,7 +152,6 @@ impl Rte {
         self.components.push(ComponentEntry {
             spec,
             state: ComponentState::Running,
-            tasks: Vec::new(),
         });
         Ok(id)
     }
@@ -186,11 +169,6 @@ impl Rte {
         self.components[id.0].state
     }
 
-    /// The provider of a service, if registered.
-    pub fn provider_of(&self, service: &ServiceName) -> Option<ComponentId> {
-        self.providers.get(service).copied()
-    }
-
     /// Registers a periodic task for a component.
     ///
     /// # Errors
@@ -202,9 +180,7 @@ impl Rte {
             return Err(RteError::UnknownComponent(format!("{cid}")));
         }
         spec.component = cid;
-        let task = self.scheduler.add_task(spec);
-        self.components[cid.0].tasks.push(task);
-        Ok(task)
+        Ok(self.scheduler.add_task(spec))
     }
 
     /// Grants a capability.
@@ -213,8 +189,9 @@ impl Rte {
     }
 
     /// Opens a session from `client` to `service`, enforcing capability
-    /// checks and liveness of both ends. Every attempt is recorded in the
-    /// access log.
+    /// checks and liveness of both ends. Every attempt that reaches the
+    /// capability check is recorded in the access log; no session state is
+    /// kept.
     ///
     /// # Errors
     /// [`RteError::AccessDenied`], [`RteError::UnknownService`] or
@@ -224,7 +201,7 @@ impl Rte {
         client: ComponentId,
         service: impl Into<ServiceName>,
         now: Time,
-    ) -> Result<SessionId, RteError> {
+    ) -> Result<(), RteError> {
         let service = service.into();
         if self.components[client.0].state != ComponentState::Running {
             return Err(RteError::ComponentNotRunning(client));
@@ -240,42 +217,12 @@ impl Rte {
         if self.components[provider.0].state != ComponentState::Running {
             return Err(RteError::ComponentNotRunning(provider));
         }
-        self.sessions.push(SessionEntry {
-            client,
-            service,
-            open: true,
-        });
-        Ok(SessionId(self.sessions.len() - 1))
-    }
-
-    /// Performs one call on an open session (message-level accounting).
-    ///
-    /// # Errors
-    /// [`RteError::InvalidSession`] when the session is closed, or
-    /// [`RteError::ComponentNotRunning`] when the provider has been stopped
-    /// or quarantined meanwhile.
-    pub fn call(&mut self, session: SessionId, now: Time) -> Result<(), RteError> {
-        let entry = self
-            .sessions
-            .get(session.0)
-            .cloned()
-            .filter(|s| s.open)
-            .ok_or(RteError::InvalidSession(session))?;
-        let provider = self
-            .providers
-            .get(&entry.service)
-            .copied()
-            .ok_or_else(|| RteError::UnknownService(entry.service.clone()))?;
-        if self.components[provider.0].state != ComponentState::Running {
-            return Err(RteError::ComponentNotRunning(provider));
-        }
-        self.access.record_use(now, entry.client, &entry.service);
         Ok(())
     }
 
-    /// Quarantines a component: tasks descheduled, sessions revoked,
-    /// capabilities withdrawn. This is the paper's "shut down the affected
-    /// component" countermeasure.
+    /// Quarantines a component for good: tasks descheduled, capabilities
+    /// withdrawn. This is the paper's "shut down the affected component"
+    /// countermeasure.
     ///
     /// # Panics
     /// Panics on an invalid id.
@@ -283,37 +230,6 @@ impl Rte {
         self.components[id.0].state = ComponentState::Quarantined;
         self.scheduler.deactivate_component(id);
         self.access.revoke_all(id);
-        for s in &mut self.sessions {
-            if s.client == id {
-                s.open = false;
-            }
-        }
-    }
-
-    /// Stops a component (restartable administrative stop).
-    ///
-    /// # Panics
-    /// Panics on an invalid id.
-    pub fn stop(&mut self, id: ComponentId) {
-        self.components[id.0].state = ComponentState::Stopped;
-        self.scheduler.deactivate_component(id);
-    }
-
-    /// Restarts a stopped (not quarantined) component.
-    ///
-    /// # Errors
-    /// [`RteError::ComponentNotRunning`] when the component is quarantined.
-    pub fn restart(&mut self, id: ComponentId) -> Result<(), RteError> {
-        let entry = &mut self.components[id.0];
-        if entry.state == ComponentState::Quarantined {
-            return Err(RteError::ComponentNotRunning(id));
-        }
-        entry.state = ComponentState::Running;
-        let tasks = entry.tasks.clone();
-        for t in tasks {
-            self.scheduler.set_active(t, true);
-        }
-        Ok(())
     }
 
     /// Applies a configuration delta atomically: either all components,
@@ -429,7 +345,6 @@ mod tests {
             .install(ComponentSpec::new("radar", VmId(0)).provides("sensor.radar"))
             .unwrap();
         assert_eq!(r.component_by_name("radar"), Some(id));
-        assert_eq!(r.provider_of(&"sensor.radar".into()), Some(id));
         assert_eq!(r.state(id), ComponentState::Running);
         assert!(matches!(
             r.install(ComponentSpec::new("radar", VmId(0))),
@@ -463,20 +378,19 @@ mod tests {
             Err(RteError::AccessDenied { .. })
         ));
         r.grant(acc, "sensor.radar");
-        let session = r.open_session(acc, "sensor.radar", Time::ZERO).unwrap();
-        r.call(session, Time::ZERO).unwrap();
+        r.open_session(acc, "sensor.radar", Time::ZERO).unwrap();
         // Unknown service.
         r.grant(acc, "does.not.exist");
         assert!(matches!(
             r.open_session(acc, "does.not.exist", Time::ZERO),
             Err(RteError::UnknownService(_))
         ));
-        // Stopped provider.
-        r.stop(radar);
-        assert!(matches!(
-            r.call(session, Time::ZERO),
-            Err(RteError::ComponentNotRunning(_))
-        ));
+        // Quarantined provider.
+        r.quarantine(radar);
+        assert_eq!(
+            r.open_session(acc, "sensor.radar", Time::ZERO),
+            Err(RteError::ComponentNotRunning(radar))
+        );
     }
 
     #[test]
@@ -487,7 +401,7 @@ mod tests {
             .unwrap();
         let acc = r.install(ComponentSpec::new("acc", VmId(0))).unwrap();
         r.grant(acc, "actuator.brake");
-        let session = r.open_session(acc, "actuator.brake", Time::ZERO).unwrap();
+        r.open_session(acc, "actuator.brake", Time::ZERO).unwrap();
         r.add_task(TaskSpec::periodic(
             "brake_task",
             brake,
@@ -496,28 +410,25 @@ mod tests {
             Priority(0),
         ))
         .unwrap();
+        r.advance(Time::from_millis(20), 1.0);
+        assert!(!r.take_records().is_empty(), "jobs before the quarantine");
         r.quarantine(brake);
         assert_eq!(r.state(brake), ComponentState::Quarantined);
-        assert!(r.call(session, Time::from_millis(1)).is_err());
-        assert!(r.restart(brake).is_err(), "quarantine is sticky");
-        r.advance(Time::from_millis(50), 1.0);
-        assert!(r.take_records().is_empty(), "no jobs for quarantined comp");
-    }
-
-    #[test]
-    fn stop_restart_cycle() {
-        let mut r = rte();
-        let c = r.install(ComponentSpec::new("fn", VmId(0))).unwrap();
-        r.add_task(TaskSpec::periodic("t", c, ms(10), ms(1), Priority(0)))
-            .unwrap();
-        r.advance(Time::from_millis(20), 1.0);
-        assert!(!r.take_records().is_empty());
-        r.stop(c);
-        r.advance(Time::from_millis(40), 1.0);
-        assert!(r.take_records().is_empty());
-        r.restart(c).unwrap();
-        r.advance(Time::from_millis(80), 1.0);
-        assert!(!r.take_records().is_empty());
+        // Neither end of a session may be quarantined.
+        assert_eq!(
+            r.open_session(acc, "actuator.brake", Time::from_millis(21)),
+            Err(RteError::ComponentNotRunning(brake))
+        );
+        assert_eq!(
+            r.open_session(brake, "actuator.brake", Time::from_millis(21)),
+            Err(RteError::ComponentNotRunning(brake))
+        );
+        // The quarantine sticks: its tasks release no jobs, however long
+        // the RTE runs on.
+        for until_ms in [50, 500] {
+            r.advance(Time::from_millis(until_ms), 1.0);
+            assert!(r.take_records().is_empty(), "no jobs for quarantined comp");
+        }
     }
 
     #[test]

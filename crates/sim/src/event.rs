@@ -13,13 +13,13 @@
 //! q.schedule(Time::from_micros(1), "early");
 //! assert_eq!(q.pop(), Some((Time::from_micros(1), "early")));
 //! assert_eq!(q.pop(), Some((Time::from_micros(2), "late")));
-//! assert!(q.is_empty());
+//! assert_eq!(q.pop(), None);
 //! ```
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::{Duration, Time};
+use crate::time::Time;
 
 #[derive(Debug)]
 struct Scheduled<E> {
@@ -82,11 +82,6 @@ impl<E> EventQueue<E> {
         self.heap.push(Scheduled { at, seq, event });
     }
 
-    /// Schedules `event` to fire `delay` after `now`.
-    pub fn schedule_after(&mut self, now: Time, delay: Duration, event: E) {
-        self.schedule(now + delay, event);
-    }
-
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<Time> {
         self.heap.peek().map(|s| s.at)
@@ -104,21 +99,6 @@ impl<E> EventQueue<E> {
             Some(t) if t <= deadline => self.pop(),
             _ => None,
         }
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -158,22 +138,10 @@ mod tests {
             Some((Time::from_micros(10), "a"))
         );
         assert_eq!(q.pop_due(Time::from_micros(15)), None);
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn schedule_after_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_after(Time::from_micros(100), Duration::from_micros(5), ());
-        assert_eq!(q.peek_time(), Some(Time::from_micros(105)));
-    }
-
-    #[test]
-    fn clear_empties_queue() {
-        let mut q = EventQueue::new();
-        q.schedule(Time::ZERO, 1);
-        q.clear();
-        assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(
+            q.peek_time(),
+            Some(Time::from_micros(20)),
+            "b still pending"
+        );
     }
 }

@@ -26,8 +26,8 @@
 //!
 //! let mut q = EventQueue::new();
 //! let now = Time::ZERO;
-//! q.schedule_after(now, Duration::from_millis(10), Ev::SensorSample);
-//! q.schedule_after(now, Duration::from_millis(5), Ev::Deadline);
+//! q.schedule(now + Duration::from_millis(10), Ev::SensorSample);
+//! q.schedule(now + Duration::from_millis(5), Ev::Deadline);
 //! let (t, ev) = q.pop().unwrap();
 //! assert_eq!(ev, Ev::Deadline);
 //! assert_eq!(t, Time::from_millis(5));

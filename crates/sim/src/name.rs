@@ -25,12 +25,6 @@ use std::sync::Arc;
 pub struct Name(Arc<str>);
 
 impl Name {
-    /// Creates a name from anything stringy. Allocates once; clones of the
-    /// result never allocate.
-    pub fn new(s: impl Into<Arc<str>>) -> Self {
-        Name(s.into())
-    }
-
     /// The name as a string slice.
     pub fn as_str(&self) -> &str {
         &self.0

@@ -2,7 +2,7 @@
 //!
 //! [`SimRng`] wraps a seeded [`rand::rngs::SmallRng`] and adds the small set
 //! of distributions the simulators need (uniform, Bernoulli, Gaussian via
-//! Box–Muller, exponential) without pulling in `rand_distr`.
+//! Box–Muller) without pulling in `rand_distr`.
 //!
 //! ```
 //! use saav_sim::rng::SimRng;
@@ -13,7 +13,7 @@
 //! ```
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// A deterministic, seedable RNG with simulation-oriented helpers.
 #[derive(Debug, Clone)]
@@ -30,13 +30,6 @@ impl SimRng {
             inner: SmallRng::seed_from_u64(seed),
             gauss_spare: None,
         }
-    }
-
-    /// Derives an independent child RNG; handy for giving each subsystem its
-    /// own stream so adding draws in one subsystem does not perturb another.
-    pub fn fork(&mut self, salt: u64) -> SimRng {
-        let seed = self.inner.next_u64() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SimRng::seed_from(seed)
     }
 
     /// Uniform sample in `[lo, hi)`. Returns `lo` when the range is empty.
@@ -88,24 +81,6 @@ impl SimRng {
     /// Gaussian sample with the given mean and standard deviation.
     pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev.abs() * self.standard_normal()
-    }
-
-    /// Exponential sample with the given rate (λ).
-    ///
-    /// # Panics
-    /// Panics if `rate` is not strictly positive.
-    pub fn exponential(&mut self, rate: f64) -> f64 {
-        assert!(rate > 0.0, "exponential rate must be positive");
-        let u: f64 = 1.0 - self.inner.gen::<f64>();
-        -u.ln() / rate
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, slice: &mut [T]) {
-        for i in (1..slice.len()).rev() {
-            let j = self.inner.gen_range(0..=i);
-            slice.swap(i, j);
-        }
     }
 }
 
@@ -174,14 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_matches_rate() {
-        let mut rng = SimRng::seed_from(13);
-        let n = 50_000;
-        let mean = (0..n).map(|_| rng.exponential(4.0)).sum::<f64>() / n as f64;
-        assert!((mean - 0.25).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
     fn chance_frequency_tracks_p() {
         let mut rng = SimRng::seed_from(17);
         let hits = (0..20_000).filter(|_| rng.chance(0.3)).count();
@@ -189,17 +156,6 @@ mod tests {
         assert!((freq - 0.3).abs() < 0.02, "freq {freq}");
         assert!(!rng.chance(-1.0));
         assert!(rng.chance(2.0));
-    }
-
-    #[test]
-    fn fork_is_deterministic_but_independent() {
-        let mut parent1 = SimRng::seed_from(5);
-        let mut parent2 = SimRng::seed_from(5);
-        let mut c1 = parent1.fork(99);
-        let mut c2 = parent2.fork(99);
-        assert_eq!(c1.uniform(0.0, 1.0), c2.uniform(0.0, 1.0));
-        let mut other = parent1.fork(100);
-        assert_ne!(c1.uniform(0.0, 1.0), other.uniform(0.0, 1.0));
     }
 
     #[test]
@@ -214,15 +170,5 @@ mod tests {
                 assert!(seen.insert(derive_seed(master, stream)));
             }
         }
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::seed_from(23);
-        let mut v: Vec<u32> = (0..64).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64).collect::<Vec<_>>());
     }
 }

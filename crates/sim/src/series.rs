@@ -2,9 +2,9 @@
 //!
 //! [`Series`] collects `(Time, f64)` samples produced by a simulation run and
 //! offers the aggregates the benchmark harness reports (mean, percentiles,
-//! min/max, time-weighted integrals).
+//! min/max).
 
-use crate::time::{Duration, Time};
+use crate::time::Time;
 
 /// An append-only time series of scalar samples.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -18,8 +18,7 @@ impl Series {
         Series::default()
     }
 
-    /// Appends a sample. Timestamps should be non-decreasing; out-of-order
-    /// pushes are accepted but time-weighted statistics then lose meaning.
+    /// Appends a sample (timestamps non-decreasing by convention).
     pub fn push(&mut self, t: Time, value: f64) {
         self.samples.push((t, value));
     }
@@ -70,17 +69,6 @@ impl Series {
             .fold(None, |acc, v| Some(acc.map_or(v, |a: f64| a.max(v))))
     }
 
-    /// Sample standard deviation, or `None` with fewer than two samples.
-    pub fn std_dev(&self) -> Option<f64> {
-        if self.samples.len() < 2 {
-            return None;
-        }
-        let mean = self.mean()?;
-        let var = self.values().map(|v| (v - mean).powi(2)).sum::<f64>()
-            / (self.samples.len() - 1) as f64;
-        Some(var.sqrt())
-    }
-
     /// Percentile via nearest-rank on the sorted values; `q` in `[0, 1]`.
     ///
     /// Returns `None` when empty.
@@ -92,63 +80,6 @@ impl Series {
         let mut vals: Vec<f64> = self.values().collect();
         vals.sort_by(|a, b| a.partial_cmp(b).expect("NaN in series"));
         percentile_sorted(&vals, q)
-    }
-
-    /// Fraction of samples for which `pred` holds; `None` when empty.
-    pub fn fraction_where<F: Fn(f64) -> bool>(&self, pred: F) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let hits = self.values().filter(|&v| pred(v)).count();
-        Some(hits as f64 / self.samples.len() as f64)
-    }
-
-    /// First time at which `pred` holds, if ever.
-    pub fn first_time_where<F: Fn(f64) -> bool>(&self, pred: F) -> Option<Time> {
-        self.iter().find(|&(_, v)| pred(v)).map(|(t, _)| t)
-    }
-
-    /// Time-weighted mean assuming zero-order hold between samples, evaluated
-    /// over `[first sample, end]`. Returns `None` with no samples or when
-    /// `end` precedes the first sample.
-    pub fn time_weighted_mean(&self, end: Time) -> Option<f64> {
-        let first = self.samples.first()?.0;
-        if end <= first {
-            return None;
-        }
-        let mut acc = 0.0;
-        for w in self.samples.windows(2) {
-            let (t0, v0) = w[0];
-            let (t1, _) = w[1];
-            let t1 = t1.min(end);
-            if t1 > t0 {
-                acc += v0 * (t1 - t0).as_secs_f64();
-            }
-        }
-        let (tl, vl) = *self.samples.last()?;
-        if end > tl {
-            acc += vl * (end - tl).as_secs_f64();
-        }
-        Some(acc / (end - first).as_secs_f64())
-    }
-
-    /// Total simulated time during which `pred` held (zero-order hold).
-    pub fn duration_where<F: Fn(f64) -> bool>(&self, end: Time, pred: F) -> Duration {
-        let mut acc = Duration::ZERO;
-        for w in self.samples.windows(2) {
-            let (t0, v0) = w[0];
-            let (t1, _) = w[1];
-            let t1 = t1.min(end);
-            if t1 > t0 && pred(v0) {
-                acc += t1 - t0;
-            }
-        }
-        if let Some(&(tl, vl)) = self.samples.last() {
-            if end > tl && pred(vl) {
-                acc += end - tl;
-            }
-        }
-        acc
     }
 }
 
@@ -194,9 +125,7 @@ mod tests {
         assert_eq!(s.mean(), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.std_dev(), None);
         assert_eq!(s.percentile(0.5), None);
-        assert_eq!(s.time_weighted_mean(secs(1)), None);
     }
 
     #[test]
@@ -208,35 +137,6 @@ mod tests {
         assert_eq!(s.percentile(0.5), Some(2.0));
         assert_eq!(s.percentile(1.0), Some(4.0));
         assert_eq!(s.percentile(0.0), Some(0.0));
-        let sd = s.std_dev().unwrap();
-        assert!((sd - (2.5f64).sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_mean_uses_hold() {
-        let mut s = Series::new();
-        s.push(secs(0), 0.0);
-        s.push(secs(1), 10.0);
-        // 0.0 for 1s, then 10.0 for 3s => (0*1 + 10*3)/4 = 7.5
-        assert_eq!(s.time_weighted_mean(secs(4)), Some(7.5));
-    }
-
-    #[test]
-    fn duration_where_accumulates_hold_intervals() {
-        let mut s = Series::new();
-        s.push(secs(0), 1.0);
-        s.push(secs(2), 0.0);
-        s.push(secs(3), 1.0);
-        let d = s.duration_where(secs(5), |v| v > 0.5);
-        assert_eq!(d, Duration::from_secs(4)); // [0,2) and [3,5)
-    }
-
-    #[test]
-    fn fraction_and_first_time() {
-        let s: Series = (0..10).map(|i| (secs(i), i as f64)).collect();
-        assert_eq!(s.fraction_where(|v| v >= 5.0), Some(0.5));
-        assert_eq!(s.first_time_where(|v| v >= 7.0), Some(secs(7)));
-        assert_eq!(s.first_time_where(|v| v > 100.0), None);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! use saav_sim::time::{Duration, Time};
 //!
 //! let t = Time::ZERO + Duration::from_millis(10);
-//! assert_eq!(t.as_micros(), 10_000);
+//! assert_eq!(t.as_millis(), 10);
 //! assert_eq!(t - Time::ZERO, Duration::from_micros(10_000));
 //! ```
 
@@ -132,15 +132,6 @@ impl Duration {
             other
         }
     }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: Duration) -> Duration {
-        if self.0 <= other.0 {
-            self
-        } else {
-            other
-        }
-    }
 }
 
 impl Add for Duration {
@@ -242,19 +233,9 @@ impl Time {
         Time(s * 1_000_000_000)
     }
 
-    /// Creates an instant from fractional seconds since simulation start.
-    pub fn from_secs_f64(s: f64) -> Self {
-        Time(Duration::from_secs_f64(s).as_nanos())
-    }
-
     /// Nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds since simulation start (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Milliseconds since simulation start (truncating).
@@ -325,7 +306,7 @@ mod tests {
     #[test]
     fn arithmetic_roundtrip() {
         let t = Time::from_millis(10) + Duration::from_micros(500);
-        assert_eq!(t.as_micros(), 10_500);
+        assert_eq!(t.as_nanos(), 10_500_000);
         assert_eq!(t - Time::from_millis(10), Duration::from_micros(500));
         assert_eq!(t - Duration::from_micros(500), Time::from_millis(10));
     }

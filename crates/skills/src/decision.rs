@@ -111,12 +111,6 @@ impl ModePolicy {
         self.current
     }
 
-    /// Externally resets a safe-stopped vehicle back to Normal (e.g. after
-    /// garage repair).
-    pub fn reset(&mut self) {
-        self.current = DrivingMode::Normal;
-    }
-
     /// Commits the policy to the minimal-risk mode, regardless of the
     /// ability level — used when a higher authority (the objective layer)
     /// orders a safe stop for reasons the ability level alone does not
@@ -156,13 +150,11 @@ mod tests {
     }
 
     #[test]
-    fn safe_stop_is_sticky_until_reset() {
+    fn safe_stop_is_sticky() {
         let mut p = ModePolicy::with_defaults();
         p.update(0.1);
         assert_eq!(p.mode(), DrivingMode::SafeStop);
         assert_eq!(p.update(1.0), DrivingMode::SafeStop);
-        p.reset();
-        assert_eq!(p.update(1.0), DrivingMode::Normal);
     }
 
     #[test]

@@ -196,14 +196,6 @@ impl SkillGraph {
         &self.nodes[id.0].children
     }
 
-    /// Direct dependents of a node.
-    ///
-    /// # Panics
-    /// Panics on an invalid id.
-    pub fn parents(&self, id: NodeId) -> &[NodeId] {
-        &self.nodes[id.0].parents
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -301,31 +293,6 @@ impl SkillGraph {
         out.sort();
         out
     }
-
-    /// Renders the graph in Graphviz dot format (skills as boxes, sources as
-    /// ellipses, sinks as diamonds).
-    pub fn to_dot(&self) -> String {
-        let mut out = String::from("digraph skills {\n");
-        for id in self.ids() {
-            let n = &self.nodes[id.0];
-            let shape = match n.kind {
-                NodeKind::Skill => "box",
-                NodeKind::DataSource => "ellipse",
-                NodeKind::DataSink => "diamond",
-            };
-            out.push_str(&format!("  \"{}\" [shape={}];\n", n.name, shape));
-        }
-        for id in self.ids() {
-            for &c in &self.nodes[id.0].children {
-                out.push_str(&format!(
-                    "  \"{}\" -> \"{}\";\n",
-                    self.nodes[id.0].name, self.nodes[c.0].name
-                ));
-            }
-        }
-        out.push_str("}\n");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -347,7 +314,7 @@ mod tests {
         let (g, root, child, src) = tiny();
         assert_eq!(g.validate().unwrap(), root);
         assert_eq!(g.children(root), &[child]);
-        assert_eq!(g.parents(src), &[child]);
+        assert_eq!(g.nodes[src.0].parents, [child]);
         assert_eq!(g.node("radar"), Some(src));
         assert_eq!(g.kind(src), NodeKind::DataSource);
         assert_eq!(g.len(), 3);
@@ -424,14 +391,5 @@ mod tests {
         assert_eq!(g.dependencies_of(root), vec![child, src]);
         assert_eq!(g.dependents_of(src), vec![root, child]);
         assert!(g.dependencies_of(src).is_empty());
-    }
-
-    #[test]
-    fn dot_export_contains_all_nodes() {
-        let (g, ..) = tiny();
-        let dot = g.to_dot();
-        assert!(dot.contains("\"drive\" [shape=box]"));
-        assert!(dot.contains("\"radar\" [shape=ellipse]"));
-        assert!(dot.contains("\"perceive\" -> \"radar\""));
     }
 }

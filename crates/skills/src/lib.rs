@@ -6,7 +6,7 @@
 //!
 //! * [`graph`] — skill graphs: DAGs of skills, data sources and data sinks
 //!   with structural validation (unique main skill, paths end at
-//!   sources/sinks, acyclicity) and dot export.
+//!   sources/sinks, acyclicity) and dependency cones.
 //! * [`acc`] — the paper's worked example: the Adaptive Cruise Control
 //!   skill graph, encoded edge-by-edge from the text.
 //! * [`ability`] — ability graphs: instantiated skill graphs carrying

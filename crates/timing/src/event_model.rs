@@ -48,21 +48,6 @@ impl EventModel {
         }
     }
 
-    /// The period.
-    pub fn period(&self) -> Duration {
-        self.period
-    }
-
-    /// The jitter.
-    pub fn jitter(&self) -> Duration {
-        self.jitter
-    }
-
-    /// The minimum event distance.
-    pub fn d_min(&self) -> Duration {
-        self.d_min
-    }
-
     /// Maximum number of events in any half-open window of length `dt`
     /// (`η⁺`).
     pub fn eta_plus(&self, dt: Duration) -> u64 {

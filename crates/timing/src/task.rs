@@ -102,11 +102,6 @@ impl TaskResponse {
     pub fn meets_deadline(&self) -> bool {
         self.wcrt <= self.deadline
     }
-
-    /// Slack (deadline − WCRT), zero when the deadline is missed.
-    pub fn slack(&self) -> Duration {
-        self.deadline.saturating_sub(self.wcrt)
-    }
 }
 
 /// Result of analysing one resource.
@@ -158,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn response_slack_and_violations() {
+    fn responses_and_violations() {
         let ok = TaskResponse {
             name: "a".into(),
             wcrt: ms(4),
@@ -170,9 +165,7 @@ mod tests {
             deadline: ms(10),
         };
         assert!(ok.meets_deadline());
-        assert_eq!(ok.slack(), ms(6));
         assert!(!bad.meets_deadline());
-        assert_eq!(bad.slack(), Duration::ZERO);
         let ra = ResourceAnalysis {
             responses: vec![ok, bad],
         };

@@ -82,11 +82,6 @@ impl Powertrain {
         self.max_regen_n
     }
 
-    /// Maximum drive force.
-    pub fn max_drive_n(&self) -> f64 {
-        self.max_drive_n
-    }
-
     /// Enables/disables the powertrain.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -180,21 +175,6 @@ impl BrakeSystem {
             front: BrakeCircuit::new(7_000.0),
             rear: BrakeCircuit::new(5_000.0),
         }
-    }
-
-    /// Total achievable friction brake force given circuit availability.
-    pub fn available_force_n(&self) -> f64 {
-        let f = if self.front.is_enabled() {
-            self.front.max_force_n()
-        } else {
-            0.0
-        };
-        let r = if self.rear.is_enabled() {
-            self.rear.max_force_n()
-        } else {
-            0.0
-        };
-        f + r
     }
 
     /// Distributes a total brake demand across the circuits (front-biased
@@ -297,7 +277,6 @@ mod tests {
     fn rear_circuit_loss_spills_to_front() {
         let mut b = BrakeSystem::typical();
         b.rear.set_enabled(false);
-        assert_eq!(b.available_force_n(), 7_000.0);
         // Demand 5 kN: front takes everything (0.6*5k + spill 0.4*5k = 5k).
         let total = settle(|| b.step(5_000.0, dt()));
         assert!((total - 5_000.0).abs() < 5.0, "total {total}");
@@ -311,7 +290,6 @@ mod tests {
         let mut b = BrakeSystem::typical();
         b.front.set_enabled(false);
         b.rear.set_enabled(false);
-        assert_eq!(b.available_force_n(), 0.0);
         let total = settle(|| b.step(8_000.0, dt()));
         assert!(total.abs() < 1.0);
     }

@@ -1,10 +1,10 @@
 //! Longitudinal vehicle dynamics.
 //!
-//! Point-mass model with aerodynamic drag, rolling resistance and road
-//! grade, integrated with semi-implicit Euler:
+//! Point-mass model on level road with aerodynamic drag and rolling
+//! resistance, integrated with semi-implicit Euler:
 //!
 //! ```text
-//! m·dv/dt = F_drive − F_brake − ½·ρ·c_d·A·v² − c_rr·m·g·cos(θ) − m·g·sin(θ)
+//! m·dv/dt = F_drive − F_brake − ½·ρ·c_d·A·v² − c_rr·m·g
 //! ```
 //!
 //! Parameters default to a mid-size battery-electric research vehicle
@@ -46,8 +46,6 @@ pub struct Longitudinal {
     params: VehicleParams,
     position_m: f64,
     speed_mps: f64,
-    accel_mps2: f64,
-    grade_rad: f64,
 }
 
 impl Longitudinal {
@@ -57,8 +55,6 @@ impl Longitudinal {
             params,
             position_m: 0.0,
             speed_mps: 0.0,
-            accel_mps2: 0.0,
-            grade_rad: 0.0,
         }
     }
 
@@ -72,11 +68,6 @@ impl Longitudinal {
         self.speed_mps
     }
 
-    /// Last computed acceleration in m/s².
-    pub fn accel_mps2(&self) -> f64 {
-        self.accel_mps2
-    }
-
     /// Sets the current speed (scenario setup).
     ///
     /// # Panics
@@ -86,22 +77,16 @@ impl Longitudinal {
         self.speed_mps = v;
     }
 
-    /// Sets the road grade in radians (positive = uphill).
-    pub fn set_grade_rad(&mut self, grade: f64) {
-        self.grade_rad = grade;
-    }
-
-    /// Resistive force at the current speed (drag + rolling + grade), N.
+    /// Resistive force at the current speed (drag + rolling), N.
     pub fn resistance_n(&self) -> f64 {
         let p = &self.params;
         let drag = 0.5 * p.air_density * p.cd_a * self.speed_mps * self.speed_mps;
         let rolling = if self.speed_mps > 0.0 {
-            p.c_rr * p.mass_kg * G * self.grade_rad.cos()
+            p.c_rr * p.mass_kg * G
         } else {
             0.0
         };
-        let grade = p.mass_kg * G * self.grade_rad.sin();
-        drag + rolling + grade
+        drag + rolling
     }
 
     /// Advances the model by `dt` under the given drive and brake forces
@@ -113,8 +98,8 @@ impl Longitudinal {
         assert!(brake_force_n >= 0.0, "brake force must be non-negative");
         let dt_s = dt.as_secs_f64();
         let net = drive_force_n - self.resistance_n() - brake_force_n;
-        self.accel_mps2 = net / self.params.mass_kg;
-        let new_speed = self.speed_mps + self.accel_mps2 * dt_s;
+        let accel_mps2 = net / self.params.mass_kg;
+        let new_speed = self.speed_mps + accel_mps2 * dt_s;
         // Braking and resistance cannot push the vehicle backwards.
         let new_speed = if new_speed < 0.0 && drive_force_n <= 0.0 {
             0.0
@@ -124,16 +109,6 @@ impl Longitudinal {
         // Semi-implicit: integrate position with the updated speed.
         self.position_m += new_speed * dt_s;
         self.speed_mps = new_speed;
-    }
-
-    /// Ideal stopping distance from the current speed under constant
-    /// deceleration `decel_mps2` (> 0).
-    ///
-    /// # Panics
-    /// Panics unless `decel_mps2 > 0`.
-    pub fn stopping_distance_m(&self, decel_mps2: f64) -> f64 {
-        assert!(decel_mps2 > 0.0);
-        self.speed_mps * self.speed_mps / (2.0 * decel_mps2)
     }
 }
 
@@ -183,8 +158,8 @@ mod tests {
     fn braking_distance_close_to_ideal() {
         let mut v = Longitudinal::new(VehicleParams::default());
         v.set_speed_mps(20.0);
-        let ideal = v.stopping_distance_m(5.0); // 400/10 = 40 m
-        assert!((ideal - 40.0).abs() < 1e-9);
+        // Ideal stopping distance under a constant 5 m/s²: v²/2a = 40 m.
+        let ideal = 40.0;
         let start = v.position_m();
         // 5 m/s² ≈ 8kN on 1600 kg; drag helps, so actual ≤ ideal.
         while v.speed_mps() > 0.0 {
@@ -193,20 +168,6 @@ mod tests {
         let dist = v.position_m() - start;
         assert!(dist <= ideal * 1.01, "dist {dist} vs ideal {ideal}");
         assert!(dist > ideal * 0.8, "dist {dist} vs ideal {ideal}");
-    }
-
-    #[test]
-    fn uphill_grade_decelerates() {
-        let mut flat = Longitudinal::new(VehicleParams::default());
-        let mut hill = Longitudinal::new(VehicleParams::default());
-        flat.set_speed_mps(20.0);
-        hill.set_speed_mps(20.0);
-        hill.set_grade_rad(0.05);
-        for _ in 0..500 {
-            flat.step(500.0, 0.0, dt());
-            hill.step(500.0, 0.0, dt());
-        }
-        assert!(hill.speed_mps() < flat.speed_mps());
     }
 
     #[test]

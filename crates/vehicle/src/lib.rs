@@ -7,7 +7,8 @@
 //! system whose rear circuit can be compromised, and a powertrain whose
 //! regenerative braking can substitute for lost friction brakes.
 //!
-//! * [`dynamics`] — point-mass longitudinal model (drag, rolling, grade).
+//! * [`dynamics`] — point-mass longitudinal model on level road (drag,
+//!   rolling resistance).
 //! * [`actuators`] — powertrain with regen, split front/rear brakes.
 //! * [`sensors`] — radar/wheel-speed with weather coupling and fault modes,
 //!   the driver HMI.

@@ -28,14 +28,6 @@ impl Default for Weather {
 }
 
 impl Weather {
-    /// Clear conditions at the given temperature.
-    pub fn clear(temperature_c: f64) -> Self {
-        Weather {
-            fog: 0.0,
-            temperature_c,
-        }
-    }
-
     /// Foggy conditions (fog clamped to `[0, 1]`).
     pub fn foggy(fog: f64) -> Self {
         Weather {

@@ -129,16 +129,6 @@ impl SurrogateTraffic {
         idx
     }
 
-    /// Number of vehicles in the chain (all tiers).
-    pub fn len(&self) -> usize {
-        self.pos_m.len()
-    }
-
-    /// Whether the chain is empty.
-    pub fn is_empty(&self) -> bool {
-        self.pos_m.is_empty()
-    }
-
     /// Number of surrogate-integrated (non-mirrored) vehicles. O(1): the
     /// count is kept as slots are pushed and flip tiers.
     pub fn surrogate_count(&self) -> usize {
@@ -379,7 +369,7 @@ mod tests {
         assert!(!t.collision(), "min gap {}", t.min_gap_m());
         assert!(t.min_gap_m() > 4.0, "min gap {}", t.min_gap_m());
         // The chain stays strictly ordered.
-        for i in 1..t.len() {
+        for i in 1..t.pos_m.len() {
             assert!(t.position_m(i) < t.position_m(i - 1), "slot {i}");
         }
     }
@@ -409,7 +399,8 @@ mod tests {
         // The kept count must equal a recount of the flags after
         // promotions, demotions and redundant calls that flip nothing.
         let mut t = SurrogateTraffic::new(IdmParams::default());
-        let recount = |t: &SurrogateTraffic| (0..t.len()).filter(|&i| !t.is_mirrored(i)).count();
+        let recount =
+            |t: &SurrogateTraffic| (0..t.pos_m.len()).filter(|&i| !t.is_mirrored(i)).count();
         for i in 0..12 {
             t.push_vehicle(-30.0 * i as f64, 20.0);
         }
@@ -472,7 +463,9 @@ mod tests {
             for _ in 0..1_000 {
                 t.step(DT);
             }
-            (0..t.len()).map(|i| t.position_m(i).to_bits()).collect()
+            (0..t.pos_m.len())
+                .map(|i| t.position_m(i).to_bits())
+                .collect()
         };
         let a: Vec<u64> = run(0);
         let b: Vec<u64> = run(1_024);
@@ -524,7 +517,7 @@ mod tests {
                 reference.set_mirrored(17, false);
             }
         }
-        for i in 0..fast.len() {
+        for i in 0..fast.pos_m.len() {
             assert_eq!(
                 fast.position_m(i).to_bits(),
                 reference.position_m(i).to_bits(),

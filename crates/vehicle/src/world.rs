@@ -57,8 +57,7 @@ pub struct VehicleWorld {
     metrics: SafetyMetrics,
     now: Time,
     rng: SimRng,
-    /// When false the ACC is disengaged and only brakes act (safe stop).
-    acc_engaged: bool,
+    /// Once set, the ACC is disengaged for good and only brakes act.
     safe_stop: bool,
     last_radar: Option<crate::sensors::RadarReading>,
     /// Offset of this world's frame on the shared road: the ego's absolute
@@ -88,16 +87,10 @@ impl VehicleWorld {
             metrics: SafetyMetrics::default(),
             now: Time::ZERO,
             rng: SimRng::seed_from(seed),
-            acc_engaged: true,
             safe_stop: false,
             last_radar: None,
             road_offset_m: 0.0,
         }
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> Time {
-        self.now
     }
 
     /// Places this world's frame at an absolute longitudinal offset on the
@@ -131,17 +124,10 @@ impl VehicleWorld {
         self.metrics
     }
 
-    /// Engages/disengages the ACC function (quarantine of the ACC component
-    /// disengages it).
-    pub fn set_acc_engaged(&mut self, engaged: bool) {
-        self.acc_engaged = engaged;
-    }
-
     /// Commands a minimal-risk stop: moderate constant braking to
     /// standstill, ACC off.
     pub fn command_safe_stop(&mut self) {
         self.safe_stop = true;
-        self.acc_engaged = false;
     }
 
     /// Whether the vehicle has come to a stop.
@@ -177,15 +163,10 @@ impl VehicleWorld {
                 powertrain_n: 0.0,
                 brake_n: 4_000.0,
             }
-        } else if self.acc_engaged {
+        } else {
             let cmd = self.acc.step(self.now, measured_speed, radar, self.hmi);
             self.allocator
                 .allocate(cmd, measured_speed, self.powertrain.max_regen_n())
-        } else {
-            ActuatorCommands {
-                powertrain_n: 0.0,
-                brake_n: 0.0,
-            }
         };
 
         let drive = self
@@ -318,15 +299,5 @@ mod tests {
         // colliding.
         assert!(!w.metrics().collision, "min gap {}", w.metrics().min_gap_m);
         assert!(w.ego.speed_mps() < 10.0, "{}", w.ego.speed_mps());
-    }
-
-    #[test]
-    fn disengaged_acc_coasts() {
-        let mut w = VehicleWorld::new(6, 20.0, LeadVehicle::cruising(1_000.0, 30.0));
-        w.set_acc_engaged(false);
-        run(&mut w, 20);
-        // Drag and rolling resistance slow the vehicle.
-        assert!(w.ego.speed_mps() < 20.0);
-        assert!(w.ego.speed_mps() > 10.0);
     }
 }

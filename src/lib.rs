@@ -6,7 +6,7 @@
 //!
 //! | crate | role |
 //! |---|---|
-//! | [`sim`] | discrete-event kernel: virtual time, queues, RNG, traces |
+//! | [`sim`] | discrete-event kernel: virtual time, queues, RNG |
 //! | [`hw`] | platform: PEs, DVFS, thermal/power models, thermal shutdown |
 //! | [`can`] | CAN bus + the virtualized (PF/VF) CAN controller of Fig. 2 |
 //! | [`rte`] | microkernel-style execution domain with budgets and capabilities |
